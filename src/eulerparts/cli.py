@@ -209,6 +209,8 @@ def _verify_runs(args) -> list[tuple[str, dict]]:
         given["ms"] = tuple(int(x) for x in args.m.split(","))
     if args.phi is not None:
         given["phi_specs"] = tuple(args.phi.split(","))
+    if given.get("max_n", 0) < 0:
+        raise ValueError("--max-n must be >= 0")
 
     names = list(REGISTRY) if args.theorem == "all" else [args.theorem]
     for name in names:

@@ -259,8 +259,7 @@ def parse_bounds(text: str) -> BoundSequence:
         fn = parse_phi(expr)
         return BoundSequence.from_function(fn, "phi:%s" % expr.replace(" ", ""))
 
-    sizes: dict[int, object] = {}
-    odd = even = default = None
+    caps: dict[object, object] = {}  # "default", "odd", "even" or a size
     for entry in s.split(","):
         key, sep, value = entry.partition(":")
         key = key.strip()
@@ -268,23 +267,22 @@ def parse_bounds(text: str) -> BoundSequence:
             raise ValueError("bad bound entry %r (expected key:value)" % entry)
         val = _parse_bound_value(value)
         if key in ("all", "default"):
-            if default is not None:
-                raise ValueError("duplicate default in %r" % text)
-            default = val
-        elif key == "odd":
-            odd = val
-        elif key == "even":
-            even = val
+            slot = "default"
+        elif key in ("odd", "even"):
+            slot = key
         elif key.isdigit() and int(key) >= 1:
-            sizes[int(key)] = val
+            slot = int(key)
         else:
             raise ValueError("bad bound key %r" % key)
+        if slot in caps:
+            raise ValueError("duplicate %s in %r" % (slot, text))
+        caps[slot] = val
 
-    base = UNBOUNDED if default is None else default
-    odd_cap = base if odd is None else odd
-    even_cap = base if even is None else even
+    base = caps.pop("default", UNBOUNDED)
+    odd_cap = caps.pop("odd", base)
+    even_cap = caps.pop("even", base)
 
-    def fn(size, sizes=sizes, odd_cap=odd_cap, even_cap=even_cap):
+    def fn(size, sizes=caps, odd_cap=odd_cap, even_cap=even_cap):
         if size in sizes:
             return sizes[size]
         return odd_cap if size % 2 == 1 else even_cap

@@ -14,6 +14,7 @@ such as Boulet's four-parameter identity truncated to a given degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter, bounded_partitions
@@ -332,9 +333,11 @@ class FactorSpec:
     ``exps`` returns the exponent tuple of the j-th factor, or ``None`` when
     the family is exhausted.  Families must have non-decreasing truncation
     degree in j; assembly stops at the first factor beyond the truncation.
-    Factors with ``denominator=True`` are divided out (expanded as geometric
-    series), and must therefore have unit constant term, which the positive
-    degree requirement guarantees.
+    Factors with ``denominator=True`` are divided out in place: the
+    accumulated coefficients are rewritten along each chain k, k + e,
+    k + 2e, ... as ``new[k] = old[k] - sign * new[k - e]``.  That division
+    needs a unit constant term, which the positive degree requirement
+    guarantees.
     """
 
     sign: int
@@ -353,26 +356,54 @@ def finite_factors(sign: int, exps_list: Iterable[Sequence[int]],
     return FactorSpec(sign, fn, denominator)
 
 
-def _single_factor(names, trunc, degree_index, sign, exps, denominator) -> Series:
-    base = Series.zero(names, trunc, degree_index)
-    d = base.degree(exps)
-    terms: dict[tuple, int] = {(0,) * len(base.names): 1}
+def _apply_factor(acc: Series, sign: int, exps: tuple, d: int, denominator: bool) -> None:
+    """Multiply ``acc`` in place by ``(1 + sign * X^exps)``, or divide it by
+    that factor, where ``d`` is the factor's truncation degree (>= 1)."""
+    terms = acc.terms
+    limit = acc.trunc - d
+    index = acc.degree_index
+    degree = sum if index is None else itemgetter(index)
     if not denominator:
-        terms[exps] = terms.get(exps, 0) + sign
-    else:
-        # geometric expansion of 1 / (1 + sign * X^exps)
-        t = 1
-        while t * d <= trunc:
-            key = tuple(e * t for e in exps)
-            terms[key] = (-sign) ** t
-            t += 1
-    base.terms = {e: c for e, c in terms.items() if c}
-    return base
+        # new[k + e] = old[k + e] + sign * old[k]: each target has one source,
+        # so reading the sources from a snapshot makes the order irrelevant
+        sources = [(k, c) for k, c in terms.items() if degree(k) <= limit]
+        for k, c in sources:
+            key = tuple(map(add, k, exps))
+            c = terms.get(key, 0) + sign * c
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return
+    # new[k] = old[k] - sign * new[k - e], walked along each chain k, k + e,
+    # k + 2e, ... until the carry dies.  Keys are taken in ascending degree,
+    # so a key that no walk has reached has new[k - e] = 0 and starts a chain.
+    walked = set()
+    for key in sorted(terms, key=degree):
+        if key in walked:
+            continue
+        deg = degree(key)
+        carry = 0
+        while True:
+            walked.add(key)
+            carry = terms.get(key, 0) - sign * carry
+            if not carry:
+                terms.pop(key, None)
+                break
+            terms[key] = carry
+            if deg > limit:
+                break
+            key = tuple(map(add, key, exps))
+            deg += d
 
 
 def product_series(specs: Iterable[FactorSpec], names: Sequence[str], trunc: int,
                    degree_index: int | None = None) -> Series:
-    """Multiply out factor families, truncating exactly."""
+    """Multiply out factor families, truncating exactly.
+
+    Each factor updates the accumulated terms in place with one sweep over
+    them (``_apply_factor``).
+    """
     acc = Series.one(names, trunc, degree_index)
     for spec in specs:
         if spec.sign not in (1, -1):
@@ -392,8 +423,7 @@ def product_series(specs: Iterable[FactorSpec], names: Sequence[str], trunc: int
             prev = d
             if d > trunc:
                 break
-            acc = acc * _single_factor(names, trunc, degree_index, spec.sign,
-                                       exps, spec.denominator)
+            _apply_factor(acc, spec.sign, exps, d, spec.denominator)
             j += 1
     return acc
 

@@ -252,11 +252,14 @@ def _str_keys(d: dict) -> dict:
 
 # -- equivalent bound sequences ---------------------------------------------
 
-def verify_andrews(bounds_a: BoundSequence | str, bounds_b: BoundSequence | str,
+def verify_andrews(bounds_a: BoundSequence | str | None = None,
+                   bounds_b: BoundSequence | str | None = None,
                    max_n: int = 30, cutoff: int | None = None) -> VerificationReport:
     """Two cap sequences admit equally many partitions of every n iff their
     size * strict-cap products agree as multisets; check both statements up
     to ``max_n`` (products up to ``cutoff``, default ``max_n + 1``)."""
+    if bounds_a is None or bounds_b is None:
+        raise ValueError("andrews needs two bound sequences (--a and --b)")
     started = time.perf_counter()
     a = parse_bounds(bounds_a) if isinstance(bounds_a, str) else bounds_a
     b = parse_bounds(bounds_b) if isinstance(bounds_b, str) else bounds_b

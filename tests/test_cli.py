@@ -202,6 +202,22 @@ def test_verify_irrelevant_flag(capsys):
     assert "do not apply" in err
 
 
+def test_verify_andrews_needs_both_caps(capsys):
+    code, out, err = run(capsys, "verify", "andrews", "--max-n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: andrews needs two bound sequences (--a and --b)\n"
+    code, _, err = run(capsys, "verify", "andrews", "--a", "all:3", "--max-n", "5")
+    assert code == 2
+    assert err.startswith("error: andrews needs two bound sequences")
+
+
+@pytest.mark.parametrize("theorem", ("pairing", "all"))
+def test_verify_rejects_negative_max_n(capsys, theorem):
+    code, out, err = run(capsys, "verify", theorem, "--max-n", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-n must be >= 0\n"
+
+
 def test_verify_all_reduced_grid(capsys):
     code, out, _ = run(capsys, "verify", "all", "--max-n", "8", "--trunc", "8",
                        "--cutoff", "9", "--format", "csv")

@@ -182,7 +182,8 @@ def test_parse_bounds_precedence():
 
 @pytest.mark.parametrize(
     "bad",
-    ("", "all", "all:x", "part:3", "all:-1", "0:2", "all:0s", "all:3,all:4", "phi:2-i"),
+    ("", "all", "all:x", "part:3", "all:-1", "0:2", "all:0s", "all:3,all:4", "phi:2-i",
+     "all:3,default:4", "odd:1,odd:2", "even:1,even:inf", "7:1,7:2", "7:1,07:2"),
 )
 def test_parse_bounds_rejects(bad):
     with pytest.raises(ValueError):

@@ -258,6 +258,92 @@ def test_product_series_validation():
     assert product_series([finite_factors(1, [])], XQ, 5, degree_index=1) == Series.one(XQ, 5, 1)
 
 
+def reference_product(families, names, trunc, degree_index=None):
+    """Multiply explicit truncated factors with ``Series.__mul__``: a
+    denominator becomes its geometric series sum_t (-sign X^e)^t."""
+    acc = Series.one(names, trunc, degree_index)
+    for sign, exps_list, denominator in families:
+        for exps in exps_list:
+            d = acc.degree(exps)
+            if d > trunc:
+                break
+            if denominator:
+                terms = {tuple(t * e for e in exps): (-sign) ** t
+                         for t in range(trunc // d + 1)}
+            else:
+                terms = {(0,) * len(names): 1, tuple(exps): sign}
+            acc = acc * Series(names, trunc, terms, degree_index)
+    return acc
+
+
+def sweep_product(families, names, trunc, degree_index=None):
+    specs = [finite_factors(sign, exps_list, denominator)
+             for sign, exps_list, denominator in families]
+    return product_series(specs, names, trunc, degree_index)
+
+
+@st.composite
+def factor_families(draw):
+    """Factor families over (x, q) truncated in q, with x exponents of
+    either sign, or over (a, b, c, d) truncated by total degree."""
+    by_q = draw(st.booleans())
+    if by_q:
+        names, trunc, index = XQ, 8, 1
+        exps = st.tuples(st.integers(-3, 3), st.integers(1, 5))
+    else:
+        names, trunc, index = ABCD, 7, None
+        exps = st.tuples(*[st.integers(0, 2)] * 4).filter(any)
+    family = st.tuples(st.sampled_from((1, -1)),
+                       st.lists(exps, min_size=1, max_size=3),
+                       st.booleans())
+    families = draw(st.lists(family, min_size=1, max_size=4))
+    key = (lambda e: e[1]) if by_q else sum
+    return ([(sign, sorted(es, key=key), den) for sign, es, den in families],
+            names, trunc, index)
+
+
+@given(factor_families())
+def test_sweep_matches_truncated_factor_multiplication(case):
+    families, names, trunc, index = case
+    got = sweep_product(families, names, trunc, index)
+    assert got == reference_product(families, names, trunc, index)
+    assert 0 not in got.terms.values()
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("denominator", (False, True))
+def test_sweep_single_factor(sign, denominator):
+    # (1 + sign q), and 1 / (1 + sign q) = sum (-sign q)^t
+    got = sweep_product([(sign, [(0, 1)], denominator)], XQ, 6, 1)
+    if denominator:
+        assert got.terms == {(0, t): (-sign) ** t for t in range(7)}
+    else:
+        assert got.terms == {(0, 0): 1, (0, 1): sign}
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("den_first", (False, True))
+def test_sweep_cancels_to_one(sign, den_first):
+    num = (sign, [(1, 1), (0, 2)], False)
+    den = (sign, [(1, 1), (0, 2)], True)
+    families = [den, num] if den_first else [num, den]
+    got = sweep_product(families, XQ, 9, 1)
+    assert got.terms == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_sweep_divides_along_gapped_chains(sign):
+    e = (1, 0, 1, 0)
+    two_e, three_e = (2, 0, 2, 0), (3, 0, 3, 0)
+    # 1 + X^{2e}: the chain from 1 must carry through the empty X^e slot
+    gapped = [(1, [two_e], False), (sign, [e], True)]
+    assert sweep_product(gapped, ABCD, 12) == reference_product(gapped, ABCD, 12)
+    # (1 + sX^e)(1 + X^{3e}) / (1 + sX^e) = 1 + X^{3e}: the first chain dies at
+    # X^e and the walk must restart at X^{3e}
+    restart = [(sign, [e], False), (1, [three_e], False), (sign, [e], True)]
+    assert sweep_product(restart, ABCD, 12).terms == {(0, 0, 0, 0): 1, three_e: 1}
+
+
 def test_boulet_product_matches_enumeration():
     N = 10
     assert boulet_product(N) == enumerated_series(N, FOUR_PARAM)
