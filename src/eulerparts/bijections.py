@@ -33,6 +33,12 @@ class DomainError(ValueError):
     """The input lies outside a map's domain (a violated bound or parity)."""
 
 
+def _ensure(holds: bool, invariant: str):
+    """Raise on a broken invariant; unlike ``assert`` this survives ``python -O``."""
+    if not holds:
+        raise AssertionError("invariant broken: " + invariant)
+
+
 @dataclass(frozen=True)
 class BijectionTrace:
     """Intermediate stages of a composite map.
@@ -123,7 +129,7 @@ def sylvester_odd_to_distinct(tau: Partition) -> Partition:
         k += 1
 
     lam = Partition._raw(tuple(out))
-    assert lam.weight() == tau.weight()
+    _ensure(lam.weight() == tau.weight(), "weight preserved")
     return lam
 
 
@@ -169,7 +175,7 @@ def sylvester_distinct_to_odd(lam: Partition) -> Partition:
         half[k - 1] = width
 
     tau = Partition._raw(tuple(2 * b + 1 for b in half))
-    assert tau.weight() == lam.weight()
+    _ensure(tau.weight() == lam.weight(), "weight preserved")
     return tau
 
 
@@ -241,19 +247,53 @@ def binary_contract(nu: Partition) -> Partition:
 
 # -- the two bound-trading maps -------------------------------------------
 
-def _check_cap(p: Partition, cap_of, what: str):
-    for size, mult in p.multiplicities().items():
-        cap = cap_of(size)
-        if cap is not None and mult > cap:
-            raise DomainError("part %d appears %d times, above the cap of %d (%s)"
-                              % (size, mult, cap, what))
+# A multiplicity cap on one side of a map: the cap on parts of a size, given
+# ``m`` (``None`` for uncapped), and how an error message describes it.
+_EVERY_PART_2M1 = (lambda m, size: 2 * m + 1, "every part, at most 2m+1 times")
+_EVEN_PARTS_M = (lambda m, size: m if size % 2 == 0 else None,
+                 "even parts, at most m times")
+_EVEN_PARTS_2M1 = (lambda m, size: 2 * m + 1 if size % 2 == 0 else None,
+                   "even parts, at most 2m+1 times")
 
 
-def _check_m(m):
+def _check_cap(p: Partition, m, cap):
+    """Validate ``m`` and, unless it is ``UNBOUNDED``, the caps on ``p``."""
     if m is UNBOUNDED:
         return
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a non-negative integer or UNBOUNDED, got %r" % (m,))
+    cap_of, what = cap
+    for size, mult in p.multiplicities().items():
+        limit = cap_of(m, size)
+        if limit is not None and mult > limit:
+            raise DomainError("part %d appears %d times, above the cap of %d (%s)"
+                              % (size, mult, limit, what))
+
+
+def _forward(alpha: Partition, m, cap, encode) -> tuple[Partition, BijectionTrace]:
+    """Split ``alpha`` by multiplicity parity, send the distinct half through
+    the fishhook and the even half through ``encode``, and join the images."""
+    _check_cap(alpha, m, cap)
+    lam, mu = split_distinct_even(alpha)
+    tau = sylvester_distinct_to_odd(lam)
+    nu = encode(mu)
+    beta = Partition(tau.parts + nu.parts)
+    _ensure(beta.weight() == alpha.weight(), "weight preserved")
+    _ensure(alpha.alt_sum() == beta.odd_count(), "l_a of the input = l_o of the image")
+    return beta, BijectionTrace(alpha, lam, mu, tau, nu, beta)
+
+
+def _backward(beta: Partition, m, cap, decode) -> tuple[Partition, BijectionTrace]:
+    """Inverse of :func:`_forward`: odd parts go back through the fishhook,
+    even parts through ``decode``."""
+    _check_cap(beta, m, cap)
+    tau = Partition._raw(tuple(p for p in beta.parts if p % 2 == 1))
+    nu = Partition._raw(tuple(p for p in beta.parts if p % 2 == 0))
+    lam = sylvester_odd_to_distinct(tau)
+    mu = decode(nu)
+    alpha = merge_distinct_even(lam, mu)
+    _ensure(alpha.weight() == beta.weight(), "weight preserved")
+    return alpha, BijectionTrace(beta, lam, mu, tau, nu, alpha)
 
 
 def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
@@ -264,30 +304,12 @@ def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrac
     image, and the weight is preserved.  With ``m = UNBOUNDED`` no caps are
     checked and the map is the general multiplicity-parity correspondence.
     """
-    _check_m(m)
-    if m is not UNBOUNDED:
-        _check_cap(alpha, lambda s: 2 * m + 1, "every part, at most 2m+1 times")
-    lam, mu = split_distinct_even(alpha)
-    tau = sylvester_distinct_to_odd(lam)
-    nu = merge_pairs(mu)
-    beta = Partition(tau.parts + nu.parts)
-    assert beta.weight() == alpha.weight()
-    assert alpha.alt_sum() == beta.odd_count()
-    return beta, BijectionTrace(alpha, lam, mu, tau, nu, beta)
+    return _forward(alpha, m, _EVERY_PART_2M1, merge_pairs)
 
 
 def pairing_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`pairing_map`, with the intermediate stages."""
-    _check_m(m)
-    if m is not UNBOUNDED:
-        _check_cap(beta, lambda s: m if s % 2 == 0 else None, "even parts, at most m times")
-    tau = Partition._raw(tuple(p for p in beta.parts if p % 2 == 1))
-    nu = Partition._raw(tuple(p for p in beta.parts if p % 2 == 0))
-    lam = sylvester_odd_to_distinct(tau)
-    mu = split_pairs(nu)
-    alpha = merge_distinct_even(lam, mu)
-    assert alpha.weight() == beta.weight()
-    return alpha, BijectionTrace(beta, lam, mu, tau, nu, alpha)
+    return _backward(beta, m, _EVEN_PARTS_M, split_pairs)
 
 
 def pairing_inverse(beta: Partition, m=UNBOUNDED) -> Partition:
@@ -301,32 +323,12 @@ def binary_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace
     through :func:`binary_expand`, so the image again has its even parts
     capped at ``2m+1``.  Alternating sum maps to odd-part count.
     """
-    _check_m(m)
-    if m is not UNBOUNDED:
-        _check_cap(alpha, lambda s: 2 * m + 1 if s % 2 == 0 else None,
-                   "even parts, at most 2m+1 times")
-    lam, mu = split_distinct_even(alpha)
-    tau = sylvester_distinct_to_odd(lam)
-    nu = binary_expand(mu)
-    beta = Partition(tau.parts + nu.parts)
-    assert beta.weight() == alpha.weight()
-    assert alpha.alt_sum() == beta.odd_count()
-    return beta, BijectionTrace(alpha, lam, mu, tau, nu, beta)
+    return _forward(alpha, m, _EVEN_PARTS_2M1, binary_expand)
 
 
 def binary_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`binary_map`, with the intermediate stages."""
-    _check_m(m)
-    if m is not UNBOUNDED:
-        _check_cap(beta, lambda s: 2 * m + 1 if s % 2 == 0 else None,
-                   "even parts, at most 2m+1 times")
-    tau = Partition._raw(tuple(p for p in beta.parts if p % 2 == 1))
-    nu = Partition._raw(tuple(p for p in beta.parts if p % 2 == 0))
-    lam = sylvester_odd_to_distinct(tau)
-    mu = binary_contract(nu)
-    alpha = merge_distinct_even(lam, mu)
-    assert alpha.weight() == beta.weight()
-    return alpha, BijectionTrace(beta, lam, mu, tau, nu, alpha)
+    return _backward(beta, m, _EVEN_PARTS_2M1, binary_contract)
 
 
 def binary_inverse(beta: Partition, m=UNBOUNDED) -> Partition:

@@ -15,23 +15,19 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .bijections import (BijectionTrace, DomainError, binary_inverse_trace,
-                         binary_map, pairing_inverse_trace, pairing_map,
+from .bijections import (binary_inverse_trace, binary_map,
+                         pairing_inverse_trace, pairing_map,
                          sylvester_distinct_to_odd, sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, bounded_partitions, count_by_statistic,
                           parse_bounds, parse_filter)
 from .partition import Partition
-from .series import (WEIGHTS, Series, binary_gf, boulet_product,
+from .series import (WEIGHTS, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
                      partition_gf, restricted_boulet_product,
                      row_totals_product)
 from .verify import REGISTRY
 
 STATS = {"la": Partition.alt_sum, "lo": Partition.odd_count}
-
-
-def _stat_fn(name: str):
-    return STATS[name]
 
 
 def _bounds_arg(args):
@@ -78,7 +74,7 @@ def cmd_enumerate(args) -> int:
 # -- stats ---------------------------------------------------------------------
 
 def cmd_stats(args) -> int:
-    hist = count_by_statistic(args.n, _stat_fn(args.stat),
+    hist = count_by_statistic(args.n, STATS[args.stat],
                               _bounds_arg(args), _filter_arg(args))
     total = sum(hist.values())
     if args.format == "json":
@@ -102,10 +98,13 @@ def _parse_m(text: str):
     return int(text)
 
 
+EXCHANGE_MAPS = {("pairing", "fwd"): pairing_map, ("pairing", "inv"): pairing_inverse_trace,
+                 ("binary", "fwd"): binary_map, ("binary", "inv"): binary_inverse_trace}
+
+
 def cmd_map(args) -> int:
     p = Partition.parse(args.partition)
     m = _parse_m(args.m)
-    trace: BijectionTrace | None = None
     if args.name == "sylvester":
         if args.direction == "fwd":
             image = sylvester_odd_to_distinct(p)
@@ -114,14 +113,8 @@ def cmd_map(args) -> int:
             image = sylvester_distinct_to_odd(p)
             lines = [("λ", p), ("τ", image)]
     else:
-        forward = pairing_map if args.name == "pairing" else binary_map
-        backward = pairing_inverse_trace if args.name == "pairing" else binary_inverse_trace
-        if args.direction == "fwd":
-            image, trace = forward(p, m)
-            first, last = "α", "β"
-        else:
-            image, trace = backward(p, m)
-            first, last = "β", "α"
+        image, trace = EXCHANGE_MAPS[args.name, args.direction](p, m)
+        first, last = ("α", "β") if args.direction == "fwd" else ("β", "α")
         lines = [(first, p), ("λ", trace.lambda_part), ("μ", trace.mu_part),
                  ("τ", trace.tau_part), ("ν", trace.nu_part), (last, image)]
     if args.format == "json":
@@ -139,36 +132,29 @@ def cmd_map(args) -> int:
 
 # -- series ------------------------------------------------------------------------
 
-def _build_series(args) -> Series:
-    name = args.name
-    if name == "partition-gf":
-        return partition_gf(args.N)
-    if name == "pairing-gf":
-        return pairing_gf(int(args.m), args.N)
-    if name == "binary-gf":
-        return binary_gf(int(args.m), args.N)
-    if name == "boulet":
-        return boulet_product(args.N)
-    if name == "restricted-boulet":
-        if not args.bounds:
-            raise ValueError("restricted-boulet needs --bounds")
-        return restricted_boulet_product(args.i, args.k, parse_bounds(args.bounds), args.N)
-    if name == "rows":
-        if not args.bounds:
-            raise ValueError("rows needs --bounds")
-        return row_totals_product(parse_bounds(args.bounds), args.N)
-    if name == "halves":
-        if not args.bounds:
-            raise ValueError("halves needs --bounds")
-        return half_cells_product(parse_bounds(args.bounds), args.N)
-    if name == "enumerated":
-        weight = WEIGHTS[args.weight]
-        return enumerated_series(args.N, weight, _bounds_arg(args), _filter_arg(args))
-    raise ValueError("unknown series %r" % name)
+def _required_bounds(args):
+    if not args.bounds:
+        raise ValueError("%s needs --bounds" % args.name)
+    return parse_bounds(args.bounds)
+
+
+# Builder of each ``series`` name, in the order ``--help`` lists them.
+SERIES = {
+    "partition-gf": lambda args: partition_gf(args.N),
+    "pairing-gf": lambda args: pairing_gf(int(args.m), args.N),
+    "binary-gf": lambda args: binary_gf(int(args.m), args.N),
+    "boulet": lambda args: boulet_product(args.N),
+    "restricted-boulet": lambda args: restricted_boulet_product(
+        args.i, args.k, _required_bounds(args), args.N),
+    "rows": lambda args: row_totals_product(_required_bounds(args), args.N),
+    "halves": lambda args: half_cells_product(_required_bounds(args), args.N),
+    "enumerated": lambda args: enumerated_series(
+        args.N, WEIGHTS[args.weight], _bounds_arg(args), _filter_arg(args)),
+}
 
 
 def cmd_series(args) -> int:
-    series = _build_series(args)
+    series = SERIES[args.name](args)
     items = series.items()
     if args.format == "json":
         _emit(_json({"vars": list(series.names), "trunc": series.trunc,
@@ -186,31 +172,44 @@ def cmd_series(args) -> int:
 
 # -- verify -------------------------------------------------------------------------
 
+def _non_negative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError("%s must be >= 0" % flag)
+    return value
+
+
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _text_list(flag: str, text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+# The grid flags of ``verify``: the option, the runner keyword it sets, its
+# argparse type, the conversion of its value (None: used as given; a
+# conversion may reject the value) and its help text.
+VERIFY_FLAGS = (
+    ("--max-n", "max_n", int, _non_negative, None),
+    ("--trunc", "trunc", int, None, None),
+    ("--cutoff", "cutoff", int, _non_negative, None),
+    ("--m", "ms", str, _int_list, "comma-separated cap parameters, e.g. 0,1,2"),
+    ("--i", "i", int, None, None),
+    ("--k", "k", int, None, None),
+    ("--bounds", "bounds", str, None, "bound DSL for the product checks"),
+    ("--a", "bounds_a", str, None, "bound DSL, left side of the equivalence check"),
+    ("--b", "bounds_b", str, None, "bound DSL, right side of the equivalence check"),
+    ("--phi", "phi_specs", str, _text_list, "comma-separated cap expressions, e.g. 1,i"),
+)
+
+
 def _verify_runs(args) -> list[tuple[str, dict]]:
     """(theorem id, kwargs) pairs to execute, honouring explicit flags."""
     given: dict[str, object] = {}
-    if args.max_n is not None:
-        given["max_n"] = args.max_n
-    if args.trunc is not None:
-        given["trunc"] = args.trunc
-    if args.cutoff is not None:
-        given["cutoff"] = args.cutoff
-    if args.i is not None:
-        given["i"] = args.i
-    if args.k is not None:
-        given["k"] = args.k
-    if args.bounds is not None:
-        given["bounds"] = args.bounds
-    if args.a is not None:
-        given["bounds_a"] = args.a
-    if args.b is not None:
-        given["bounds_b"] = args.b
-    if args.m is not None:
-        given["ms"] = tuple(int(x) for x in args.m.split(","))
-    if args.phi is not None:
-        given["phi_specs"] = tuple(args.phi.split(","))
-    if given.get("max_n", 0) < 0:
-        raise ValueError("--max-n must be >= 0")
+    for flag, keyword, _, convert, _ in VERIFY_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        if value is not None:
+            given[keyword] = convert(flag, value) if convert else value
 
     names = list(REGISTRY) if args.theorem == "all" else [args.theorem]
     for name in names:
@@ -272,7 +271,7 @@ def cmd_verify(args) -> int:
 # -- table ---------------------------------------------------------------------------
 
 def cmd_table(args) -> int:
-    stat = _stat_fn(args.stat)
+    stat = STATS[args.stat]
     rows: dict[int, list[Partition]] = {}
     for p in bounded_partitions(args.n, _bounds_arg(args), _filter_arg(args)):
         rows.setdefault(stat(p), []).append(p)
@@ -335,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("series", help="dump a truncated series")
-    p.add_argument("name", choices=("partition-gf", "pairing-gf", "binary-gf",
-                                    "boulet", "restricted-boulet", "rows",
-                                    "halves", "enumerated"))
+    p.add_argument("name", choices=tuple(SERIES))
     p.add_argument("-N", type=int, default=12, help="truncation degree")
     p.add_argument("-m", default="0")
     p.add_argument("--i", type=int, default=0)
@@ -351,17 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an identity over a finite grid")
     p.add_argument("theorem",
                    help="one of: %s, or 'all'" % ", ".join(REGISTRY))
-    p.add_argument("--max-n", dest="max_n", type=int)
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--m", help="comma-separated cap parameters, e.g. 0,1,2")
-    p.add_argument("--i", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--bounds", help="bound DSL for the product checks")
-    p.add_argument("--a", help="bound DSL, left side of the equivalence check")
-    p.add_argument("--b", help="bound DSL, right side of the equivalence check")
-    p.add_argument("--phi", help="comma-separated cap expressions, e.g. 1,i")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    for flag, _, type_, _, help_ in VERIFY_FLAGS:
+        p.add_argument(flag, type=type_, help=help_)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="run the grid points on this many threads; they share "
+                        "one interpreter lock, so this is no faster, and each "
+                        "run's elapsed_ms includes time spent waiting")
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -381,10 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a DomainError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

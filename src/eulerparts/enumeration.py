@@ -10,8 +10,10 @@ can be passed on a command line.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from math import prod
+from typing import Callable, Iterable, Iterator
 
 from .partition import Partition
 
@@ -162,6 +164,7 @@ class CongruenceFilter:
 # -- the DSLs -----------------------------------------------------------
 
 _PHI_TOKEN = re.compile(r"\d+|[i+*()]")
+_PHI_MAX_DEPTH = 50  # parentheses; keeps parsing and evaluation off the recursion limit
 
 
 def parse_phi(expr: str) -> Callable[[int], int]:
@@ -185,13 +188,16 @@ def parse_phi(expr: str) -> Callable[[int], int]:
         pos += 1
         return tok
 
-    def atom():
+    def atom(depth):
         tok = peek()
         if tok is None:
             raise ValueError("unexpected end of expression in %r" % expr)
         if tok == "(":
+            if depth == _PHI_MAX_DEPTH:
+                raise ValueError("parentheses nested deeper than %d in %r"
+                                 % (_PHI_MAX_DEPTH, expr))
             take()
-            node = sum_expr()
+            node = sum_expr(depth + 1)
             if peek() != ")":
                 raise ValueError("unbalanced parentheses in %r" % expr)
             take()
@@ -204,23 +210,23 @@ def parse_phi(expr: str) -> Callable[[int], int]:
             return lambda i: val
         raise ValueError("unexpected token %r in %r" % (tok, expr))
 
-    def term():
-        node = atom()
+    # A chain of * or + becomes one flat node, so its length does not
+    # deepen the evaluation.
+    def term(depth):
+        factors = [atom(depth)]
         while peek() == "*":
             take()
-            rhs = atom()
-            node = (lambda a, b: lambda i: a(i) * b(i))(node, rhs)
-        return node
+            factors.append(atom(depth))
+        return factors[0] if len(factors) == 1 else lambda i: prod(f(i) for f in factors)
 
-    def sum_expr():
-        node = term()
+    def sum_expr(depth):
+        terms = [term(depth)]
         while peek() == "+":
             take()
-            rhs = term()
-            node = (lambda a, b: lambda i: a(i) + b(i))(node, rhs)
-        return node
+            terms.append(term(depth))
+        return terms[0] if len(terms) == 1 else lambda i: sum(t(i) for t in terms)
 
-    fn = sum_expr()
+    fn = sum_expr(0)
     if pos != len(tokens):
         raise ValueError("trailing tokens in %r" % expr)
     return fn
@@ -359,12 +365,14 @@ def count_total(n: int, bounds: BoundSequence | None = None,
     return sum(1 for _ in bounded_partitions(n, bounds, filt))
 
 
+def histogram(partitions: Iterable[Partition],
+              stat: Callable[[Partition], int]) -> dict[int, int]:
+    """Histogram of ``stat`` over ``partitions``, keyed ascending."""
+    return dict(sorted(Counter(map(stat, partitions)).items()))
+
+
 def count_by_statistic(n: int, stat: Callable[[Partition], int],
                        bounds: BoundSequence | None = None,
                        filt: CongruenceFilter | None = None) -> dict[int, int]:
     """Histogram of ``stat`` over the enumerated partitions, keyed ascending."""
-    hist: dict[int, int] = {}
-    for p in bounded_partitions(n, bounds, filt):
-        k = stat(p)
-        hist[k] = hist.get(k, 0) + 1
-    return dict(sorted(hist.items()))
+    return histogram(bounded_partitions(n, bounds, filt), stat)

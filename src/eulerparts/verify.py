@@ -8,6 +8,7 @@ drives the command line.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -15,8 +16,8 @@ from .bijections import (binary_inverse, binary_map, pairing_inverse,
                          pairing_map, sylvester_distinct_to_odd,
                          sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
-                          bounded_partitions, count_by_statistic, parse_bounds,
-                          parse_phi)
+                          bounded_partitions, count_by_statistic, histogram,
+                          parse_bounds, parse_phi)
 from .partition import Partition
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, binary_gf, boulet_product, enumerated_series,
@@ -69,21 +70,41 @@ class VerificationReport:
         return head
 
 
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return report
+def _timed(runner):
+    """Set ``elapsed_ms`` on the report the runner returns to its wall time."""
+    @functools.wraps(runner)
+    def timed(*args, **kwargs) -> VerificationReport:
+        started = time.perf_counter()
+        report = runner(*args, **kwargs)
+        report.elapsed_ms = int((time.perf_counter() - started) * 1000)
+        return report
+    return timed
 
 
-def _mono_dict(exps, names) -> dict:
-    return {n: e for n, e in zip(names, exps)}
+def _bounds(spec: BoundSequence | str) -> BoundSequence:
+    return parse_bounds(spec) if isinstance(spec, str) else spec
+
+
+def _compare(report: VerificationReport, lhs, rhs,
+             left: str = "enumerated", right: str = "product", **context):
+    """Compare two series.  ``None`` when they agree; otherwise fail
+    ``report`` with ``context``, the first differing monomial (as a
+    ``{variable: exponent}`` dict) and both coefficients, named ``left`` and
+    ``right``, and return (monomial, left coefficient, right coefficient)."""
+    cmp = series_equal(lhs, rhs)
+    if cmp:
+        return None
+    monomial = dict(zip(lhs.names, cmp.exponents))
+    report.fail(**context, monomial=monomial, **{left: cmp.left, right: cmp.right})
+    return monomial, cmp.left, cmp.right
 
 
 # -- statistic distributions and bijections ---------------------------------
 
+@_timed
 def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
     """Distinct partitions counted by alternating sum match odd-part
     partitions counted by length, for every n up to ``max_n``."""
-    started = time.perf_counter()
     report = VerificationReport("bessenrodt", {"max_n": max_n})
     distinct = BoundSequence.constant(1)
     odds = BoundSequence.odds_evens(UNBOUNDED, 0)
@@ -93,9 +114,10 @@ def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
         if left != right:
             report.fail(n=n, by_alt_sum=left, by_length=right)
             break
-    return _finish(report, started)
+    return report
 
 
+@_timed
 def verify_sylvester(max_n: int = 25) -> VerificationReport:
     """The fishhook map is a bijection distinct -> odd for every weight up
     to ``max_n``, inverts correctly, and satisfies
@@ -104,7 +126,6 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     * alternating sum of the input = number of (odd) parts... of the image
       that is, l_a(input) = l_o(image).
     """
-    started = time.perf_counter()
     report = VerificationReport("sylvester", {"max_n": max_n})
     distinct = BoundSequence.constant(1)
     odds = BoundSequence.odds_evens(UNBOUNDED, 0)
@@ -112,86 +133,87 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
         images = []
         for lam in bounded_partitions(n, distinct):
             tau = sylvester_distinct_to_odd(lam)
-            if any(p % 2 == 0 for p in tau.parts):
-                report.fail(n=n, input=str(lam), image=str(tau), detail="even part in image")
-                return _finish(report, started)
-            if sylvester_odd_to_distinct(tau) != lam:
-                report.fail(n=n, input=str(lam), image=str(tau), detail="round trip failed")
-                return _finish(report, started)
             first = lam.parts[0] if lam.parts else 0
             expected = len(tau) + (tau.parts[0] - 1) // 2 if tau.parts else 0
-            if first != expected:
-                report.fail(n=n, input=str(lam), image=str(tau), detail="hook size property failed")
-                return _finish(report, started)
-            if lam.alt_sum() != tau.odd_count():
-                report.fail(n=n, input=str(lam), image=str(tau), detail="statistic property failed")
-                return _finish(report, started)
+            detail = (
+                "even part in image" if any(p % 2 == 0 for p in tau.parts) else
+                "round trip failed" if sylvester_odd_to_distinct(tau) != lam else
+                "hook size property failed" if first != expected else
+                "statistic property failed" if lam.alt_sum() != tau.odd_count() else
+                None)
+            if detail:
+                report.fail(n=n, input=str(lam), image=str(tau), detail=detail)
+                return report
             images.append(tau)
         target = list(bounded_partitions(n, odds))
         if sorted(p.parts for p in images) != sorted(p.parts for p in target):
             report.fail(n=n, detail="images do not exhaust the odd partitions")
-            return _finish(report, started)
-    return _finish(report, started)
+            return report
+    return report
 
 
-def _verify_exchange(mapper, inverse, source_bounds, target_bounds,
-                     max_n: int, ms, report: VerificationReport) -> VerificationReport:
-    started = time.perf_counter()
+# The (source, target) cap families, as functions of m, that the pairing and
+# binary identities relate; both the bijection and the series checks use them.
+_PAIRING_FAMILIES = (lambda m: BoundSequence.constant(2 * m + 1),
+                     lambda m: BoundSequence.evens_only(m))
+_BINARY_FAMILIES = (lambda m: BoundSequence.evens_only(2 * m + 1),) * 2
+
+
+def _verify_exchange(report: VerificationReport, mapper, inverse, families,
+                     max_n: int, ms) -> VerificationReport:
+    """Check ``mapper`` on every partition of the source family: the image
+    lies in the target family, l_a becomes l_o, ``inverse`` undoes it, and
+    the images exhaust the target.  Each family is enumerated once per
+    (m, n); the l_a and l_o histograms are taken from those lists."""
+    source_bounds, target_bounds = families
     for m in ms:
         src = source_bounds(m)
         dst = target_bounds(m)
         for n in range(max_n + 1):
             source = list(bounded_partitions(n, src))
             target = list(bounded_partitions(n, dst))
-            left = count_by_statistic(n, Partition.alt_sum, src)
-            right = count_by_statistic(n, Partition.odd_count, dst)
+            left = histogram(source, Partition.alt_sum)
+            right = histogram(target, Partition.odd_count)
             if left != right:
                 report.fail(m=m, n=n, by_alt_sum=left, by_odd_count=right)
-                return _finish(report, started)
+                return report
             seen = set()
             for alpha in source:
                 beta, _ = mapper(alpha, m)
-                if not dst.admits(beta):
-                    report.fail(m=m, n=n, input=str(alpha), image=str(beta),
-                                detail="image violates the target caps")
-                    return _finish(report, started)
-                if alpha.alt_sum() != beta.odd_count():
-                    report.fail(m=m, n=n, input=str(alpha), image=str(beta),
-                                detail="statistic not exchanged")
-                    return _finish(report, started)
-                if inverse(beta, m) != alpha:
-                    report.fail(m=m, n=n, input=str(alpha), image=str(beta),
-                                detail="inverse round trip failed")
-                    return _finish(report, started)
+                detail = (
+                    "image violates the target caps" if not dst.admits(beta) else
+                    "statistic not exchanged" if alpha.alt_sum() != beta.odd_count() else
+                    "inverse round trip failed" if inverse(beta, m) != alpha else
+                    None)
+                if detail:
+                    report.fail(m=m, n=n, input=str(alpha), image=str(beta), detail=detail)
+                    return report
                 seen.add(beta)
             if len(seen) != len(source) or seen != set(target):
                 report.fail(m=m, n=n, detail="images do not exhaust the target family")
-                return _finish(report, started)
-    return _finish(report, started)
+                return report
+    return report
 
 
+@_timed
 def verify_pairing(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     """The pairing map is a statistic-exchanging bijection from "every part
     at most 2m+1 times" onto "even parts at most m times"."""
-    report = VerificationReport("pairing", {"max_n": max_n, "m": list(ms)})
     return _verify_exchange(
-        pairing_map, pairing_inverse,
-        lambda m: BoundSequence.constant(2 * m + 1),
-        lambda m: BoundSequence.evens_only(m),
-        max_n, ms, report)
+        VerificationReport("pairing", {"max_n": max_n, "m": list(ms)}),
+        pairing_map, pairing_inverse, _PAIRING_FAMILIES, max_n, ms)
 
 
+@_timed
 def verify_binary(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     """The binary map exchanges the statistics within the family "even parts
     at most 2m+1 times"."""
-    report = VerificationReport("binary", {"max_n": max_n, "m": list(ms)})
     return _verify_exchange(
-        binary_map, binary_inverse,
-        lambda m: BoundSequence.evens_only(2 * m + 1),
-        lambda m: BoundSequence.evens_only(2 * m + 1),
-        max_n, ms, report)
+        VerificationReport("binary", {"max_n": max_n, "m": list(ms)}),
+        binary_map, binary_inverse, _BINARY_FAMILIES, max_n, ms)
 
 
+@_timed
 def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> VerificationReport:
     """Refinement of the pairing map under a size-dependent cap phi.
 
@@ -202,7 +224,6 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
     Inputs with no odd multiplicity (so the second statistic is 0) fall
     outside the refinement and are counted as skipped.
     """
-    started = time.perf_counter()
     report = VerificationReport("pairing-refined",
                                 {"max_n": max_n, "phi": list(phi_specs)})
     for spec in phi_specs:
@@ -222,16 +243,16 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
                 key = (alpha.alt_sum(), t)
                 left[key] = left.get(key, 0) + 1
                 beta, _ = pairing_map(alpha)
-                if not dst.admits(beta):
-                    report.fail(phi=spec, n=n, input=str(alpha), image=str(beta),
-                                detail="image violates the phi caps")
-                    return _finish(report, started)
                 k = beta.odd_count()
-                t_image = k + (beta.largest_odd_part() - 1) // 2
-                if (k, t_image) != key:
+                detail = (
+                    "image violates the phi caps" if not dst.admits(beta) else
+                    "refined statistics disagree"
+                    if (k, k + (beta.largest_odd_part() - 1) // 2) != key else
+                    None)
+                if detail:
                     report.fail(phi=spec, n=n, input=str(alpha), image=str(beta),
-                                detail="refined statistics disagree")
-                    return _finish(report, started)
+                                detail=detail)
+                    return report
             right: dict[tuple, int] = {}
             for beta in bounded_partitions(n, dst):
                 k = beta.odd_count()
@@ -241,9 +262,9 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
                 right[key] = right.get(key, 0) + 1
             if left != right:
                 report.fail(phi=spec, n=n, left=_str_keys(left), right=_str_keys(right))
-                return _finish(report, started)
+                return report
     report.notes.append("inputs with all multiplicities even fall outside the refinement")
-    return _finish(report, started)
+    return report
 
 
 def _str_keys(d: dict) -> dict:
@@ -252,6 +273,7 @@ def _str_keys(d: dict) -> dict:
 
 # -- equivalent bound sequences ---------------------------------------------
 
+@_timed
 def verify_andrews(bounds_a: BoundSequence | str | None = None,
                    bounds_b: BoundSequence | str | None = None,
                    max_n: int = 30, cutoff: int | None = None) -> VerificationReport:
@@ -260,9 +282,8 @@ def verify_andrews(bounds_a: BoundSequence | str | None = None,
     to ``max_n`` (products up to ``cutoff``, default ``max_n + 1``)."""
     if bounds_a is None or bounds_b is None:
         raise ValueError("andrews needs two bound sequences (--a and --b)")
-    started = time.perf_counter()
-    a = parse_bounds(bounds_a) if isinstance(bounds_a, str) else bounds_a
-    b = parse_bounds(bounds_b) if isinstance(bounds_b, str) else bounds_b
+    a = _bounds(bounds_a)
+    b = _bounds(bounds_b)
     if cutoff is None:
         cutoff = max_n + 1
     report = VerificationReport(
@@ -287,14 +308,14 @@ def verify_andrews(bounds_a: BoundSequence | str | None = None,
         else:
             report.fail(detail="products differ; the first count difference "
                                "lies beyond max_n")
-    return _finish(report, started)
+    return report
 
 
 # -- series identities --------------------------------------------------------
 
+@_timed
 def verify_partition_gf(max_n: int = 30) -> VerificationReport:
     """Coefficient of q^n in 1/(q;q)_inf equals the number of partitions."""
-    started = time.perf_counter()
     report = VerificationReport("partition-gf", {"max_n": max_n})
     gf = partition_gf(max_n)
     for n in range(max_n + 1):
@@ -303,22 +324,18 @@ def verify_partition_gf(max_n: int = 30) -> VerificationReport:
         if counted != coeff:
             report.fail(n=n, enumerated=counted, coefficient=coeff)
             break
-    return _finish(report, started)
+    return report
 
 
+@_timed
 def verify_boulet(trunc: int = 16) -> VerificationReport:
     """Four-parameter weight sum over all partitions equals Boulet's product."""
-    started = time.perf_counter()
     report = VerificationReport("boulet", {"trunc": trunc})
-    lhs = enumerated_series(trunc, FOUR_PARAM)
-    rhs = boulet_product(trunc)
-    cmp = series_equal(lhs, rhs)
-    if not cmp:
-        report.fail(monomial=_mono_dict(cmp.exponents, lhs.names),
-                    enumerated=cmp.left, product=cmp.right)
-    return _finish(report, started)
+    _compare(report, enumerated_series(trunc, FOUR_PARAM), boulet_product(trunc))
+    return report
 
 
+@_timed
 def verify_boulet_restricted(i: int = 0, k: int = 1,
                              bounds: BoundSequence | str = "1:1,2:3",
                              trunc: int = 20) -> VerificationReport:
@@ -328,100 +345,80 @@ def verify_boulet_restricted(i: int = 0, k: int = 1,
     at most once) and both readings of whether the empty partition belongs
     to the family are reported when they disagree.
     """
-    started = time.perf_counter()
-    bseq = parse_bounds(bounds) if isinstance(bounds, str) else bounds
+    bseq = _bounds(bounds)
     report = VerificationReport(
         "boulet-restricted",
         {"i": i, "k": k, "bounds": bseq.spec, "trunc": trunc})
     filt = CongruenceFilter(k, i, even_length=(i != 0), first_part_once=(i != 0))
     rhs = restricted_boulet_product(i, k, bseq, trunc)
-    lhs = enumerated_series(trunc, FOUR_PARAM, bseq, filt)
-    cmp = series_equal(lhs, rhs)
-    if cmp:
+    if _compare(report, enumerated_series(trunc, FOUR_PARAM, bseq, filt), rhs) is None:
         report.notes.append("matches with the empty partition included")
-        return _finish(report, started)
-    report.fail(monomial=_mono_dict(cmp.exponents, lhs.names),
-                enumerated=cmp.left, product=cmp.right)
-    if i != 0:
+    elif i != 0:
+        # The report keeps its first counterexample; this reading adds a note.
         bare = enumerated_series(trunc, FOUR_PARAM, bseq, filt, include_empty=False)
-        cmp2 = series_equal(bare, rhs)
-        if cmp2:
+        diff = _compare(report, bare, rhs)
+        if diff is None:
             report.notes.append("matches with the empty partition excluded")
         else:
             report.notes.append(
-                "empty partition excluded: still differs at %s (%d vs %d)"
-                % (_mono_dict(cmp2.exponents, lhs.names), cmp2.left, cmp2.right))
-    return _finish(report, started)
+                "empty partition excluded: still differs at %s (%d vs %d)" % diff)
+    return report
 
 
+def _verify_collapse(theorem: str, weight, product, bounds, trunc: int) -> VerificationReport:
+    """A two-parameter weight summed over the capped partitions against its
+    product under the same caps."""
+    bseq = _bounds(bounds)
+    report = VerificationReport(theorem, {"bounds": bseq.spec, "trunc": trunc})
+    _compare(report, enumerated_series(trunc, weight, bseq), product(bseq, trunc))
+    return report
+
+
+@_timed
 def verify_rows_product(bounds: BoundSequence | str = "all:3",
                         trunc: int = 24) -> VerificationReport:
     """Row-totals weight sum under the caps equals its two-parameter product."""
-    started = time.perf_counter()
-    bseq = parse_bounds(bounds) if isinstance(bounds, str) else bounds
-    report = VerificationReport("rows-product", {"bounds": bseq.spec, "trunc": trunc})
-    lhs = enumerated_series(trunc, ROW_TOTALS, bseq)
-    rhs = row_totals_product(bseq, trunc)
-    cmp = series_equal(lhs, rhs)
-    if not cmp:
-        report.fail(monomial=_mono_dict(cmp.exponents, lhs.names),
-                    enumerated=cmp.left, product=cmp.right)
-    return _finish(report, started)
+    return _verify_collapse("rows-product", ROW_TOTALS, row_totals_product, bounds, trunc)
 
 
+@_timed
 def verify_halves_product(bounds: BoundSequence | str = "even:1",
                           trunc: int = 24) -> VerificationReport:
     """Half-cells weight sum under the caps equals its two-parameter product."""
-    started = time.perf_counter()
-    bseq = parse_bounds(bounds) if isinstance(bounds, str) else bounds
-    report = VerificationReport("halves-product", {"bounds": bseq.spec, "trunc": trunc})
-    lhs = enumerated_series(trunc, HALF_CELLS, bseq)
-    rhs = half_cells_product(bseq, trunc)
-    cmp = series_equal(lhs, rhs)
-    if not cmp:
-        report.fail(monomial=_mono_dict(cmp.exponents, lhs.names),
-                    enumerated=cmp.left, product=cmp.right)
-    return _finish(report, started)
+    return _verify_collapse("halves-product", HALF_CELLS, half_cells_product, bounds, trunc)
 
 
 def _verify_gf_triple(report: VerificationReport, ms, trunc: int,
-                      left_bounds, right_bounds, closed) -> VerificationReport:
-    started = time.perf_counter()
+                      families, closed) -> VerificationReport:
+    left_bounds, right_bounds = families
     for m in ms:
         by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left_bounds(m))
         by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right_bounds(m))
         gf = closed(m, trunc)
         for tag, other in (("enumerated by odd parts", by_odd), ("closed form", gf)):
-            cmp = series_equal(by_alt, other)
-            if not cmp:
-                report.fail(m=m, monomial=_mono_dict(cmp.exponents, by_alt.names),
-                            enumerated_by_alt_sum=cmp.left, other=cmp.right,
-                            other_side=tag)
-                return _finish(report, started)
-    return _finish(report, started)
+            if _compare(report, by_alt, other, "enumerated_by_alt_sum", "other",
+                        m=m, other_side=tag):
+                return report
+    return report
 
 
+@_timed
 def verify_pairing_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
     """Three-way identity: partitions with every part at most 2m+1 times by
     (alternating sum, weight) = partitions with even parts at most m times
     by (odd-part count, weight) = the closed-form product."""
-    report = VerificationReport("pairing-gf", {"m": list(ms), "trunc": trunc})
     return _verify_gf_triple(
-        report, ms, trunc,
-        lambda m: BoundSequence.constant(2 * m + 1),
-        lambda m: BoundSequence.evens_only(m),
-        pairing_gf)
+        VerificationReport("pairing-gf", {"m": list(ms), "trunc": trunc}), ms, trunc,
+        _PAIRING_FAMILIES, pairing_gf)
 
 
+@_timed
 def verify_binary_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
     """Three-way identity for the family "even parts at most 2m+1 times":
     by (alternating sum, weight) = by (odd-part count, weight) = closed form."""
-    report = VerificationReport("binary-gf", {"m": list(ms), "trunc": trunc})
     return _verify_gf_triple(
-        report, ms, trunc,
-        lambda m: BoundSequence.evens_only(2 * m + 1),
-        lambda m: BoundSequence.evens_only(2 * m + 1),
-        binary_gf)
+        VerificationReport("binary-gf", {"m": list(ms), "trunc": trunc}), ms, trunc,
+        _BINARY_FAMILIES, binary_gf)
 
 
 # -- registry ------------------------------------------------------------------

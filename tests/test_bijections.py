@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerparts import bijections
 from eulerparts.bijections import (
     BijectionTrace,
     DomainError,
@@ -304,3 +308,20 @@ def test_refined_statistics_hold_generally(parts):
     p = beta.largest_odd_part()
     assert p % 2 == 1
     assert beta.odd_count() + (p - 1) // 2 == q
+
+
+# -- invariant checks -------------------------------------------------------
+
+def test_broken_stage_raises(monkeypatch):
+    monkeypatch.setattr(bijections, "merge_pairs", lambda mu: P([]))
+    with pytest.raises(AssertionError, match="weight preserved"):
+        pairing_map(P([2, 2]))
+
+
+def test_broken_stage_raises_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "%s::test_broken_stage_raises" % __file__],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout

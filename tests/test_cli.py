@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerparts.cli import main
 
@@ -41,6 +44,26 @@ def test_enumerate_bad_dsl(capsys):
     code, _, err = run(capsys, "enumerate", "5", "--bounds", "nope:1")
     assert code == 2
     assert err.startswith("error:")
+    deep = "phi:" + "(" * 400 + "i" + ")" * 400
+    code, _, err = run(capsys, "enumerate", "3", "--bounds", deep)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+DSL_TEXT = st.text(alphabet="0123456789i+*()s:,;-_ allodevnphimrfstxyz\n\x00é") | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag=st.sampled_from(("--bounds", "--filter")), text=DSL_TEXT)
+def test_enumerate_dsl_fuzz(flag, text):
+    # "--flag=text" keeps a leading "-" in the text from reading as an option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["enumerate", "3", "%s=%s" % (flag, text)])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == ""
 
 
 # -- stats ----------------------------------------------------------------------
@@ -213,9 +236,10 @@ def test_verify_andrews_needs_both_caps(capsys):
 
 @pytest.mark.parametrize("theorem", ("pairing", "all"))
 def test_verify_rejects_negative_max_n(capsys, theorem):
-    code, out, err = run(capsys, "verify", theorem, "--max-n", "-3")
-    assert (code, out) == (2, "")
-    assert err == "error: --max-n must be >= 0\n"
+    for flag in ("--max-n", "--cutoff"):
+        code, out, err = run(capsys, "verify", theorem, flag, "-3")
+        assert (code, out) == (2, "")
+        assert err == "error: %s must be >= 0\n" % flag
 
 
 def test_verify_all_reduced_grid(capsys):

@@ -198,6 +198,9 @@ def test_parse_bounds_rejects(bad):
         ("2*i+1", [3, 5, 7, 9]),
         ("(i+1)*2", [4, 6, 8, 10]),
         ("i*i+i", [2, 6, 12, 20]),
+        pytest.param("+".join(["i"] * 5000), [5000, 10000, 15000, 20000],
+                     id="long-sum"),
+        pytest.param("(" * 50 + "i" + ")" * 50, [1, 2, 3, 4], id="nested-50"),
     ),
 )
 def test_parse_phi(expr, values):
@@ -205,7 +208,9 @@ def test_parse_phi(expr, values):
     assert [fn(i) for i in range(1, 5)] == values
 
 
-@pytest.mark.parametrize("bad", ("", "i i", "2-i", "i+", "(i", "j"))
+@pytest.mark.parametrize("bad", ("", "i i", "2-i", "i+", "(i", "j",
+                                 pytest.param("(" * 400 + "i" + ")" * 400,
+                                              id="nested-400")))
 def test_parse_phi_rejects(bad):
     with pytest.raises(ValueError):
         parse_phi(bad)
