@@ -10,6 +10,8 @@ from typing import Iterable, Iterator
 
 EMPTY_TEXT = "∅"  # how the empty partition prints: "∅"
 
+MAX_TEXT_WEIGHT = 100_000  # the heaviest partition ``Partition.parse`` accepts
+
 
 class Partition:
     """An integer partition, kept in non-increasing order.
@@ -40,7 +42,9 @@ class Partition:
 
         Surrounding whitespace and one pair of parentheses are tolerated, so
         table entries such as ``"(2^2,1^3)"`` round-trip.  The empty string
-        and "∅" both give the empty partition.
+        and "∅" both give the empty partition.  Text for a partition of more
+        than ``MAX_TEXT_WEIGHT`` (so also of more parts than that) is
+        rejected before its parts are listed.
         """
         s = text.strip()
         if s.startswith("(") and s.endswith(")"):
@@ -48,6 +52,7 @@ class Partition:
         if s in ("", EMPTY_TEXT):
             return cls()
         parts = []
+        weight = 0
         for token in s.split(","):
             token = token.strip()
             if not token:
@@ -62,6 +67,9 @@ class Partition:
                 raise ValueError("parts must be positive, got %d" % size)
             if mult < 1:
                 raise ValueError("multiplicity must be positive in %r" % (token,))
+            weight += size * mult
+            if weight > MAX_TEXT_WEIGHT:
+                raise ValueError("partition text weighs more than %d" % MAX_TEXT_WEIGHT)
             parts.extend([size] * mult)
         return cls(parts)
 

@@ -9,12 +9,18 @@ any integer).
 The module also provides the partition weights that tie series to
 enumeration, and factor-family machinery for assembling infinite products
 such as Boulet's four-parameter identity truncated to a given degree.
+
+The four-parameter weight and the capped four-parameter product are stated
+once.  The two-parameter weights (``rows``, ``halves``, ``la``, ``lo``) and
+their products (``row_totals_product``, ``half_cells_product``,
+``pairing_gf``, ``binary_gf``) are substitutions of them: each variable
+a, b, c, d is sent to a monomial of degree 1 in the new variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter, bounded_partitions
@@ -205,22 +211,11 @@ def substitute(series: Series, images: dict[str, Sequence[int]],
     Each image must have degree exactly 1 under the *target* metric, so the
     truncation degree of every term is preserved and the result is exact.
     """
-    names = tuple(names)
     target = Series.zero(names, series.trunc, degree_index)
-    vecs = []
-    for v in series.names:
-        if v not in images:
-            raise ValueError("no image for variable %r" % v)
-        img = tuple(images[v])
-        if len(img) != len(names):
-            raise ValueError("image for %r has wrong arity" % v)
-        if target.degree(img) != 1:
-            raise ValueError("image for %r must have truncation degree 1" % v)
-        vecs.append(img)
+    image = _monomial_map(images, series.names, target)
     out: dict[tuple, int] = {}
-    width = len(names)
     for exps, coeff in series.terms.items():
-        new = tuple(sum(e * vec[t] for e, vec in zip(exps, vecs)) for t in range(width))
+        new = image(exps)
         s = out.get(new, 0) + coeff
         if s:
             out[new] = s
@@ -228,6 +223,28 @@ def substitute(series: Series, images: dict[str, Sequence[int]],
             out.pop(new, None)
     target.terms = out
     return target
+
+
+def _monomial_map(images: dict[str, Sequence[int]], source: Sequence[str],
+                  target: Series) -> Callable[[tuple], tuple]:
+    """The exponent map sending each variable ``v`` of ``source`` to the
+    monomial ``images[v]`` of truncation degree 1 in ``target``."""
+    vecs = []
+    for v in source:
+        if v not in images:
+            raise ValueError("no image for variable %r" % v)
+        img = tuple(images[v])
+        if len(img) != len(target.names):
+            raise ValueError("image for %r has wrong arity" % v)
+        if target.degree(img) != 1:
+            raise ValueError("image for %r must have truncation degree 1" % v)
+        vecs.append(img)
+    columns = tuple(zip(*vecs))
+
+    def image(exps: tuple) -> tuple:
+        return tuple(sum(map(mul, exps, col)) for col in columns)
+
+    return image
 
 
 # -- partition weights ------------------------------------------------------
@@ -249,60 +266,35 @@ def four_param_weight(p: Partition) -> tuple[int, int, int, int]:
     return (ea, eb, ec, ed)
 
 
-def row_totals_weight(p: Partition) -> tuple[int, int]:
-    """Collapse a=b, c=d: (sum of odd-indexed rows, sum of even-indexed rows)."""
-    ea = eb = 0
-    for i, part in enumerate(p.parts):
-        if i % 2 == 0:
-            ea += part
-        else:
-            eb += part
-    return (ea, eb)
-
-
-def half_cells_weight(p: Partition) -> tuple[int, int]:
-    """Collapse a=c, b=d: (sum of ceil(part/2), sum of floor(part/2))."""
-    ea = eb = 0
-    for part in p.parts:
-        ea += (part + 1) // 2
-        eb += part // 2
-    return (ea, eb)
-
-
-def alt_weight(p: Partition) -> tuple[int, int]:
-    """(alternating sum, weight) — the (x, q) exponents for the a=b=xq,
-    c=d=q/x specialisation."""
-    return (p.alt_sum(), p.weight())
-
-
-def odd_weight(p: Partition) -> tuple[int, int]:
-    """(odd-part count, weight) — the (x, q) exponents for the a=c=xq,
-    b=d=q/x specialisation."""
-    return (p.odd_count(), p.weight())
-
-
 @dataclass(frozen=True)
 class WeightVariant:
-    """A named partition weight together with its variables and metric."""
+    """A named partition weight: the four-parameter weight with a, b, c, d
+    sent to the monomials ``images`` in the variables ``names`` (``None``
+    keeps a, b, c, d), truncated by ``degree_index`` as in :class:`Series`.
+    """
 
     name: str
     names: tuple[str, ...]
     degree_index: int | None
-    fn: Callable[[Partition], tuple[int, ...]]
+    images: dict[str, tuple[int, ...]] | None = None
 
 
-FOUR_PARAM = WeightVariant("abcd", ABCD, None, four_param_weight)
-ROW_TOTALS = WeightVariant("rows", AB, None, row_totals_weight)
-HALF_CELLS = WeightVariant("halves", AB, None, half_cells_weight)
-ALT_BY_WEIGHT = WeightVariant("la", XQ, 1, alt_weight)
-ODD_BY_WEIGHT = WeightVariant("lo", XQ, 1, odd_weight)
+# The two degree-1 specialisations of the four-parameter weight:
+# x^(alternating sum) q^weight and x^(odd parts) q^weight.
+TO_ALT = {"a": (1, 1), "b": (1, 1), "c": (-1, 1), "d": (-1, 1)}
+TO_ODD = {"a": (1, 1), "b": (-1, 1), "c": (1, 1), "d": (-1, 1)}
+
+FOUR_PARAM = WeightVariant("abcd", ABCD, None)
+# the collapses a=b, c=d (row totals) and a=c, b=d (half cells)
+ROW_TOTALS = WeightVariant("rows", AB, None,
+                           {"a": (1, 0), "b": (1, 0), "c": (0, 1), "d": (0, 1)})
+HALF_CELLS = WeightVariant("halves", AB, None,
+                           {"a": (1, 0), "b": (0, 1), "c": (1, 0), "d": (0, 1)})
+ALT_BY_WEIGHT = WeightVariant("la", XQ, 1, TO_ALT)
+ODD_BY_WEIGHT = WeightVariant("lo", XQ, 1, TO_ODD)
 
 WEIGHTS = {w.name: w for w in
            (FOUR_PARAM, ROW_TOTALS, HALF_CELLS, ALT_BY_WEIGHT, ODD_BY_WEIGHT)}
-
-# The two degree-1 specialisations of the four-parameter weight.
-TO_ALT = {"a": (1, 1), "b": (1, 1), "c": (-1, 1), "d": (-1, 1)}
-TO_ODD = {"a": (1, 1), "b": (-1, 1), "c": (1, 1), "d": (-1, 1)}
 
 
 def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
@@ -311,17 +303,20 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
                       include_empty: bool = True) -> Series:
     """Sum the weight monomials of every admissible partition of 0..trunc.
 
-    Because each weight's truncation degree equals the partition's weight,
-    the result is the exact truncation of the full generating function.
+    The four-parameter monomials are summed, and the sum is mapped through
+    the weight's substitution once.  Because each weight's truncation degree
+    equals the partition's weight, the result is the exact truncation of the
+    full generating function.
     """
-    out = Series.zero(weight.names, trunc, weight.degree_index)
-    for n in range(0, trunc + 1):
-        if n == 0 and not include_empty:
-            continue
+    out = Series.zero(ABCD, trunc)
+    terms = out.terms
+    for n in range(0 if include_empty else 1, trunc + 1):
         for p in bounded_partitions(n, bounds, filt):
-            e = weight.fn(p)
-            out.terms[e] = out.terms.get(e, 0) + 1
-    return out
+            e = four_param_weight(p)
+            terms[e] = terms.get(e, 0) + 1
+    if weight.images is None:
+        return out
+    return substitute(out, weight.images, weight.names, weight.degree_index)
 
 
 # -- factor families and products -------------------------------------------
@@ -432,32 +427,75 @@ def _half_up(x: int) -> int:
     return (x + 1) // 2
 
 
-def _bound_factor_list(bounds: BoundSequence, trunc: int, exps_of,
-                       require_even_strict: bool, progression=None) -> list[tuple]:
-    """Exponent tuples for the capped sizes, sorted by total degree.
+def _bound_factor_list(bounds: BoundSequence, trunc: int,
+                       image: Callable[[tuple], tuple], i: int, k: int) -> list[tuple]:
+    """Cap factor exponents in ascending degree; sizes outside the
+    progression i (mod k) must stay uncapped.
 
-    ``exps_of(size, strict)`` builds the tuple from the size and its strict
-    cap (= inclusive cap + 1).  With ``require_even_strict`` an odd strict
-    cap raises, since those product formulas need blocks of even size.
+    A cap forbids blocks of ``strict`` (= cap + 1) copies of a size.  The
+    block's weight is fixed if ``image`` sends a part in an odd row and one
+    in an even row alike (then it is ``strict`` times that), or if
+    ``strict`` is even (``strict/2`` parts in rows of each parity).
     """
     out = []
     for size in range(1, trunc + 1):
-        if progression is not None and not progression(size):
-            b = bounds.bound(size)
+        b = bounds.bound(size)
+        if size % k != i:
             if b is not UNBOUNDED:
                 raise ValueError("cap on part %d, which lies outside the progression" % size)
             continue
-        b = bounds.bound(size)
         if b is UNBOUNDED:
             continue
         strict = b + 1
-        if require_even_strict and strict % 2 == 1:
+        odd_row = image((_half_up(size), size // 2, 0, 0))
+        even_row = image((0, 0, _half_up(size), size // 2))
+        if odd_row == even_row:
+            exps = tuple(strict * e for e in odd_row)
+        elif strict % 2 == 0:
+            exps = tuple(strict // 2 * (o + e) for o, e in zip(odd_row, even_row))
+        else:
             raise ValueError("part %d has strict cap %d; this identity needs even caps"
                              % (size, strict))
-        exps = exps_of(size, strict)
-        if sum(exps) <= trunc:
-            out.append(exps)
-    return sorted(out, key=sum)
+        if size * strict <= trunc:  # the degree of every image of the block
+            out.append((size * strict, exps))
+    return [exps for _, exps in sorted(out, key=itemgetter(0))]
+
+
+def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
+                    weight: WeightVariant) -> Series:
+    """The four-parameter product over parts = i (mod k) with the caps of
+    ``bounds``, every factor's a, b, c, d sent through ``weight``'s images.
+
+    The caps are applied before the two denominators, while the accumulated
+    series is still small, so each sweep touches fewer terms.
+    """
+    if k < 1 or not 0 <= i < k:
+        raise ValueError("need 0 <= i < k and k >= 1")
+    if weight.images is None:
+        image = tuple
+    else:
+        image = _monomial_map(weight.images, ABCD,
+                              Series.zero(weight.names, trunc, weight.degree_index))
+
+    def num(j):
+        hi = j * k + i
+        lo = (j - 1) * k + i
+        return image((_half_up(hi), hi // 2, _half_up(lo), lo // 2))
+
+    def den_pair(j):
+        hi = j * k + i
+        return image((_half_up(hi), hi // 2, _half_up(hi), hi // 2))
+
+    def den_shift(j):
+        return image((j * k, j * k, (j - 1) * k, (j - 1) * k))
+
+    specs = [
+        FactorSpec(1, num),
+        finite_factors(-1, _bound_factor_list(bounds, trunc, image, i, k)),
+        FactorSpec(-1, den_pair, True),
+        FactorSpec(-1, den_shift, True),
+    ]
+    return product_series(specs, weight.names, trunc, weight.degree_index)
 
 
 def boulet_product(trunc: int) -> Series:
@@ -484,34 +522,7 @@ def restricted_boulet_product(i: int, k: int, bounds: BoundSequence, trunc: int)
     length" and "the part i appears at most once".  Caps must sit on sizes
     inside the progression and their strict versions must be even.
     """
-    if k < 1 or not 0 <= i < k:
-        raise ValueError("need 0 <= i < k and k >= 1")
-
-    def num(j):
-        hi = j * k + i
-        lo = (j - 1) * k + i
-        return (_half_up(hi), hi // 2, _half_up(lo), lo // 2)
-
-    def den_pair(j):
-        hi = j * k + i
-        return (_half_up(hi), hi // 2, _half_up(hi), hi // 2)
-
-    def den_shift(j):
-        return (j * k, j * k, (j - 1) * k, (j - 1) * k)
-
-    cap_exps = _bound_factor_list(
-        bounds, trunc,
-        lambda size, strict: (_half_up(size) * strict // 2, (size // 2) * strict // 2,
-                              _half_up(size) * strict // 2, (size // 2) * strict // 2),
-        require_even_strict=True,
-        progression=lambda size: size % k == i)
-    specs = [
-        FactorSpec(1, num),
-        FactorSpec(-1, den_pair, True),
-        FactorSpec(-1, den_shift, True),
-        finite_factors(-1, cap_exps),
-    ]
-    return product_series(specs, ABCD, trunc)
+    return _capped_product(i, k, bounds, trunc, FOUR_PARAM)
 
 
 def row_totals_product(bounds: BoundSequence, trunc: int) -> Series:
@@ -521,17 +532,7 @@ def row_totals_product(bounds: BoundSequence, trunc: int) -> Series:
     times prod (1 - (ab)^(size*strict/2)) over the capped sizes; every
     strict cap must be even.
     """
-    cap_exps = _bound_factor_list(
-        bounds, trunc,
-        lambda size, strict: (size * strict // 2, size * strict // 2),
-        require_even_strict=True)
-    specs = [
-        FactorSpec(1, lambda j: (j, j - 1)),
-        FactorSpec(-1, lambda j: (j, j), True),
-        FactorSpec(-1, lambda j: (2 * j, 2 * j - 2), True),
-        finite_factors(-1, cap_exps),
-    ]
-    return product_series(specs, AB, trunc)
+    return _capped_product(0, 1, bounds, trunc, ROW_TOTALS)
 
 
 def half_cells_product(bounds: BoundSequence, trunc: int) -> Series:
@@ -541,17 +542,7 @@ def half_cells_product(bounds: BoundSequence, trunc: int) -> Series:
     times prod (1 - a^(ceil(size/2) strict) b^(floor(size/2) strict)) over the
     capped sizes; here any cap >= 0 is legal.
     """
-    cap_exps = _bound_factor_list(
-        bounds, trunc,
-        lambda size, strict: (_half_up(size) * strict, (size // 2) * strict),
-        require_even_strict=False)
-    specs = [
-        FactorSpec(1, lambda j: (j, j - 1)),
-        FactorSpec(-1, lambda j: (2 * _half_up(j), 2 * (j // 2)), True),
-        FactorSpec(-1, lambda j: (2 * j - 1, 2 * j - 1), True),
-        finite_factors(-1, cap_exps),
-    ]
-    return product_series(specs, AB, trunc)
+    return _capped_product(0, 1, bounds, trunc, HALF_CELLS)
 
 
 def pairing_gf(m: int, trunc: int) -> Series:
@@ -562,13 +553,7 @@ def pairing_gf(m: int, trunc: int) -> Series:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    specs = [
-        FactorSpec(1, lambda j: (1, 2 * j - 1)),
-        FactorSpec(-1, lambda j: (0, (2 * m + 2) * j)),
-        FactorSpec(-1, lambda j: (0, 2 * j), True),
-        FactorSpec(-1, lambda j: (2, 4 * j - 2), True),
-    ]
-    return product_series(specs, XQ, trunc, degree_index=1)
+    return _capped_product(0, 1, BoundSequence.constant(2 * m + 1), trunc, ALT_BY_WEIGHT)
 
 
 def binary_gf(m: int, trunc: int) -> Series:
@@ -579,13 +564,7 @@ def binary_gf(m: int, trunc: int) -> Series:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    specs = [
-        FactorSpec(1, lambda j: (1, 2 * j - 1)),
-        FactorSpec(-1, lambda j: (0, (4 * m + 4) * j)),
-        FactorSpec(-1, lambda j: (0, 2 * j), True),
-        FactorSpec(-1, lambda j: (2, 4 * j - 2), True),
-    ]
-    return product_series(specs, XQ, trunc, degree_index=1)
+    return _capped_product(0, 1, BoundSequence.evens_only(2 * m + 1), trunc, ALT_BY_WEIGHT)
 
 
 def partition_gf(trunc: int) -> Series:

@@ -16,8 +16,8 @@ from .bijections import (binary_inverse, binary_map, pairing_inverse,
                          pairing_map, sylvester_distinct_to_odd,
                          sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
-                          bounded_partitions, count_by_statistic, histogram,
-                          parse_bounds, parse_phi)
+                          bounded_partitions, count_by_statistic, count_total,
+                          histogram, parse_bounds, parse_phi)
 from .partition import Partition
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, binary_gf, boulet_product, enumerated_series,
@@ -132,15 +132,19 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     for n in range(max_n + 1):
         images = []
         for lam in bounded_partitions(n, distinct):
-            tau = sylvester_distinct_to_odd(lam)
             first = lam.parts[0] if lam.parts else 0
-            expected = len(tau) + (tau.parts[0] - 1) // 2 if tau.parts else 0
-            detail = (
-                "even part in image" if any(p % 2 == 0 for p in tau.parts) else
-                "round trip failed" if sylvester_odd_to_distinct(tau) != lam else
-                "hook size property failed" if first != expected else
-                "statistic property failed" if lam.alt_sum() != tau.odd_count() else
-                None)
+            try:
+                tau = sylvester_distinct_to_odd(lam)
+                expected = len(tau) + (tau.parts[0] - 1) // 2 if tau.parts else 0
+                detail = (
+                    "even part in image" if any(p % 2 == 0 for p in tau.parts) else
+                    "round trip failed" if sylvester_odd_to_distinct(tau) != lam else
+                    "hook size property failed" if first != expected else
+                    "statistic property failed" if lam.alt_sum() != tau.odd_count() else
+                    None)
+            except AssertionError as exc:  # an invariant a map checks itself
+                report.fail(n=n, input=str(lam), detail=str(exc))
+                return report
             if detail:
                 report.fail(n=n, input=str(lam), image=str(tau), detail=detail)
                 return report
@@ -179,12 +183,16 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, families,
                 return report
             seen = set()
             for alpha in source:
-                beta, _ = mapper(alpha, m)
-                detail = (
-                    "image violates the target caps" if not dst.admits(beta) else
-                    "statistic not exchanged" if alpha.alt_sum() != beta.odd_count() else
-                    "inverse round trip failed" if inverse(beta, m) != alpha else
-                    None)
+                try:
+                    beta, _ = mapper(alpha, m)
+                    detail = (
+                        "image violates the target caps" if not dst.admits(beta) else
+                        "statistic not exchanged" if alpha.alt_sum() != beta.odd_count() else
+                        "inverse round trip failed" if inverse(beta, m) != alpha else
+                        None)
+                except AssertionError as exc:  # an invariant a map checks itself
+                    report.fail(m=m, n=n, input=str(alpha), detail=str(exc))
+                    return report
                 if detail:
                     report.fail(m=m, n=n, input=str(alpha), image=str(beta), detail=detail)
                     return report
@@ -242,7 +250,11 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
                     continue
                 key = (alpha.alt_sum(), t)
                 left[key] = left.get(key, 0) + 1
-                beta, _ = pairing_map(alpha)
+                try:
+                    beta, _ = pairing_map(alpha)
+                except AssertionError as exc:  # an invariant a map checks itself
+                    report.fail(phi=spec, n=n, input=str(alpha), detail=str(exc))
+                    return report
                 k = beta.odd_count()
                 detail = (
                     "image violates the phi caps" if not dst.admits(beta) else
@@ -295,8 +307,8 @@ def verify_andrews(bounds_a: BoundSequence | str | None = None,
                         % ("agree" if equivalent else "differ", prod_a, prod_b))
     mismatch = None
     for n in range(max_n + 1):
-        ca = sum(1 for _ in bounded_partitions(n, a))
-        cb = sum(1 for _ in bounded_partitions(n, b))
+        ca = count_total(n, a)
+        cb = count_total(n, b)
         if ca != cb:
             mismatch = {"n": n, "count_a": ca, "count_b": cb}
             break
@@ -319,7 +331,7 @@ def verify_partition_gf(max_n: int = 30) -> VerificationReport:
     report = VerificationReport("partition-gf", {"max_n": max_n})
     gf = partition_gf(max_n)
     for n in range(max_n + 1):
-        counted = sum(1 for _ in bounded_partitions(n))
+        counted = count_total(n)
         coeff = gf.coefficient((0, n))
         if counted != coeff:
             report.fail(n=n, enumerated=counted, coefficient=coeff)

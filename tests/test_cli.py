@@ -138,6 +138,31 @@ def test_map_rejects_bad_m(capsys):
     assert code == 2
 
 
+def test_map_rejects_huge_shorthand(capsys):
+    # the exponent is checked against the weight limit before any expansion
+    code, out, err = run(capsys, "map", "pairing", "fwd", "1^99999999999", "-m", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: partition text weighs more than 100000\n"
+
+
+PARTITION_TEXT = st.text(alphabet="0123456789^,() ∅-x", max_size=40) | st.text(max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(("sylvester", "pairing", "binary")),
+       direction=st.sampled_from(("fwd", "inv")),
+       m=st.sampled_from(("0", "1", "2", "inf")), text=PARTITION_TEXT)
+def test_map_partition_text_fuzz(name, direction, m, text):
+    # "--" keeps a leading "-" in the text from reading as an option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["map", name, direction, "-m", m, "--", text])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == ""
+
+
 # -- series -----------------------------------------------------------------------
 
 def test_series_partition_gf_text(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from eulerparts.partition import EMPTY_TEXT, Partition
+from eulerparts.partition import EMPTY_TEXT, MAX_TEXT_WEIGHT, Partition
 
 import oracles
 
@@ -37,10 +37,19 @@ def test_parse(text, parts):
     assert Partition.parse(text).parts == parts
 
 
-@pytest.mark.parametrize("bad", ("x", "3,0,1", "2^", "^3", "1,,2", "2^-1"))
+@pytest.mark.parametrize("bad", ("x", "3,0,1", "2^", "^3", "1,,2", "2^-1",
+                                 # heavier than MAX_TEXT_WEIGHT
+                                 "1^3000000", "1^99999999999", "2,1^99999", "50000,50001"))
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         Partition.parse(bad)
+
+
+def test_parse_accepts_text_at_the_limit():
+    # anything heavier is rejected from the running weight, before the
+    # shorthand is expanded
+    assert len(Partition.parse("1^%d" % MAX_TEXT_WEIGHT)) == MAX_TEXT_WEIGHT
+    assert Partition.parse("%d" % MAX_TEXT_WEIGHT).parts == (MAX_TEXT_WEIGHT,)
 
 
 def test_text_round_trip():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerparts.enumeration import CongruenceFilter, parse_bounds
+from eulerparts.enumeration import UNBOUNDED, CongruenceFilter, parse_bounds
 from eulerparts.partition import Partition
 from eulerparts.series import (
     ABCD,
@@ -11,28 +11,22 @@ from eulerparts.series import (
     HALF_CELLS,
     ODD_BY_WEIGHT,
     ROW_TOTALS,
-    TO_ALT,
-    TO_ODD,
     WEIGHTS,
     XQ,
     FactorSpec,
     Series,
     SeriesComparison,
-    alt_weight,
     binary_gf,
     boulet_product,
     enumerated_series,
     finite_factors,
     four_param_weight,
     half_cells_product,
-    half_cells_weight,
-    odd_weight,
     pairing_gf,
     partition_gf,
     product_series,
     restricted_boulet_product,
     row_totals_product,
-    row_totals_weight,
     series_equal,
     substitute,
 )
@@ -152,16 +146,27 @@ def test_series_equal_reports_first_difference():
 
 # -- weights ----------------------------------------------------------------
 
+def weight_of(p, weight):
+    """The single monomial ``weight`` gives the partition ``p``."""
+    four = Series(ABCD, p.weight(), {four_param_weight(p): 1})
+    if weight.images is None:
+        (exps,) = four.terms
+    else:
+        (exps,) = substitute(four, weight.images, weight.names, weight.degree_index).terms
+    return exps
+
+
 def test_weight_functions_worked_example():
     p = Partition([5, 4, 4, 3, 2])
     assert four_param_weight(p) == (6, 5, 4, 3)
-    assert row_totals_weight(p) == (11, 7)
-    assert half_cells_weight(p) == (10, 8)
-    assert alt_weight(p) == (4, 18)
-    assert odd_weight(p) == (2, 18)
+    assert weight_of(p, FOUR_PARAM) == (6, 5, 4, 3)
+    assert weight_of(p, ROW_TOTALS) == (11, 7)
+    assert weight_of(p, HALF_CELLS) == (10, 8)
+    assert weight_of(p, ALT_BY_WEIGHT) == (4, 18)
+    assert weight_of(p, ODD_BY_WEIGHT) == (2, 18)
     empty = Partition([])
     for w in WEIGHTS.values():
-        assert w.fn(empty) == (0,) * len(w.names)
+        assert weight_of(empty, w) == (0,) * len(w.names)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=25), max_size=10))
@@ -169,10 +174,10 @@ def test_weight_exponents_sum_to_weight(parts):
     p = Partition(parts)
     n = p.weight()
     assert sum(four_param_weight(p)) == n
-    assert sum(row_totals_weight(p)) == n
-    assert sum(half_cells_weight(p)) == n
-    assert alt_weight(p)[1] == n
-    assert odd_weight(p)[1] == n
+    assert sum(weight_of(p, ROW_TOTALS)) == n
+    assert sum(weight_of(p, HALF_CELLS)) == n
+    assert weight_of(p, ALT_BY_WEIGHT)[1] == n
+    assert weight_of(p, ODD_BY_WEIGHT)[1] == n
 
 
 # -- enumerated series -------------------------------------------------------
@@ -200,15 +205,29 @@ def test_enumerated_series_matches_independent_generator():
     assert got.terms == want
 
 
-def test_substitution_connects_the_weights():
-    # a=b -> xq, c=d -> q/x turns the four-parameter weight into
-    # x^(alternating sum) q^weight; a=c -> xq, b=d -> q/x into
-    # x^(odd parts) q^weight.
-    for spec in (None, "all:3", "even:1"):
+def test_two_parameter_weights_match_direct_tallies():
+    # Tally each two-parameter weight straight from the parts, with no use
+    # of the four-parameter weight or of substitute.
+    N = 11
+    for allow, spec in ((None, None),
+                        (oracles.max_multiplicity_at_most(3), "all:3"),
+                        (oracles.even_multiplicity_at_most(1), "even:1")):
+        tallies = {name: {} for name in ("rows", "halves", "la", "lo")}
+        for n in range(N + 1):
+            for parts in oracles.descending_partitions(n):
+                if allow is not None and not allow(parts):
+                    continue
+                monomials = {
+                    "rows": (sum(parts[0::2]), sum(parts[1::2])),
+                    "halves": (sum((v + 1) // 2 for v in parts), sum(v // 2 for v in parts)),
+                    "la": (oracles.alternating_sum(parts), n),
+                    "lo": (oracles.odd_part_count(parts), n),
+                }
+                for name, exps in monomials.items():
+                    tallies[name][exps] = tallies[name].get(exps, 0) + 1
         bounds = parse_bounds(spec) if spec else None
-        four = enumerated_series(9, FOUR_PARAM, bounds)
-        assert substitute(four, TO_ALT, XQ, 1) == enumerated_series(9, ALT_BY_WEIGHT, bounds)
-        assert substitute(four, TO_ODD, XQ, 1) == enumerated_series(9, ODD_BY_WEIGHT, bounds)
+        for name, want in tallies.items():
+            assert enumerated_series(N, WEIGHTS[name], bounds).terms == want, (name, spec)
 
 
 def test_substitution_validates_images():
@@ -366,6 +385,56 @@ def test_half_cells_product_matches_enumeration(spec):
     N = 12
     bounds = parse_bounds(spec)
     assert half_cells_product(bounds, N) == enumerated_series(N, HALF_CELLS, bounds)
+
+
+# -- the substituted products against their documented closed forms ---------
+
+def strict_caps(spec, trunc):
+    """(size, strict cap) for every size up to ``trunc`` that ``spec`` caps."""
+    bounds = parse_bounds(spec)
+    return [(v, bounds.bound(v) + 1) for v in range(1, trunc + 1)
+            if bounds.bound(v) is not UNBOUNDED]
+
+
+@pytest.mark.parametrize("m", (0, 1, 2))
+def test_exchange_gfs_match_their_closed_forms(m):
+    # (-xq; q^2) (q^s; q^s) / [(q^2; q^2) (x^2 q^2; q^4)], s = 2m+2 or 4m+4
+    N = 14
+    js = range(1, N + 1)
+
+    def closed(step):
+        return [(1, [(1, 2 * j - 1) for j in js], False),
+                (-1, [(0, step * j) for j in js], False),
+                (-1, [(0, 2 * j) for j in js], True),
+                (-1, [(2, 4 * j - 2) for j in js], True)]
+
+    assert pairing_gf(m, N) == reference_product(closed(2 * m + 2), XQ, N, 1)
+    assert binary_gf(m, N) == reference_product(closed(4 * m + 4), XQ, N, 1)
+
+
+@pytest.mark.parametrize("spec", ("all:3", "1:1,3:5", "odd:3,even:5"))
+def test_row_totals_product_matches_closed_form(spec):
+    N = 12
+    js = range(1, N + 1)
+    caps = sorted(size * strict // 2 for size, strict in strict_caps(spec, N))
+    families = [(1, [(j, j - 1) for j in js], False),
+                (-1, [(j, j) for j in js], True),
+                (-1, [(2 * j, 2 * j - 2) for j in js], True),
+                (-1, [(c, c) for c in caps], False)]
+    assert row_totals_product(parse_bounds(spec), N) == reference_product(families, AB, N)
+
+
+@pytest.mark.parametrize("spec", ("even:1", "all:2", "2:0,5:3"))
+def test_half_cells_product_matches_closed_form(spec):
+    N = 12
+    js = range(1, N + 1)
+    caps = sorted((((size + 1) // 2 * strict, size // 2 * strict)
+                   for size, strict in strict_caps(spec, N)), key=sum)
+    families = [(1, [(j, j - 1) for j in js], False),
+                (-1, [(2 * ((j + 1) // 2), 2 * (j // 2)) for j in js], True),
+                (-1, [(2 * j - 1, 2 * j - 1) for j in js], True),
+                (-1, caps, False)]
+    assert half_cells_product(parse_bounds(spec), N) == reference_product(families, AB, N)
 
 
 # -- the progression-restricted product --------------------------------------

@@ -181,3 +181,48 @@ def test_refined_pairing_reports_skipped_inputs():
     assert report.skipped > 0
     assert report.to_dict()["skipped"] == report.skipped
     assert any("outside the refinement" in n for n in report.notes)
+
+
+# -- a map whose own invariant breaks ------------------------------------------
+
+@pytest.fixture
+def lossy_merge_pairs(monkeypatch):
+    # the broken stage of test_broken_stage_raises: the pairing map's merge
+    # step drops every part, so the map's weight invariant fails
+    from eulerparts import bijections
+    from eulerparts.partition import Partition
+    monkeypatch.setattr(bijections, "merge_pairs", lambda mu: Partition([]))
+
+
+def test_exchange_check_reports_a_broken_map_invariant(lossy_merge_pairs):
+    report = verify_pairing(max_n=4, ms=(1,))
+    assert report.status == "fail"
+    assert report.counterexample == {"m": 1, "n": 2, "input": "1,1",
+                                     "detail": "invariant broken: weight preserved"}
+
+
+def test_refined_check_reports_a_broken_map_invariant(lossy_merge_pairs):
+    report = verify_pairing_refined(max_n=4, phi_specs=("1",))
+    assert report.status == "fail"
+    assert report.counterexample["detail"] == "invariant broken: weight preserved"
+    assert report.counterexample["input"] == "1,1,1"
+
+
+def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
+    from eulerparts import verify
+
+    def broken(lam):
+        raise AssertionError("invariant broken: weight preserved")
+
+    monkeypatch.setattr(verify, "sylvester_distinct_to_odd", broken)
+    report = verify_sylvester(max_n=3)
+    assert report.counterexample == {"n": 0, "input": "∅",
+                                     "detail": "invariant broken: weight preserved"}
+
+
+def test_verify_cli_reports_a_broken_map_invariant(lossy_merge_pairs, capsys):
+    from eulerparts.cli import main
+    assert main(["verify", "pairing", "--max-n", "4", "--m", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL pairing") and "'input': '1,1'" in out
+    assert err == ""
