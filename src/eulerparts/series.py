@@ -6,15 +6,23 @@ the total degree, or the exponent of one designated variable (used for
 ``(x, q)`` series truncated in ``q`` only, where the ``x`` exponent may be
 any integer).
 
-The module also provides the partition weights that tie series to
-enumeration, and factor-family machinery for assembling infinite products
-such as Boulet's four-parameter identity truncated to a given degree.
+The module also provides the partition weights, their generating
+functions summed over capped partition families (``enumerated_series``),
+and factor-family machinery for assembling infinite products such as
+Boulet's four-parameter identity truncated to a given degree.
 
 The four-parameter weight and the capped four-parameter product are stated
 once.  The two-parameter weights (``rows``, ``halves``, ``la``, ``lo``) and
 their products (``row_totals_product``, ``half_cells_product``,
 ``pairing_gf``, ``binary_gf``) are substitutions of them: each variable
 a, b, c, d is sent to a monomial of degree 1 in the new variables.
+
+The two sides of each series identity are computed independently.
+``enumerated_series`` lists no partition: a coefficient DP over part
+sizes, largest first, tracks whether an even or an odd number of rows is
+filled so far, which decides whether the next copies of a size land in
+(a, b) rows or (c, d) rows.  The products multiply out factor families and
+never see a partition.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter, bounded_partitions
+from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter
 from .partition import Partition
 
 ABCD = ("a", "b", "c", "d")
@@ -266,6 +274,17 @@ def four_param_weight(p: Partition) -> tuple[int, int, int, int]:
     return (ea, eb, ec, ed)
 
 
+def _half_up(x: int) -> int:
+    return (x + 1) // 2
+
+
+def _row_monomials(size: int, image: Callable[[tuple], tuple]) -> tuple[tuple, tuple]:
+    """The images of a part ``size`` in an odd-indexed row (cells to a, b)
+    and in an even-indexed row (cells to c, d)."""
+    return (image((_half_up(size), size // 2, 0, 0)),
+            image((0, 0, _half_up(size), size // 2)))
+
+
 @dataclass(frozen=True)
 class WeightVariant:
     """A named partition weight: the four-parameter weight with a, b, c, d
@@ -297,26 +316,84 @@ WEIGHTS = {w.name: w for w in
            (FOUR_PARAM, ROW_TOTALS, HALF_CELLS, ALT_BY_WEIGHT, ODD_BY_WEIGHT)}
 
 
+def _weight_image(weight: WeightVariant, target: Series) -> Callable[[tuple], tuple]:
+    """The exponent map sending a four-parameter monomial to ``weight``'s
+    monomial in ``target``'s variables."""
+    if weight.images is None:
+        return tuple
+    return _monomial_map(weight.images, ABCD, target)
+
+
 def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
                       bounds: BoundSequence | None = None,
                       filt: CongruenceFilter | None = None,
                       include_empty: bool = True) -> Series:
     """Sum the weight monomials of every admissible partition of 0..trunc.
 
-    The four-parameter monomials are summed, and the sum is mapped through
-    the weight's substitution once.  Because each weight's truncation degree
-    equals the partition's weight, the result is the exact truncation of the
-    full generating function.
+    No partition is listed.  A coefficient DP takes the admissible part
+    sizes largest first, because a part's row is its rank: row 1 holds the
+    largest part.  It keeps one term dict for an even and one for an odd
+    number of rows so far.  Taking ``c`` copies of a size from parity ``p``
+    fills ``c`` rows alternately with the size's odd-row monomial (a, b) and
+    even-row monomial (c, d), starting with the one for ``p``, and moves the
+    term to parity ``p ^ (c & 1)``.
+
+    The DP runs in the weight's own variables, since its substitution is a
+    monomial map, and truncates by their degree, which equals the
+    partition's weight; so the result is the exact truncation of the full
+    generating function.  ``filt``'s even length reads only the even dict.
     """
-    out = Series.zero(ABCD, trunc)
-    terms = out.terms
-    for n in range(0 if include_empty else 1, trunc + 1):
-        for p in bounded_partitions(n, bounds, filt):
-            e = four_param_weight(p)
-            terms[e] = terms.get(e, 0) + 1
-    if weight.images is None:
-        return out
-    return substitute(out, weight.images, weight.names, weight.degree_index)
+    out = Series.zero(weight.names, trunc, weight.degree_index)
+    image = _weight_image(weight, out)
+    degree = sum if out.degree_index is None else itemgetter(out.degree_index)
+    modulus = filt.modulus if filt else 1
+    residue = filt.residue if filt else 0
+    once_size = filt.residue if filt and filt.first_part_once else 0
+    caps = []  # ascending, so an invalid cap is reported for the smallest size
+    for size in range(1, trunc + 1):
+        if size % modulus != residue:
+            continue
+        cap = trunc // size
+        b = UNBOUNDED if bounds is None else bounds.bound(size)
+        if b is not UNBOUNDED:
+            cap = min(cap, b)
+        if size == once_size:
+            cap = min(cap, 1)
+        if cap:
+            caps.append((size, cap))
+
+    zero = (0,) * len(out.names)
+    states = ({zero: 1}, {})
+    for size, cap in reversed(caps):
+        rows = _row_monomials(size, image)
+        # steps[p][c]: the monomial of c copies placed from parity p
+        steps = []
+        for p in (0, 1):
+            step = [zero]
+            for c in range(cap):
+                step.append(tuple(map(add, step[-1], rows[(p + c) % 2])))
+            steps.append(step)
+        new = (dict(states[0]), dict(states[1]))
+        for p, state in enumerate(states):
+            step = steps[p]
+            for exps, coeff in state.items():
+                for c in range(1, min(cap, (trunc - degree(exps)) // size) + 1):
+                    key = tuple(map(add, exps, step[c]))
+                    target = new[p ^ (c & 1)]
+                    target[key] = target.get(key, 0) + coeff
+        states = new
+
+    terms = states[0]
+    if not (filt and filt.even_length):
+        for exps, coeff in states[1].items():
+            terms[exps] = terms.get(exps, 0) + coeff
+    if not include_empty:  # only the empty partition has degree 0
+        if terms[zero] == 1:
+            del terms[zero]
+        else:
+            terms[zero] -= 1
+    out.terms = terms
+    return out
 
 
 # -- factor families and products -------------------------------------------
@@ -423,10 +500,6 @@ def product_series(specs: Iterable[FactorSpec], names: Sequence[str], trunc: int
     return acc
 
 
-def _half_up(x: int) -> int:
-    return (x + 1) // 2
-
-
 def _bound_factor_list(bounds: BoundSequence, trunc: int,
                        image: Callable[[tuple], tuple], i: int, k: int) -> list[tuple]:
     """Cap factor exponents in ascending degree; sizes outside the
@@ -447,8 +520,7 @@ def _bound_factor_list(bounds: BoundSequence, trunc: int,
         if b is UNBOUNDED:
             continue
         strict = b + 1
-        odd_row = image((_half_up(size), size // 2, 0, 0))
-        even_row = image((0, 0, _half_up(size), size // 2))
+        odd_row, even_row = _row_monomials(size, image)
         if odd_row == even_row:
             exps = tuple(strict * e for e in odd_row)
         elif strict % 2 == 0:
@@ -471,11 +543,7 @@ def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
     """
     if k < 1 or not 0 <= i < k:
         raise ValueError("need 0 <= i < k and k >= 1")
-    if weight.images is None:
-        image = tuple
-    else:
-        image = _monomial_map(weight.images, ABCD,
-                              Series.zero(weight.names, trunc, weight.degree_index))
+    image = _weight_image(weight, Series.zero(weight.names, trunc, weight.degree_index))
 
     def num(j):
         hi = j * k + i

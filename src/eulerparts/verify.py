@@ -20,10 +20,10 @@ from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
                           histogram, parse_bounds, parse_phi)
 from .partition import Partition
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
-                     ROW_TOTALS, binary_gf, boulet_product, enumerated_series,
-                     half_cells_product, pairing_gf, partition_gf,
-                     restricted_boulet_product, row_totals_product,
-                     series_equal)
+                     ROW_TOTALS, WeightVariant, binary_gf, boulet_product,
+                     enumerated_series, half_cells_product, pairing_gf,
+                     partition_gf, restricted_boulet_product,
+                     row_totals_product, series_equal)
 
 
 @dataclass
@@ -285,6 +285,10 @@ def _str_keys(d: dict) -> dict:
 
 # -- equivalent bound sequences ---------------------------------------------
 
+# Every cell to q: the coefficient of q^n counts the admissible partitions of n.
+_BY_SIZE = WeightVariant("q", ("q",), None, dict.fromkeys("abcd", (1,)))
+
+
 @_timed
 def verify_andrews(bounds_a: BoundSequence | str | None = None,
                    bounds_b: BoundSequence | str | None = None,
@@ -306,9 +310,11 @@ def verify_andrews(bounds_a: BoundSequence | str | None = None,
     report.notes.append("products %s: %s vs %s"
                         % ("agree" if equivalent else "differ", prod_a, prod_b))
     mismatch = None
+    by_size_a = enumerated_series(max_n, _BY_SIZE, a)
+    by_size_b = enumerated_series(max_n, _BY_SIZE, b)
     for n in range(max_n + 1):
-        ca = count_total(n, a)
-        cb = count_total(n, b)
+        ca = by_size_a.coefficient((n,))
+        cb = by_size_b.coefficient((n,))
         if ca != cb:
             mismatch = {"n": n, "count_a": ca, "count_b": cb}
             break
@@ -402,6 +408,8 @@ def verify_halves_product(bounds: BoundSequence | str = "even:1",
 
 def _verify_gf_triple(report: VerificationReport, ms, trunc: int,
                       families, closed) -> VerificationReport:
+    if any(m < 0 for m in ms):
+        raise ValueError("m must be >= 0")
     left_bounds, right_bounds = families
     for m in ms:
         by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left_bounds(m))

@@ -7,7 +7,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerparts.cli import main
+from eulerparts.cli import SERIES, VERIFY_FLAGS, main
+from eulerparts.series import WEIGHTS
+from eulerparts.verify import REGISTRY
 
 
 def run(capsys, *argv):
@@ -267,6 +269,14 @@ def test_verify_rejects_negative_max_n(capsys, theorem):
         assert err == "error: %s must be >= 0\n" % flag
 
 
+@pytest.mark.parametrize("theorem", ("pairing-gf", "binary-gf"))
+def test_verify_gf_rejects_negative_m(capsys, theorem):
+    # every m is checked before any series is built
+    for ms in ("-1", "1,-1"):
+        code, out, err = run(capsys, "verify", theorem, "--m", ms)
+        assert (code, out, err) == (2, "", "error: m must be >= 0\n")
+
+
 def test_verify_all_reduced_grid(capsys):
     code, out, _ = run(capsys, "verify", "all", "--max-n", "8", "--trunc", "8",
                        "--cutoff", "9", "--format", "csv")
@@ -286,6 +296,90 @@ def test_verify_jobs_matches_serial(capsys):
         return code, [line.rsplit(",", 1)[0] for line in out.splitlines()]
 
     assert status_rows() == status_rows("--jobs", "4")
+
+
+# -- malformed command lines ---------------------------------------------------
+
+# A flag's value is in range, out of range, or not a value at all.  Sizes
+# (n, -N, --max-n, --trunc) stay at most 20 so that no run is long.
+GARBAGE = st.text(alphabet="0123456789-+*,:;()aeis ñ\n\x00", max_size=10)
+
+
+def values(good):
+    # mostly well formed, so that most command lines get past argparse
+    return st.integers(0, 7).flatmap(lambda k: good if k else GARBAGE)
+
+
+SIZE = values(st.integers(-3, 20).map(str))
+SMALL = values(st.integers(-3, 40).map(str))
+INT_LIST = values(st.lists(st.integers(-2, 6), min_size=1, max_size=3)
+                  .map(lambda ms: ",".join(map(str, ms))))
+BOUNDS = values(st.sampled_from(("all:3", "even:1", "all:4s", "odd:inf,even:2s",
+                                 "1:1,3:5", "2:0,5:3", "all:0", "phi:i", "phi:2*i+1")))
+FILTER = values(st.sampled_from(("mod:2,res:1", "mod:3,res:2,even-length,first-once",
+                                 "mod:0,res:0", "mod:2,res:5", "even-length")))
+FORMAT = values(st.sampled_from(("text", "csv", "json")))
+STAT = values(st.sampled_from(("la", "lo")))
+LISTING = {"--bounds": BOUNDS, "--filter": FILTER, "--stat": STAT, "--format": FORMAT}
+
+# Each subcommand: its positionals and the values of each of its flags
+# (None for a switch).
+SUBCOMMANDS = {
+    "enumerate": ([SIZE], {"--bounds": BOUNDS, "--filter": FILTER, "--count": None,
+                           "--format": FORMAT}),
+    "stats": ([SIZE], LISTING),
+    "table": ([SIZE], LISTING),
+    "map": ([values(st.sampled_from(("sylvester", "pairing", "binary"))),
+             values(st.sampled_from(("fwd", "inv"))), PARTITION_TEXT],
+            {"-m": values(st.sampled_from(("0", "1", "2", "inf", "-1"))), "--format": FORMAT}),
+    "series": ([values(st.sampled_from(tuple(SERIES)))],
+               {"-N": SIZE, "-m": SMALL, "--i": SMALL, "--k": SMALL, "--bounds": BOUNDS,
+                "--filter": FILTER, "--weight": values(st.sampled_from(tuple(WEIGHTS))),
+                "--format": FORMAT}),
+    "verify": ([values(st.sampled_from(tuple(REGISTRY) + ("all",)))],
+               {"--max-n": SIZE, "--trunc": SIZE, "--cutoff": SMALL, "--m": INT_LIST,
+                "--i": SMALL, "--k": SMALL, "--bounds": BOUNDS, "--a": BOUNDS,
+                "--b": BOUNDS, "--phi": values(st.sampled_from(("1", "i", "1,i", "0,2*i"))),
+                "--jobs": values(st.integers(-2, 3).map(str)), "--format": FORMAT}),
+}
+
+
+KEYWORD = {flag: keyword for flag, keyword, *_ in VERIFY_FLAGS}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(tuple(SUBCOMMANDS)))
+    positionals, options = SUBCOMMANDS[command]
+    args = [draw(p) for p in positionals]
+    if command == "verify" and args[0] in REGISTRY:
+        # a check's own flags; a flag that does not apply is tested above
+        keywords = REGISTRY[args[0]].flags
+        options = {f: v for f, v in options.items()
+                   if f in ("--jobs", "--format") or KEYWORD[f] in keywords}
+    flags = draw(st.lists(st.sampled_from(tuple(options)), unique=True))
+    if command == "verify":
+        # a run without its size flag takes the default grid, which is long
+        flags += [f for f in ("--max-n", "--trunc") if f in options and f not in flags]
+    argv = [command]
+    for flag in flags:
+        argv.append(flag if options[flag] is None else "%s=%s" % (flag, draw(options[flag])))
+    # "--" keeps a leading "-" in a positional from reading as an option
+    return argv + ["--"] + args
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines())
+def test_malformed_command_line_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().split("\n")) == 1
 
 
 # -- table ------------------------------------------------------------------------

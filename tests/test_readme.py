@@ -1,9 +1,14 @@
-"""The README's library example runs, and every value its comments show is
-what the line computes."""
+"""The README's examples run: the library block's values match its
+comments, and every shell example prints what the README shows."""
 
 import ast
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
+
+from eulerparts.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +32,43 @@ def test_readme_python_block_runs_and_matches_its_comments():
             assert eval(code, namespace) == want, line
             checked += 1
     assert checked >= 4
+
+
+def shell_examples(text):
+    """(command line, output lines) for every ``$ eulerparts`` line in the
+    README's code blocks; the output runs to the next ``$`` line or the end
+    of the block."""
+    bodies = re.split(r"^```.*\n", text, flags=re.M)[1::2]
+    for body in bodies:
+        for chunk in re.split(r"^\$ ", body, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            if command.startswith("eulerparts "):
+                yield command, output.rstrip("\n").split("\n")
+
+
+def line_pattern(line):
+    """A shown line as a regex: ``(N ms)`` and ``(...)`` stand for any
+    parenthesised wall time."""
+    chunks = re.split(r"\(\d+ ms\)|\(\.\.\.\)", line)
+    return r"\(\d+ ms\)".join(map(re.escape, chunks))
+
+
+def test_readme_shell_examples():
+    examples = list(shell_examples(README.read_text(encoding="utf-8")))
+    assert len(examples) >= 8
+    for command, shown in examples:
+        argv = shlex.split(command)[1:]
+        head = None
+        if "|" in argv:
+            pipe = argv.index("|")
+            assert argv[pipe + 1] == "head", command
+            head = int(argv[pipe + 2].lstrip("-"))
+            argv = argv[:pipe]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, command
+        lines = out.getvalue().rstrip("\n").split("\n")[:head]
+        assert len(lines) == len(shown), command
+        for got, want in zip(lines, shown):
+            assert re.fullmatch(line_pattern(want), got), (command, got, want)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerparts.enumeration import UNBOUNDED, CongruenceFilter, parse_bounds
+from eulerparts.enumeration import UNBOUNDED, CongruenceFilter, parse_bounds, parse_filter
 from eulerparts.partition import Partition
 from eulerparts.series import (
     ABCD,
@@ -183,10 +183,12 @@ def test_weight_exponents_sum_to_weight(parts):
 # -- enumerated series -------------------------------------------------------
 
 def test_enumerated_series_counts_partitions():
-    counts = oracles.pentagonal_counts(12)
-    s = enumerated_series(12, ALT_BY_WEIGHT)
-    for n in range(13):
-        assert sum(c for (x, q), c in s.terms.items() if q == n) == counts[n]
+    counts = oracles.pentagonal_counts(100)
+    s = enumerated_series(100, ALT_BY_WEIGHT)
+    at_x_one = [0] * 101
+    for (x, q), c in s.terms.items():
+        at_x_one[q] += c
+    assert at_x_one == counts
     assert s.coefficient((0, 0)) == 1
     assert enumerated_series(6, ALT_BY_WEIGHT, include_empty=False).coefficient((0, 0)) == 0
 
@@ -205,29 +207,63 @@ def test_enumerated_series_matches_independent_generator():
     assert got.terms == want
 
 
-def test_two_parameter_weights_match_direct_tallies():
-    # Tally each two-parameter weight straight from the parts, with no use
-    # of the four-parameter weight or of substitute.
-    N = 11
-    for allow, spec in ((None, None),
-                        (oracles.max_multiplicity_at_most(3), "all:3"),
-                        (oracles.even_multiplicity_at_most(1), "even:1")):
-        tallies = {name: {} for name in ("rows", "halves", "la", "lo")}
-        for n in range(N + 1):
-            for parts in oracles.descending_partitions(n):
-                if allow is not None and not allow(parts):
-                    continue
-                monomials = {
-                    "rows": (sum(parts[0::2]), sum(parts[1::2])),
-                    "halves": (sum((v + 1) // 2 for v in parts), sum(v // 2 for v in parts)),
-                    "la": (oracles.alternating_sum(parts), n),
-                    "lo": (oracles.odd_part_count(parts), n),
-                }
-                for name, exps in monomials.items():
-                    tallies[name][exps] = tallies[name].get(exps, 0) + 1
-        bounds = parse_bounds(spec) if spec else None
-        for name, want in tallies.items():
-            assert enumerated_series(N, WEIGHTS[name], bounds).terms == want, (name, spec)
+# Caps and filters as plain functions of the parts, so that the tallies
+# share no code with BoundSequence or CongruenceFilter.
+TALLY_CAPS = {
+    None: lambda size: None,
+    "all:3": lambda size: 3,
+    "even:1": lambda size: 1 if size % 2 == 0 else None,
+    "1:1,3:5": {1: 1, 3: 5}.get,
+    "2:0,5:3": {2: 0, 5: 3}.get,
+    "phi:i": lambda size: size,
+}
+# (modulus, residue, even length, residue part at most once)
+TALLY_FILTERS = {
+    None: (1, 0, False, False),
+    "mod:2,res:1": (2, 1, False, False),
+    "mod:3,res:2,even-length,first-once": (3, 2, True, True),
+}
+
+
+def direct_tallies(N, cap_of, modulus, residue, even_length, once):
+    """Every weight's monomial counts over the admissible partitions of
+    0..N, tallied straight from the parts of the accelAsc generator."""
+    tallies = {name: {} for name in WEIGHTS}
+    for n in range(N + 1):
+        for parts in oracles.descending_partitions(n):
+            mult = oracles.multiplicity_table(parts)
+            if (any(cap_of(v) is not None and c > cap_of(v) for v, c in mult.items())
+                    or any(v % modulus != residue for v in parts)
+                    or even_length and len(parts) % 2
+                    or once and mult[residue] > 1):
+                continue
+            odd_rows, even_rows = parts[0::2], parts[1::2]
+            monomials = {
+                "abcd": (sum((v + 1) // 2 for v in odd_rows), sum(v // 2 for v in odd_rows),
+                         sum((v + 1) // 2 for v in even_rows), sum(v // 2 for v in even_rows)),
+                "rows": (sum(odd_rows), sum(even_rows)),
+                "halves": (sum((v + 1) // 2 for v in parts), sum(v // 2 for v in parts)),
+                "la": (oracles.alternating_sum(parts), n),
+                "lo": (oracles.odd_part_count(parts), n),
+            }
+            for name, exps in monomials.items():
+                tallies[name][exps] = tallies[name].get(exps, 0) + 1
+    return tallies
+
+
+@pytest.mark.parametrize("filt", TALLY_FILTERS)
+@pytest.mark.parametrize("spec", TALLY_CAPS)
+def test_weights_match_direct_tallies(spec, filt):
+    N = 14
+    tallies = direct_tallies(N, TALLY_CAPS[spec], *TALLY_FILTERS[filt])
+    bounds = parse_bounds(spec) if spec else None
+    cfilt = parse_filter(filt) if filt else None
+    for name, want in tallies.items():
+        weight = WEIGHTS[name]
+        assert enumerated_series(N, weight, bounds, cfilt).terms == want, name
+        empty = (0,) * len(weight.names)
+        want = {e: c - (e == empty) for e, c in want.items() if e != empty or c > 1}
+        assert enumerated_series(N, weight, bounds, cfilt, include_empty=False).terms == want
 
 
 def test_substitution_validates_images():
@@ -500,9 +536,8 @@ def test_restricted_enumerated_side_matches_independent_generator():
 
 # -- closed forms for the two bound-trading families --------------------------
 
-@pytest.mark.parametrize("m", (0, 1))
-def test_pairing_gf_three_ways(m):
-    N = 12
+@pytest.mark.parametrize("m, N", ((0, 12), (1, 12), (1, 100)))
+def test_pairing_gf_three_ways(m, N):
     closed = pairing_gf(m, N)
     alt = enumerated_series(N, ALT_BY_WEIGHT, parse_bounds("all:%d" % (2 * m + 1)))
     odd = enumerated_series(N, ODD_BY_WEIGHT, parse_bounds("even:%d" % m))
@@ -510,9 +545,8 @@ def test_pairing_gf_three_ways(m):
     assert series_equal(closed, odd)
 
 
-@pytest.mark.parametrize("m", (0, 1))
-def test_binary_gf_three_ways(m):
-    N = 12
+@pytest.mark.parametrize("m, N", ((0, 12), (1, 12), (1, 100)))
+def test_binary_gf_three_ways(m, N):
     closed = binary_gf(m, N)
     family = parse_bounds("even:%d" % (2 * m + 1))
     assert series_equal(closed, enumerated_series(N, ALT_BY_WEIGHT, family))
