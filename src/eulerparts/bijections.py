@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .enumeration import UNBOUNDED
+from .enumeration import UNBOUNDED, BoundSequence
 from .partition import Partition
 
 
@@ -247,33 +248,35 @@ def binary_contract(nu: Partition) -> Partition:
 
 # -- the two bound-trading maps -------------------------------------------
 
-# A multiplicity cap on one side of a map: the cap on parts of a size, given
-# ``m`` (``None`` for uncapped), and how an error message describes it.
-_EVERY_PART_2M1 = (lambda m, size: 2 * m + 1, "every part, at most 2m+1 times")
-_EVEN_PARTS_M = (lambda m, size: m if size % 2 == 0 else None,
-                 "even parts, at most m times")
-_EVEN_PARTS_2M1 = (lambda m, size: 2 * m + 1 if size % 2 == 0 else None,
-                   "even parts, at most 2m+1 times")
+# A family cut out by multiplicity caps: its caps as a function of m, and the
+# text that names them in a DomainError.  The two maps trade between these
+# families; the maps do not depend on m, only the caps do.
+CapFamily = NamedTuple("CapFamily", [("bounds", Callable[[int], BoundSequence]),
+                                     ("what", str)])
+PAIRING_SOURCE = CapFamily(lambda m: BoundSequence.constant(2 * m + 1),
+                           "every part, at most 2m+1 times")
+PAIRING_TARGET = CapFamily(BoundSequence.evens_only, "even parts, at most m times")
+BINARY_FAMILY = CapFamily(lambda m: BoundSequence.evens_only(2 * m + 1),
+                          "even parts, at most 2m+1 times")
 
 
-def _check_cap(p: Partition, m, cap):
-    """Validate ``m`` and, unless it is ``UNBOUNDED``, the caps on ``p``."""
+def _check_cap(p: Partition, m, family: CapFamily):
+    """Validate ``m`` and, unless it is ``UNBOUNDED``, that ``p`` is in ``family``."""
     if m is UNBOUNDED:
         return
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("m must be a non-negative integer or UNBOUNDED, got %r" % (m,))
-    cap_of, what = cap
+    bounds = family.bounds(m)
     for size, mult in p.multiplicities().items():
-        limit = cap_of(m, size)
-        if limit is not None and mult > limit:
+        if not bounds.allows(size, mult):
             raise DomainError("part %d appears %d times, above the cap of %d (%s)"
-                              % (size, mult, limit, what))
+                              % (size, mult, bounds.bound(size), family.what))
 
 
-def _forward(alpha: Partition, m, cap, encode) -> tuple[Partition, BijectionTrace]:
+def _forward(alpha: Partition, m, family, encode) -> tuple[Partition, BijectionTrace]:
     """Split ``alpha`` by multiplicity parity, send the distinct half through
     the fishhook and the even half through ``encode``, and join the images."""
-    _check_cap(alpha, m, cap)
+    _check_cap(alpha, m, family)
     lam, mu = split_distinct_even(alpha)
     tau = sylvester_distinct_to_odd(lam)
     nu = encode(mu)
@@ -283,10 +286,10 @@ def _forward(alpha: Partition, m, cap, encode) -> tuple[Partition, BijectionTrac
     return beta, BijectionTrace(alpha, lam, mu, tau, nu, beta)
 
 
-def _backward(beta: Partition, m, cap, decode) -> tuple[Partition, BijectionTrace]:
+def _backward(beta: Partition, m, family, decode) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`_forward`: odd parts go back through the fishhook,
     even parts through ``decode``."""
-    _check_cap(beta, m, cap)
+    _check_cap(beta, m, family)
     tau = Partition._raw(tuple(p for p in beta.parts if p % 2 == 1))
     nu = Partition._raw(tuple(p for p in beta.parts if p % 2 == 0))
     lam = sylvester_odd_to_distinct(tau)
@@ -304,12 +307,12 @@ def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrac
     image, and the weight is preserved.  With ``m = UNBOUNDED`` no caps are
     checked and the map is the general multiplicity-parity correspondence.
     """
-    return _forward(alpha, m, _EVERY_PART_2M1, merge_pairs)
+    return _forward(alpha, m, PAIRING_SOURCE, merge_pairs)
 
 
 def pairing_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`pairing_map`, with the intermediate stages."""
-    return _backward(beta, m, _EVEN_PARTS_M, split_pairs)
+    return _backward(beta, m, PAIRING_TARGET, split_pairs)
 
 
 def pairing_inverse(beta: Partition, m=UNBOUNDED) -> Partition:
@@ -323,12 +326,12 @@ def binary_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace
     through :func:`binary_expand`, so the image again has its even parts
     capped at ``2m+1``.  Alternating sum maps to odd-part count.
     """
-    return _forward(alpha, m, _EVEN_PARTS_2M1, binary_expand)
+    return _forward(alpha, m, BINARY_FAMILY, binary_expand)
 
 
 def binary_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`binary_map`, with the intermediate stages."""
-    return _backward(beta, m, _EVEN_PARTS_2M1, binary_contract)
+    return _backward(beta, m, BINARY_FAMILY, binary_contract)
 
 
 def binary_inverse(beta: Partition, m=UNBOUNDED) -> Partition:

@@ -10,6 +10,7 @@ can be passed on a command line.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
@@ -298,27 +299,42 @@ def parse_bounds(text: str) -> BoundSequence:
 
 def parse_filter(text: str) -> CongruenceFilter:
     """Parse the filter DSL: ``mod:k,res:i[,even-length][,first-once]``."""
-    modulus = 1
-    residue = 0
-    even_length = False
-    first_once = False
+    fields: dict[str, object] = {}
     for entry in text.strip().split(","):
         key, sep, value = entry.partition(":")
         key = key.strip()
-        if key == "mod" and sep:
-            modulus = int(value)
-        elif key == "res" and sep:
-            residue = int(value)
-        elif key == "even-length" and not sep:
-            even_length = True
-        elif key == "first-once" and not sep:
-            first_once = True
+        if key in ("mod", "res") and sep:
+            val = int(value)
+        elif key in ("even-length", "first-once") and not sep:
+            val = True
         else:
             raise ValueError("bad filter entry %r" % entry)
-    return CongruenceFilter(modulus, residue, even_length, first_once)
+        if key in fields:
+            raise ValueError("duplicate %s in %r" % (key, text))
+        fields[key] = val
+    return CongruenceFilter(fields.get("mod", 1), fields.get("res", 0),
+                            "even-length" in fields, "first-once" in fields)
 
 
 # -- enumeration ---------------------------------------------------------
+
+def _size_caps(n: int, bounds: BoundSequence | None,
+               filt: CongruenceFilter | None) -> list[tuple[int, int]]:
+    """The admissible part sizes up to ``n``, ascending, each with how many
+    copies a partition of ``n`` may hold: ``n // size``, lowered to the
+    size's cap and, for the ``first-once`` size, to 1.  Sizes that may not
+    occur are dropped.  Caps are read in ascending size, so an invalid cap
+    is reported for the smallest size that has one."""
+    filt = filt or CongruenceFilter()
+    once_size = filt.residue if filt.first_part_once else 0
+    table = []
+    for size in range(filt.residue or filt.modulus, n + 1, filt.modulus):
+        b = UNBOUNDED if bounds is None else bounds.bound(size)
+        cap = min(n // size, n if b is UNBOUNDED else b, 1 if size == once_size else n)
+        if cap:
+            table.append((size, cap))
+    return table
+
 
 def bounded_partitions(n: int, bounds: BoundSequence | None = None,
                        filt: CongruenceFilter | None = None) -> Iterator[Partition]:
@@ -326,38 +342,30 @@ def bounded_partitions(n: int, bounds: BoundSequence | None = None,
     lexicographic order (largest first part first, ties broken by the next
     part, and so on).  The order is deterministic.
 
-    ``n = 0`` yields exactly the empty partition whatever the caps are.
+    The caps and the filter's sizes are read once per call, into the table
+    of :func:`_size_caps`; the recursion walks that table.  ``n = 0``
+    yields exactly the empty partition whatever the caps are.
     """
     if n < 0:
         raise ValueError("cannot partition a negative number")
-    modulus = filt.modulus if filt else 1
-    residue = filt.residue if filt else 0
-    need_even = filt.even_length if filt else False
-    once_size = filt.residue if (filt and filt.first_part_once and filt.residue >= 1) else 0
-
+    table = _size_caps(n, bounds, filt)
+    sizes = [size for size, _ in table]
+    need_even = filt is not None and filt.even_length
     acc: list[int] = []
 
-    def gen(remaining: int, max_size: int):
+    def gen(remaining: int, top: int):  # fill remaining from table[:top]
         if remaining == 0:
             if not need_even or len(acc) % 2 == 0:
                 yield Partition._raw(tuple(acc))
             return
-        for size in range(min(remaining, max_size), 0, -1):
-            if size % modulus != residue:
-                continue
-            cap = remaining // size
-            if bounds is not None:
-                b = bounds.bound(size)
-                if b is not UNBOUNDED:
-                    cap = min(cap, b)
-            if size == once_size:
-                cap = min(cap, 1)
-            for count in range(cap, 0, -1):
+        for i in range(bisect_right(sizes, remaining, 0, top) - 1, -1, -1):
+            size, cap = table[i]
+            for count in range(min(cap, remaining // size), 0, -1):
                 acc.extend([size] * count)
-                yield from gen(remaining - size * count, size - 1)
-                del acc[len(acc) - count:]
+                yield from gen(remaining - size * count, i)
+                del acc[-count:]
 
-    return gen(n, n)
+    return gen(n, len(table))
 
 
 def count_total(n: int, bounds: BoundSequence | None = None,

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
-from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter
+from .bijections import BINARY_FAMILY, PAIRING_SOURCE
+from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter, _size_caps
 from .partition import Partition
 
 ABCD = ("a", "b", "c", "d")
@@ -341,30 +342,16 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
     The DP runs in the weight's own variables, since its substitution is a
     monomial map, and truncates by their degree, which equals the
     partition's weight; so the result is the exact truncation of the full
-    generating function.  ``filt``'s even length reads only the even dict.
+    generating function.  The caps and the filter's sizes are read once per
+    call, from the size table :func:`bounded_partitions` walks too
+    (``_size_caps``); ``filt``'s even length reads only the even dict.
     """
     out = Series.zero(weight.names, trunc, weight.degree_index)
     image = _weight_image(weight, out)
     degree = sum if out.degree_index is None else itemgetter(out.degree_index)
-    modulus = filt.modulus if filt else 1
-    residue = filt.residue if filt else 0
-    once_size = filt.residue if filt and filt.first_part_once else 0
-    caps = []  # ascending, so an invalid cap is reported for the smallest size
-    for size in range(1, trunc + 1):
-        if size % modulus != residue:
-            continue
-        cap = trunc // size
-        b = UNBOUNDED if bounds is None else bounds.bound(size)
-        if b is not UNBOUNDED:
-            cap = min(cap, b)
-        if size == once_size:
-            cap = min(cap, 1)
-        if cap:
-            caps.append((size, cap))
-
     zero = (0,) * len(out.names)
     states = ({zero: 1}, {})
-    for size, cap in reversed(caps):
+    for size, cap in reversed(_size_caps(trunc, bounds, filt)):
         rows = _row_monomials(size, image)
         # steps[p][c]: the monomial of c copies placed from parity p
         steps = []
@@ -621,7 +608,7 @@ def pairing_gf(m: int, trunc: int) -> Series:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _capped_product(0, 1, BoundSequence.constant(2 * m + 1), trunc, ALT_BY_WEIGHT)
+    return _capped_product(0, 1, PAIRING_SOURCE.bounds(m), trunc, ALT_BY_WEIGHT)
 
 
 def binary_gf(m: int, trunc: int) -> Series:
@@ -632,7 +619,7 @@ def binary_gf(m: int, trunc: int) -> Series:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _capped_product(0, 1, BoundSequence.evens_only(2 * m + 1), trunc, ALT_BY_WEIGHT)
+    return _capped_product(0, 1, BINARY_FAMILY.bounds(m), trunc, ALT_BY_WEIGHT)
 
 
 def partition_gf(trunc: int) -> Series:

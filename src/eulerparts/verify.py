@@ -12,7 +12,8 @@ import functools
 import time
 from dataclasses import dataclass, field
 
-from .bijections import (binary_inverse, binary_map, pairing_inverse,
+from .bijections import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
+                         binary_inverse, binary_map, pairing_inverse,
                          pairing_map, sylvester_distinct_to_odd,
                          sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
@@ -106,8 +107,7 @@ def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
     """Distinct partitions counted by alternating sum match odd-part
     partitions counted by length, for every n up to ``max_n``."""
     report = VerificationReport("bessenrodt", {"max_n": max_n})
-    distinct = BoundSequence.constant(1)
-    odds = BoundSequence.odds_evens(UNBOUNDED, 0)
+    distinct, odds = PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)
     for n in range(max_n + 1):
         left = count_by_statistic(n, Partition.alt_sum, distinct)
         right = count_by_statistic(n, Partition.odd_count, odds)
@@ -123,12 +123,11 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     to ``max_n``, inverts correctly, and satisfies
 
     * first part of the input = length of the image + (largest image part - 1)/2
-    * alternating sum of the input = number of (odd) parts... of the image
-      that is, l_a(input) = l_o(image).
+    * alternating sum of the input = number of parts of the image (all of
+      them odd), that is, l_a(input) = l_o(image).
     """
     report = VerificationReport("sylvester", {"max_n": max_n})
-    distinct = BoundSequence.constant(1)
-    odds = BoundSequence.odds_evens(UNBOUNDED, 0)
+    distinct, odds = PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)
     for n in range(max_n + 1):
         images = []
         for lam in bounded_partitions(n, distinct):
@@ -156,23 +155,25 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     return report
 
 
-# The (source, target) cap families, as functions of m, that the pairing and
-# binary identities relate; both the bijection and the series checks use them.
-_PAIRING_FAMILIES = (lambda m: BoundSequence.constant(2 * m + 1),
-                     lambda m: BoundSequence.evens_only(m))
-_BINARY_FAMILIES = (lambda m: BoundSequence.evens_only(2 * m + 1),) * 2
+def _check_ms(ms):
+    """Reject a negative m before any work, naming m rather than a cap."""
+    if any(m < 0 for m in ms):
+        raise ValueError("m must be >= 0")
 
 
 def _verify_exchange(report: VerificationReport, mapper, inverse, families,
                      max_n: int, ms) -> VerificationReport:
     """Check ``mapper`` on every partition of the source family: the image
-    lies in the target family, l_a becomes l_o, ``inverse`` undoes it, and
-    the images exhaust the target.  Each family is enumerated once per
-    (m, n); the l_a and l_o histograms are taken from those lists."""
-    source_bounds, target_bounds = families
+    lies in the target family, ``inverse`` undoes it, and the images exhaust
+    the target (l_a becoming l_o is an invariant the map checks itself).
+    Each family is enumerated once per (m, n), and the l_a and l_o
+    histograms are taken from those lists.  The maps are called without m:
+    only the caps depend on it, and they are checked here."""
+    _check_ms(ms)
+    source_family, target_family = families
     for m in ms:
-        src = source_bounds(m)
-        dst = target_bounds(m)
+        src = source_family.bounds(m)
+        dst = target_family.bounds(m)
         for n in range(max_n + 1):
             source = list(bounded_partitions(n, src))
             target = list(bounded_partitions(n, dst))
@@ -184,11 +185,10 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, families,
             seen = set()
             for alpha in source:
                 try:
-                    beta, _ = mapper(alpha, m)
+                    beta, _ = mapper(alpha)
                     detail = (
                         "image violates the target caps" if not dst.admits(beta) else
-                        "statistic not exchanged" if alpha.alt_sum() != beta.odd_count() else
-                        "inverse round trip failed" if inverse(beta, m) != alpha else
+                        "inverse round trip failed" if inverse(beta) != alpha else
                         None)
                 except AssertionError as exc:  # an invariant a map checks itself
                     report.fail(m=m, n=n, input=str(alpha), detail=str(exc))
@@ -209,7 +209,7 @@ def verify_pairing(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     at most 2m+1 times" onto "even parts at most m times"."""
     return _verify_exchange(
         VerificationReport("pairing", {"max_n": max_n, "m": list(ms)}),
-        pairing_map, pairing_inverse, _PAIRING_FAMILIES, max_n, ms)
+        pairing_map, pairing_inverse, (PAIRING_SOURCE, PAIRING_TARGET), max_n, ms)
 
 
 @_timed
@@ -218,7 +218,7 @@ def verify_binary(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     at most 2m+1 times"."""
     return _verify_exchange(
         VerificationReport("binary", {"max_n": max_n, "m": list(ms)}),
-        binary_map, binary_inverse, _BINARY_FAMILIES, max_n, ms)
+        binary_map, binary_inverse, (BINARY_FAMILY, BINARY_FAMILY), max_n, ms)
 
 
 @_timed
@@ -408,12 +408,11 @@ def verify_halves_product(bounds: BoundSequence | str = "even:1",
 
 def _verify_gf_triple(report: VerificationReport, ms, trunc: int,
                       families, closed) -> VerificationReport:
-    if any(m < 0 for m in ms):
-        raise ValueError("m must be >= 0")
-    left_bounds, right_bounds = families
+    _check_ms(ms)
+    left_family, right_family = families
     for m in ms:
-        by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left_bounds(m))
-        by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right_bounds(m))
+        by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left_family.bounds(m))
+        by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right_family.bounds(m))
         gf = closed(m, trunc)
         for tag, other in (("enumerated by odd parts", by_odd), ("closed form", gf)):
             if _compare(report, by_alt, other, "enumerated_by_alt_sum", "other",
@@ -429,7 +428,7 @@ def verify_pairing_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
     by (odd-part count, weight) = the closed-form product."""
     return _verify_gf_triple(
         VerificationReport("pairing-gf", {"m": list(ms), "trunc": trunc}), ms, trunc,
-        _PAIRING_FAMILIES, pairing_gf)
+        (PAIRING_SOURCE, PAIRING_TARGET), pairing_gf)
 
 
 @_timed
@@ -438,7 +437,7 @@ def verify_binary_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
     by (alternating sum, weight) = by (odd-part count, weight) = closed form."""
     return _verify_gf_triple(
         VerificationReport("binary-gf", {"m": list(ms), "trunc": trunc}), ms, trunc,
-        _BINARY_FAMILIES, binary_gf)
+        (BINARY_FAMILY, BINARY_FAMILY), binary_gf)
 
 
 # -- registry ------------------------------------------------------------------

@@ -52,6 +52,12 @@ def test_enumerate_bad_dsl(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_enumerate_duplicate_filter_entry(capsys):
+    code, out, err = run(capsys, "enumerate", "6", "--filter", "mod:3,mod:2,res:1")
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate mod in 'mod:3,mod:2,res:1'\n"
+
+
 DSL_TEXT = st.text(alphabet="0123456789i+*()s:,;-_ allodevnphimrfstxyz\n\x00é") | st.text()
 
 
@@ -269,9 +275,9 @@ def test_verify_rejects_negative_max_n(capsys, theorem):
         assert err == "error: %s must be >= 0\n" % flag
 
 
-@pytest.mark.parametrize("theorem", ("pairing-gf", "binary-gf"))
+@pytest.mark.parametrize("theorem", ("pairing-gf", "binary-gf", "pairing", "binary"))
 def test_verify_gf_rejects_negative_m(capsys, theorem):
-    # every m is checked before any series is built
+    # every m is checked before any series is built or partition mapped
     for ms in ("-1", "1,-1"):
         code, out, err = run(capsys, "verify", theorem, "--m", ms)
         assert (code, out, err) == (2, "", "error: m must be >= 0\n")

@@ -15,6 +15,7 @@ from eulerparts.enumeration import (
     parse_phi,
 )
 from eulerparts.partition import Partition
+from eulerparts.series import FOUR_PARAM, enumerated_series
 
 import oracles
 
@@ -240,10 +241,16 @@ def test_parse_filter():
     f = parse_filter("mod:3,res:2,even-length,first-once")
     assert (f.modulus, f.residue, f.even_length, f.first_part_once) == (3, 2, True, True)
     assert f.spec == "mod:3,res:2,even-length,first-once"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ("mod:3,res", "shape:3", "mod:3,mod:2,res:1", "res:1,res:0",
+     "even-length,even-length", "mod:2,first-once,first-once"),
+)
+def test_parse_filter_rejects(bad):
     with pytest.raises(ValueError):
-        parse_filter("mod:3,res")
-    with pytest.raises(ValueError):
-        parse_filter("shape:3")
+        parse_filter(bad)
 
 
 def test_filter_restricts_part_sizes():
@@ -279,6 +286,53 @@ def test_filter_admits_rejects():
     assert f.admits(Partition([3, 1]))
     assert not f.admits(Partition([3]))          # odd length
     assert not f.admits(Partition([2, 1, 2, 1]))  # even parts
+
+
+# -- the exact sequence, against accelAsc -----------------------------------
+
+# Each cap spec with the same caps as a plain function of the size (None for
+# no cap), and each filter spec with the same test as a predicate on the parts.
+SEQUENCE_CAPS = (
+    (None, lambda s: None),
+    ("all:2", lambda s: 2),
+    ("even:1", lambda s: 1 if s % 2 == 0 else None),
+    ("1:3,3:0", lambda s: {1: 3, 3: 0}.get(s)),
+    ("phi:i", lambda s: s),
+)
+SEQUENCE_FILTERS = (
+    (None, lambda parts: True),
+    ("mod:3,res:0", lambda parts: all(v % 3 == 0 for v in parts)),
+    ("mod:2,res:1,first-once",
+     lambda parts: all(v % 2 == 1 for v in parts) and parts.count(1) <= 1),
+    ("mod:3,res:2,even-length,first-once",
+     lambda parts: all(v % 3 == 2 for v in parts) and len(parts) % 2 == 0
+     and parts.count(2) <= 1),
+    ("even-length", lambda parts: len(parts) % 2 == 0),
+)
+
+
+@pytest.mark.parametrize("cap_spec, cap_of", SEQUENCE_CAPS)
+@pytest.mark.parametrize("filter_spec, keep", SEQUENCE_FILTERS)
+def test_bounded_partitions_sequence_matches_accel_asc(cap_spec, cap_of, filter_spec, keep):
+    bounds = parse_bounds(cap_spec) if cap_spec else None
+    filt = parse_filter(filter_spec) if filter_spec else None
+    for n in range(17):
+        want = sorted((parts for parts in oracles.descending_partitions(n)
+                       if keep(parts) and all(cap_of(s) is None or c <= cap_of(s)
+                                              for s, c in Counter(parts).items())),
+                      reverse=True)
+        got = [p.parts for p in bounded_partitions(n, bounds, filt)]
+        assert got == want, (cap_spec, filter_spec, n)
+
+
+def test_invalid_cap_names_the_same_size_in_both_paths():
+    # caps are read in ascending size by the enumeration and the DP alike
+    bad = BoundSequence.from_function(lambda s: -1 if s >= 3 else 2)
+    message = "^bound for part 3 must be a non-negative integer, got -1$"
+    with pytest.raises(ValueError, match=message):
+        list(bounded_partitions(8, bad))
+    with pytest.raises(ValueError, match=message):
+        enumerated_series(8, FOUR_PARAM, bad)
 
 
 # -- randomized agreement -------------------------------------------------
