@@ -38,6 +38,14 @@ def _filter_arg(args):
     return parse_filter(args.filter) if args.filter else None
 
 
+def _int(flag: str, text: str) -> int:
+    """``text`` as an integer, or a ValueError that names ``flag``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s: %r is not an integer" % (flag, text)) from None
+
+
 def _csv_out(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -92,19 +100,13 @@ def cmd_stats(args) -> int:
 
 # -- map -------------------------------------------------------------------------
 
-def _parse_m(text: str):
-    if text == "inf":
-        return UNBOUNDED
-    return int(text)
-
-
 EXCHANGE_MAPS = {("pairing", "fwd"): pairing_map, ("pairing", "inv"): pairing_inverse_trace,
                  ("binary", "fwd"): binary_map, ("binary", "inv"): binary_inverse_trace}
 
 
 def cmd_map(args) -> int:
     p = Partition.parse(args.partition)
-    m = _parse_m(args.m)
+    m = UNBOUNDED if args.m == "inf" else _int("-m", args.m)
     if args.name == "sylvester":
         if args.direction == "fwd":
             image = sylvester_odd_to_distinct(p)
@@ -141,8 +143,8 @@ def _required_bounds(args):
 # Builder of each ``series`` name, in the order ``--help`` lists them.
 SERIES = {
     "partition-gf": lambda args: partition_gf(args.N),
-    "pairing-gf": lambda args: pairing_gf(int(args.m), args.N),
-    "binary-gf": lambda args: binary_gf(int(args.m), args.N),
+    "pairing-gf": lambda args: pairing_gf(_int("-m", args.m), args.N),
+    "binary-gf": lambda args: binary_gf(_int("-m", args.m), args.N),
     "boulet": lambda args: boulet_product(args.N),
     "restricted-boulet": lambda args: restricted_boulet_product(
         args.i, args.k, _required_bounds(args), args.N),
@@ -179,7 +181,7 @@ def _non_negative(flag: str, value: int) -> int:
 
 
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_int(flag, x) for x in text.split(","))
 
 
 def _text_list(flag: str, text: str) -> tuple[str, ...]:
@@ -242,17 +244,18 @@ def _verify_runs(args) -> list[tuple[str, dict]]:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     runs = _verify_runs(args)
-    jobs = max(1, args.jobs)
 
     def execute(item):
         name, kwargs = item
         return REGISTRY[name].runner(**kwargs)
 
-    if jobs == 1 or len(runs) == 1:
+    if args.jobs == 1 or len(runs) == 1:
         reports = [execute(r) for r in runs]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(execute, runs))
 
     if args.format == "json":

@@ -303,7 +303,7 @@ def parse_filter(text: str) -> CongruenceFilter:
     for entry in text.strip().split(","):
         key, sep, value = entry.partition(":")
         key = key.strip()
-        if key in ("mod", "res") and sep:
+        if key in ("mod", "res") and value.strip().isdecimal():
             val = int(value)
         elif key in ("even-length", "first-once") and not sep:
             val = True

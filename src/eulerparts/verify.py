@@ -1,21 +1,25 @@
 """Finite-range verification of the partition identities.
 
-Every checker enumerates both sides of an identity over an explicit grid
-and returns a :class:`VerificationReport`; nothing is sampled, so a "pass"
-means the identity holds everywhere on the grid.  The registry at the end
-drives the command line.
+Every checker computes both sides of an identity over an explicit grid and
+returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
+the identity holds everywhere on the grid.  The four bijection checks share
+one engine, :func:`_verify_exchange`, which maps each partition once per n
+however many m or phi runs admit it; a check over several m or phi reports
+its first failure in the order they were given, then by n.  The registry at
+the end drives the command line.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .bijections import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
-                         binary_inverse, binary_map, pairing_inverse,
-                         pairing_map, sylvester_distinct_to_odd,
-                         sylvester_odd_to_distinct)
+                         DomainError, binary_inverse, binary_map,
+                         pairing_inverse, pairing_map,
+                         sylvester_distinct_to_odd, sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_by_statistic, count_total,
                           histogram, parse_bounds, parse_phi)
@@ -117,6 +121,94 @@ def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
     return report
 
 
+def _odd_hook(beta: Partition) -> tuple[int, int]:
+    """(l_o, l_o + (largest odd part - 1)/2), or (0, 0) with no odd part."""
+    k = beta.odd_count()
+    return k, k + beta.largest_odd_part() // 2
+
+
+# The statistics an exchange check compares, (on the source, on the image).
+# The refined pair adds the largest part of odd multiplicity, (0, 0) if none;
+# at phi = 0 it is Sylvester's hook-size property together with l_a = l_o.
+_EXCHANGED = (Partition.alt_sum, Partition.odd_count)
+_REFINED = (lambda a: (a.alt_sum(), a.largest_odd_multiplicity_part()), _odd_hook)
+
+
+def _json_keys(hist: dict) -> dict:
+    """``hist`` with each tuple key written as text, so that it serialises."""
+    return {str(k) if isinstance(k, tuple) else k: v for k, v in hist.items()}
+
+
+def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
+                     max_n: int, stats) -> Counter:
+    """Check the bijection ``mapper`` for each of ``runs``, (context, source
+    caps, target caps) triples, and each n up to ``max_n``: the histograms of
+    ``stats`` over the two families agree; each source partition's image is
+    within the target caps, ``inverse`` undoes it and the statistic is carried
+    over; the images exhaust the target family.  n is the outer loop, so a
+    partition several runs admit is mapped, inverted and compared once per n.
+    The counterexample is the first in run order, then n order, and starts
+    with the run's context.  Returns the source histogram summed over the
+    (run, n) pairs checked."""
+    source_stat, target_stat = stats
+    totals: Counter = Counter()
+
+    def image(alpha, key):
+        # The image of alpha, and its failure apart from the target caps.
+        try:
+            beta = mapper(alpha)
+        except AssertionError as exc:  # an invariant a map checks itself
+            return None, {"detail": str(exc)}
+        try:
+            detail = ("inverse round trip failed" if inverse(beta) != alpha else
+                      "statistic not carried over" if target_stat(beta) != key else
+                      None)
+        except (AssertionError, DomainError) as exc:
+            # Also an image outside the inverse's domain: the inverse runs
+            # before a run checks its caps, which are reported first.
+            return beta, {"detail": str(exc)}
+        return beta, detail and {"image": str(beta), "detail": detail}
+
+    def check(n, src, dst, images):
+        # The first failure of one run at n, or None.
+        source = list(bounded_partitions(n, src))
+        target = list(bounded_partitions(n, dst))
+        keys = list(map(source_stat, source))
+        left = histogram(keys, lambda key: key)
+        right = histogram(target, target_stat)
+        totals.update(left)
+        if left != right:
+            return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
+        seen = set()
+        for alpha, key in zip(source, keys):
+            entry = images.get(alpha)
+            if entry is None:
+                entry = images[alpha] = image(alpha, key)
+            beta, failure = entry
+            if beta is not None and not dst.admits(beta):
+                failure = {"image": str(beta), "detail": "image violates the target caps"}
+            if failure:
+                return {"input": str(alpha), **failure}
+            seen.add(beta)
+        if len(seen) != len(source) or seen != set(target):
+            return {"detail": "images do not exhaust the target family"}
+        return None
+
+    failed, first = len(runs), None  # the earliest run that failed, and how
+    for n in range(max_n + 1):
+        images: dict = {}
+        for index, (context, src, dst) in enumerate(runs[:failed]):
+            failure = check(n, src, dst, images)
+            if failure:
+                failed, first = index, {**context, "n": n, **failure}
+                break
+        if failed == 0:
+            break
+    if first:
+        report.fail(**first)
+    return totals
+
+
 @_timed
 def verify_sylvester(max_n: int = 25) -> VerificationReport:
     """The fishhook map is a bijection distinct -> odd for every weight up
@@ -127,113 +219,53 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
       them odd), that is, l_a(input) = l_o(image).
     """
     report = VerificationReport("sylvester", {"max_n": max_n})
-    distinct, odds = PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)
-    for n in range(max_n + 1):
-        images = []
-        for lam in bounded_partitions(n, distinct):
-            first = lam.parts[0] if lam.parts else 0
-            try:
-                tau = sylvester_distinct_to_odd(lam)
-                expected = len(tau) + (tau.parts[0] - 1) // 2 if tau.parts else 0
-                detail = (
-                    "even part in image" if any(p % 2 == 0 for p in tau.parts) else
-                    "round trip failed" if sylvester_odd_to_distinct(tau) != lam else
-                    "hook size property failed" if first != expected else
-                    "statistic property failed" if lam.alt_sum() != tau.odd_count() else
-                    None)
-            except AssertionError as exc:  # an invariant a map checks itself
-                report.fail(n=n, input=str(lam), detail=str(exc))
-                return report
-            if detail:
-                report.fail(n=n, input=str(lam), image=str(tau), detail=detail)
-                return report
-            images.append(tau)
-        target = list(bounded_partitions(n, odds))
-        if sorted(p.parts for p in images) != sorted(p.parts for p in target):
-            report.fail(n=n, detail="images do not exhaust the odd partitions")
-            return report
+    runs = [({}, PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0))]
+    _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct,
+                     runs, max_n, _REFINED)
     return report
 
 
-def _check_ms(ms):
-    """Reject a negative m before any work, naming m rather than a cap."""
+def _m_runs(ms, source, target) -> list:
+    """One run per m: its context and both families' caps at m.  A negative
+    m is rejected before any work, naming m rather than a cap."""
     if any(m < 0 for m in ms):
         raise ValueError("m must be >= 0")
-
-
-def _verify_exchange(report: VerificationReport, mapper, inverse, families,
-                     max_n: int, ms) -> VerificationReport:
-    """Check ``mapper`` on every partition of the source family: the image
-    lies in the target family, ``inverse`` undoes it, and the images exhaust
-    the target (l_a becoming l_o is an invariant the map checks itself).
-    Each family is enumerated once per (m, n), and the l_a and l_o
-    histograms are taken from those lists.  The maps are called without m:
-    only the caps depend on it, and they are checked here."""
-    _check_ms(ms)
-    source_family, target_family = families
-    for m in ms:
-        src = source_family.bounds(m)
-        dst = target_family.bounds(m)
-        for n in range(max_n + 1):
-            source = list(bounded_partitions(n, src))
-            target = list(bounded_partitions(n, dst))
-            left = histogram(source, Partition.alt_sum)
-            right = histogram(target, Partition.odd_count)
-            if left != right:
-                report.fail(m=m, n=n, by_alt_sum=left, by_odd_count=right)
-                return report
-            seen = set()
-            for alpha in source:
-                try:
-                    beta, _ = mapper(alpha)
-                    detail = (
-                        "image violates the target caps" if not dst.admits(beta) else
-                        "inverse round trip failed" if inverse(beta) != alpha else
-                        None)
-                except AssertionError as exc:  # an invariant a map checks itself
-                    report.fail(m=m, n=n, input=str(alpha), detail=str(exc))
-                    return report
-                if detail:
-                    report.fail(m=m, n=n, input=str(alpha), image=str(beta), detail=detail)
-                    return report
-                seen.add(beta)
-            if len(seen) != len(source) or seen != set(target):
-                report.fail(m=m, n=n, detail="images do not exhaust the target family")
-                return report
-    return report
+    return [({"m": m}, source.bounds(m), target.bounds(m)) for m in ms]
 
 
 @_timed
 def verify_pairing(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     """The pairing map is a statistic-exchanging bijection from "every part
     at most 2m+1 times" onto "even parts at most m times"."""
-    return _verify_exchange(
-        VerificationReport("pairing", {"max_n": max_n, "m": list(ms)}),
-        pairing_map, pairing_inverse, (PAIRING_SOURCE, PAIRING_TARGET), max_n, ms)
+    report = VerificationReport("pairing", {"max_n": max_n, "m": list(ms)})
+    _verify_exchange(report, lambda a: pairing_map(a)[0], pairing_inverse,
+                     _m_runs(ms, PAIRING_SOURCE, PAIRING_TARGET), max_n, _EXCHANGED)
+    return report
 
 
 @_timed
 def verify_binary(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     """The binary map exchanges the statistics within the family "even parts
     at most 2m+1 times"."""
-    return _verify_exchange(
-        VerificationReport("binary", {"max_n": max_n, "m": list(ms)}),
-        binary_map, binary_inverse, (BINARY_FAMILY, BINARY_FAMILY), max_n, ms)
+    report = VerificationReport("binary", {"max_n": max_n, "m": list(ms)})
+    _verify_exchange(report, lambda a: binary_map(a)[0], binary_inverse,
+                     _m_runs(ms, BINARY_FAMILY, BINARY_FAMILY), max_n, _EXCHANGED)
+    return report
 
 
 @_timed
 def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> VerificationReport:
     """Refinement of the pairing map under a size-dependent cap phi.
 
-    Sources: every part i at most 2 phi(i) + 1 times, grouped by
-    (alternating sum, largest part of odd multiplicity).  Targets: even
-    parts 2i at most phi(i) times, at least one odd part, grouped by
-    (number of odd parts, that number + (largest odd part - 1)/2).
-    Inputs with no odd multiplicity (so the second statistic is 0) fall
-    outside the refinement and are counted as skipped.
+    Sources: every part i at most 2 phi(i) + 1 times, by (alternating sum,
+    largest part of odd multiplicity).  Targets: even parts 2i at most
+    phi(i) times, by (number of odd parts, that number + (largest odd part
+    - 1)/2).  Inputs with no odd multiplicity (both statistics 0) fall
+    outside the refinement; they are still mapped, and counted as skipped.
     """
     report = VerificationReport("pairing-refined",
                                 {"max_n": max_n, "phi": list(phi_specs)})
+    runs = []
     for spec in phi_specs:
         phi = parse_phi(spec)
         src = BoundSequence.from_function(lambda s, phi=phi: 2 * phi(s) + 1,
@@ -241,46 +273,12 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
         dst = BoundSequence.from_function(
             lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
             "even phi:%s" % spec)
-        for n in range(max_n + 1):
-            left: dict[tuple, int] = {}
-            for alpha in bounded_partitions(n, src):
-                t = alpha.largest_odd_multiplicity_part()
-                if t == 0:
-                    report.skipped += 1
-                    continue
-                key = (alpha.alt_sum(), t)
-                left[key] = left.get(key, 0) + 1
-                try:
-                    beta, _ = pairing_map(alpha)
-                except AssertionError as exc:  # an invariant a map checks itself
-                    report.fail(phi=spec, n=n, input=str(alpha), detail=str(exc))
-                    return report
-                k = beta.odd_count()
-                detail = (
-                    "image violates the phi caps" if not dst.admits(beta) else
-                    "refined statistics disagree"
-                    if (k, k + (beta.largest_odd_part() - 1) // 2) != key else
-                    None)
-                if detail:
-                    report.fail(phi=spec, n=n, input=str(alpha), image=str(beta),
-                                detail=detail)
-                    return report
-            right: dict[tuple, int] = {}
-            for beta in bounded_partitions(n, dst):
-                k = beta.odd_count()
-                if k == 0:
-                    continue
-                key = (k, k + (beta.largest_odd_part() - 1) // 2)
-                right[key] = right.get(key, 0) + 1
-            if left != right:
-                report.fail(phi=spec, n=n, left=_str_keys(left), right=_str_keys(right))
-                return report
+        runs.append(({"phi": spec}, src, dst))
+    totals = _verify_exchange(report, lambda a: pairing_map(a)[0], pairing_inverse,
+                              runs, max_n, _REFINED)
+    report.skipped = totals[(0, 0)]
     report.notes.append("inputs with all multiplicities even fall outside the refinement")
     return report
-
-
-def _str_keys(d: dict) -> dict:
-    return {str(k): v for k, v in sorted(d.items())}
 
 
 # -- equivalent bound sequences ---------------------------------------------
@@ -408,15 +406,13 @@ def verify_halves_product(bounds: BoundSequence | str = "even:1",
 
 def _verify_gf_triple(report: VerificationReport, ms, trunc: int,
                       families, closed) -> VerificationReport:
-    _check_ms(ms)
-    left_family, right_family = families
-    for m in ms:
-        by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left_family.bounds(m))
-        by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right_family.bounds(m))
-        gf = closed(m, trunc)
+    for context, left, right in _m_runs(ms, *families):
+        by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left)
+        by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right)
+        gf = closed(context["m"], trunc)
         for tag, other in (("enumerated by odd parts", by_odd), ("closed form", gf)):
             if _compare(report, by_alt, other, "enumerated_by_alt_sum", "other",
-                        m=m, other_side=tag):
+                        **context, other_side=tag):
                 return report
     return report
 

@@ -50,6 +50,9 @@ def test_enumerate_bad_dsl(capsys):
     code, _, err = run(capsys, "enumerate", "3", "--bounds", deep)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    code, out, err = run(capsys, "enumerate", "5", "--filter", "mod:x,res:1")
+    assert (code, out) == (2, "")
+    assert err == "error: bad filter entry 'mod:x'\n"
 
 
 def test_enumerate_duplicate_filter_entry(capsys):
@@ -144,6 +147,8 @@ def test_map_domain_violation(capsys):
 def test_map_rejects_bad_m(capsys):
     code, _, err = run(capsys, "map", "pairing", "fwd", "1", "-m", "-3")
     assert code == 2
+    code, out, err = run(capsys, "map", "pairing", "fwd", "1", "-m", "x")
+    assert (code, out, err) == (2, "", "error: -m: 'x' is not an integer\n")
 
 
 def test_map_rejects_huge_shorthand(capsys):
@@ -201,6 +206,12 @@ def test_series_restricted_needs_bounds(capsys):
     code, _, err = run(capsys, "series", "restricted-boulet")
     assert code == 2
     assert "--bounds" in err
+
+
+@pytest.mark.parametrize("name", ("pairing-gf", "binary-gf"))
+def test_series_rejects_non_integer_m(capsys, name):
+    code, out, err = run(capsys, "series", name, "-m", "x")
+    assert (code, out, err) == (2, "", "error: -m: 'x' is not an integer\n")
 
 
 # -- verify -----------------------------------------------------------------------
@@ -281,6 +292,14 @@ def test_verify_gf_rejects_negative_m(capsys, theorem):
     for ms in ("-1", "1,-1"):
         code, out, err = run(capsys, "verify", theorem, "--m", ms)
         assert (code, out, err) == (2, "", "error: m must be >= 0\n")
+    code, out, err = run(capsys, "verify", theorem, "--m", "0,x")
+    assert (code, out, err) == (2, "", "error: --m: 'x' is not an integer\n")
+
+
+@pytest.mark.parametrize("jobs", ("0", "-2"))
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "pairing", "--max-n", "3", "--jobs", jobs)
+    assert (code, out, err) == (2, "", "error: --jobs must be >= 1\n")
 
 
 def test_verify_all_reduced_grid(capsys):

@@ -9,6 +9,7 @@ import shlex
 from pathlib import Path
 
 from eulerparts.cli import main
+from eulerparts.verify import REGISTRY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,3 +73,9 @@ def test_readme_shell_examples():
         assert len(lines) == len(shown), command
         for got, want in zip(lines, shown):
             assert re.fullmatch(line_pattern(want), got), (command, got, want)
+
+
+def test_readme_verify_table_lists_the_registry():
+    section = README.read_text(encoding="utf-8").split("### verify", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert re.findall(r"^\| `([\w-]+)` \|", section, re.M) == list(REGISTRY)

@@ -202,10 +202,11 @@ def test_exchange_check_reports_a_broken_map_invariant(lossy_merge_pairs):
 
 
 def test_refined_check_reports_a_broken_map_invariant(lossy_merge_pairs):
+    # inputs with all multiplicities even are mapped too, so 1,1 is the first
     report = verify_pairing_refined(max_n=4, phi_specs=("1",))
     assert report.status == "fail"
-    assert report.counterexample["detail"] == "invariant broken: weight preserved"
-    assert report.counterexample["input"] == "1,1,1"
+    assert report.counterexample == {"phi": "1", "n": 2, "input": "1,1",
+                                     "detail": "invariant broken: weight preserved"}
 
 
 def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
@@ -218,6 +219,86 @@ def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
     report = verify_sylvester(max_n=3)
     assert report.counterexample == {"n": 0, "input": "∅",
                                      "detail": "invariant broken: weight preserved"}
+
+
+# -- the exchange engine: run order and shared images ----------------------------
+
+@pytest.fixture
+def broken_inverse(monkeypatch):
+    # the inverse sends the images of 2,2 and 5 to the empty partition
+    from eulerparts import verify
+    from eulerparts.bijections import pairing_inverse, pairing_map
+    from eulerparts.partition import Partition
+    bad = {pairing_map(Partition.parse(text))[0] for text in ("2,2", "5")}
+    monkeypatch.setattr(verify, "pairing_inverse",
+                        lambda beta: Partition() if beta in bad else pairing_inverse(beta))
+
+
+@pytest.mark.parametrize("ms, m, n, text", (
+    ((0, 1), 0, 5, "5"),  # m = 1 fails first by n, but m = 0 comes first
+    ((1, 0), 1, 4, "2,2"),
+    ((2, 1), 2, 4, "2,2"),
+))
+def test_exchange_reports_the_first_failure_in_run_order(broken_inverse, ms, m, n, text):
+    report = verify_pairing(max_n=8, ms=ms)
+    ce = report.counterexample
+    assert (ce["m"], ce["n"], ce["input"], ce["detail"]) == (
+        m, n, text, "inverse round trip failed")
+
+
+def test_refined_check_inverts_every_image(broken_inverse):
+    report = verify_pairing_refined(max_n=8, phi_specs=("1", "i"))
+    assert report.counterexample == {"phi": "1", "n": 4, "input": "2,2", "image": "4",
+                                     "detail": "inverse round trip failed"}
+
+
+def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
+    # 2,2 and 1,1,1,1 swap images; the inverse agrees, so every round trip
+    # holds.  m = 3 maps 2,2 first and admits its image 2,2; m = 1, which
+    # reuses that image, must still reject it.
+    from eulerparts import verify
+    from eulerparts.bijections import pairing_inverse, pairing_map
+    from eulerparts.partition import Partition
+    swap = {Partition.parse("2,2"): Partition.parse("1,1,1,1"),
+            Partition.parse("1,1,1,1"): Partition.parse("2,2")}
+    forward = {a: pairing_map(b)[0] for a, b in swap.items()}
+    backward = {beta: a for a, beta in forward.items()}
+    monkeypatch.setattr(verify, "pairing_map",
+                        lambda a: (forward[a], None) if a in forward else pairing_map(a))
+    monkeypatch.setattr(verify, "pairing_inverse",
+                        lambda b: backward.get(b) or pairing_inverse(b))
+    report = verify_pairing(max_n=6, ms=(3, 1))
+    assert report.counterexample == {"m": 1, "n": 4, "input": "2,2", "image": "2,2",
+                                     "detail": "image violates the target caps"}
+
+
+def test_sylvester_check_reports_an_even_image_part(monkeypatch):
+    # the image 2,2 lies outside the inverse's domain; the caps report it
+    from eulerparts import verify
+    from eulerparts.partition import Partition
+    fishhook = verify.sylvester_distinct_to_odd
+    monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
+                        lambda lam: Partition([2, 2]) if lam.parts == (4,) else fishhook(lam))
+    report = verify_sylvester(max_n=6)
+    assert report.counterexample == {"n": 4, "input": "4", "image": "2,2",
+                                     "detail": "image violates the target caps"}
+
+
+def test_sylvester_check_reports_a_statistic_not_carried_over(monkeypatch):
+    # 5 and 4,1 swap images and the inverse agrees, so only the statistics
+    # (first part 5, l_a 5 against hook 4, l_o 3) show the fault
+    from eulerparts import verify
+    from eulerparts.partition import Partition
+    swap = {(5,): Partition([3, 1, 1]), (4, 1): Partition([1] * 5)}
+    back = {image.parts: Partition(parts) for parts, image in swap.items()}
+    fishhook, inverse = verify.sylvester_distinct_to_odd, verify.sylvester_odd_to_distinct
+    monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
+                        lambda lam: swap.get(lam.parts) or fishhook(lam))
+    monkeypatch.setattr(verify, "sylvester_odd_to_distinct",
+                        lambda tau: back.get(tau.parts) or inverse(tau))
+    report = verify_sylvester(max_n=6)
+    assert report.counterexample == {"n": 5, "input": "5", "image": "3,1,1",
+                                     "detail": "statistic not carried over"}
 
 
 def test_verify_cli_reports_a_broken_map_invariant(lossy_merge_pairs, capsys):
