@@ -16,7 +16,7 @@ from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
                           parse_bounds, parse_filter, parse_phi)
 from .partition import Partition
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ROW_TOTALS,
-                     FactorSpec, Series, binary_gf, boulet_product,
+                     Series, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
                      partition_gf, product_series, restricted_boulet_product,
                      row_totals_product, series_equal, substitute)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALT_BY_WEIGHT", "BijectionTrace", "BoundSequence", "CongruenceFilter",
-    "DomainError", "FOUR_PARAM", "FactorSpec", "HALF_CELLS", "Partition", "REGISTRY",
+    "DomainError", "FOUR_PARAM", "HALF_CELLS", "Partition", "REGISTRY",
     "ROW_TOTALS", "Series", "UNBOUNDED", "VerificationReport",
     "binary_contract", "binary_expand", "binary_gf", "binary_inverse",
     "binary_map", "boulet_product", "bounded_partitions",

@@ -2,8 +2,9 @@
 
 Subcommands: ``enumerate``, ``stats``, ``map``, ``series``, ``verify`` and
 ``table``.  Exit codes: 0 on success, 1 when a verification fails, 2 for
-usage errors (including inputs outside a map's domain).  All output is
-deterministic for a given invocation.
+usage errors (including inputs outside a map's domain).  A reader that
+closes the output pipe early leaves the exit code as it would be.  All
+output is deterministic for a given invocation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,7 +57,14 @@ def _csv_out(header, rows) -> str:
 
 
 def _emit(text: str):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    except BrokenPipeError:
+        # The reader has gone.  Send the rest of the output, and the flush at
+        # exit, to the null device, so the command ends with its own status.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json(obj) -> str:

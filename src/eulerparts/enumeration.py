@@ -241,7 +241,7 @@ def _parse_bound_value(text: str):
     strict = t.endswith("s")
     if strict:
         t = t[:-1]
-    if not t.isdigit():
+    if not t.isdecimal():
         raise ValueError("bad bound value %r" % text)
     val = int(t)
     if strict:
@@ -277,7 +277,7 @@ def parse_bounds(text: str) -> BoundSequence:
             slot = "default"
         elif key in ("odd", "even"):
             slot = key
-        elif key.isdigit() and int(key) >= 1:
+        elif key.isdecimal() and int(key) >= 1:
             slot = int(key)
         else:
             raise ValueError("bad bound key %r" % key)

@@ -8,20 +8,21 @@ any integer).
 
 The module also provides the partition weights, their generating
 functions summed over capped partition families (``enumerated_series``),
-and factor-family machinery for assembling infinite products such as
-Boulet's four-parameter identity truncated to a given degree.
+and the infinite products of the identities, truncated to a given degree.
 
 The four-parameter weight and the capped four-parameter product are stated
-once.  The two-parameter weights (``rows``, ``halves``, ``la``, ``lo``) and
-their products (``row_totals_product``, ``half_cells_product``,
-``pairing_gf``, ``binary_gf``) are substitutions of them: each variable
+once.  Every product except ``partition_gf`` comes from that one capped
+product: Boulet's product is its uncapped case, and the two-parameter
+weights (``rows``, ``halves``, ``la``, ``lo``) and their products
+(``row_totals_product``, ``half_cells_product``, ``pairing_gf``,
+``binary_gf``) are substitutions of the four-parameter ones: each variable
 a, b, c, d is sent to a monomial of degree 1 in the new variables.
 
 The two sides of each series identity are computed independently.
 ``enumerated_series`` lists no partition: a coefficient DP over part
 sizes, largest first, tracks whether an even or an odd number of rows is
 filled so far, which decides whether the next copies of a size land in
-(a, b) rows or (c, d) rows.  The products multiply out factor families and
+(a, b) rows or (c, d) rows.  The products multiply out their factors and
 never see a partition.
 """
 
@@ -383,37 +384,7 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
     return out
 
 
-# -- factor families and products -------------------------------------------
-
-@dataclass(frozen=True)
-class FactorSpec:
-    """One product family: factors ``(1 + sign * X^exps(j))`` for j = 1, 2, ...
-
-    ``exps`` returns the exponent tuple of the j-th factor, or ``None`` when
-    the family is exhausted.  Families must have non-decreasing truncation
-    degree in j; assembly stops at the first factor beyond the truncation.
-    Factors with ``denominator=True`` are divided out in place: the
-    accumulated coefficients are rewritten along each chain k, k + e,
-    k + 2e, ... as ``new[k] = old[k] - sign * new[k - e]``.  That division
-    needs a unit constant term, which the positive degree requirement
-    guarantees.
-    """
-
-    sign: int
-    exps: Callable[[int], tuple[int, ...] | None]
-    denominator: bool = False
-
-
-def finite_factors(sign: int, exps_list: Iterable[Sequence[int]],
-                   denominator: bool = False) -> FactorSpec:
-    """Wrap an explicit factor list (already ordered by degree)."""
-    table = [tuple(e) for e in exps_list]
-
-    def fn(j: int):
-        return table[j - 1] if j <= len(table) else None
-
-    return FactorSpec(sign, fn, denominator)
-
+# -- products ---------------------------------------------------------------
 
 def _apply_factor(acc: Series, sign: int, exps: tuple, d: int, denominator: bool) -> None:
     """Multiply ``acc`` in place by ``(1 + sign * X^exps)``, or divide it by
@@ -456,41 +427,35 @@ def _apply_factor(acc: Series, sign: int, exps: tuple, d: int, denominator: bool
             deg += d
 
 
-def product_series(specs: Iterable[FactorSpec], names: Sequence[str], trunc: int,
+def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
+                   names: Sequence[str], trunc: int,
                    degree_index: int | None = None) -> Series:
-    """Multiply out factor families, truncating exactly.
+    """Multiply out ``(sign, exps, denominator)`` factors, truncating exactly.
 
-    Each factor updates the accumulated terms in place with one sweep over
-    them (``_apply_factor``).
+    Each triple is the factor ``(1 + sign * X^exps)``, or its inverse when
+    ``denominator`` is true; ``sign`` is +1 or -1 and ``X^exps`` must have
+    positive truncation degree, which gives a denominator the unit constant
+    term its division needs.  The factors are applied in the order given,
+    each with one sweep over the accumulated terms (``_apply_factor``); a
+    factor of degree above ``trunc`` is 1 at this truncation and is skipped.
     """
     acc = Series.one(names, trunc, degree_index)
-    for spec in specs:
-        if spec.sign not in (1, -1):
+    for sign, exps, denominator in factors:
+        if sign not in (1, -1):
             raise ValueError("factor sign must be +1 or -1")
-        j = 1
-        prev = 0
-        while True:
-            exps = spec.exps(j)
-            if exps is None:
-                break
-            exps = tuple(exps)
-            d = acc.degree(exps)
-            if d < 1:
-                raise ValueError("factor monomial must have positive degree: %r" % (exps,))
-            if d < prev:
-                raise ValueError("factor degrees decreased at j=%d" % j)
-            prev = d
-            if d > trunc:
-                break
-            _apply_factor(acc, spec.sign, exps, d, spec.denominator)
-            j += 1
+        exps = tuple(exps)
+        d = acc.degree(exps)
+        if d < 1:
+            raise ValueError("factor monomial must have positive degree: %r" % (exps,))
+        if d <= trunc:
+            _apply_factor(acc, sign, exps, d, denominator)
     return acc
 
 
 def _bound_factor_list(bounds: BoundSequence, trunc: int,
                        image: Callable[[tuple], tuple], i: int, k: int) -> list[tuple]:
-    """Cap factor exponents in ascending degree; sizes outside the
-    progression i (mod k) must stay uncapped.
+    """Cap factor exponents, one per capped size up to ``trunc``; sizes
+    outside the progression i (mod k) must stay uncapped.
 
     A cap forbids blocks of ``strict`` (= cap + 1) copies of a size.  The
     block's weight is fixed if ``image`` sends a part in an odd row and one
@@ -509,15 +474,13 @@ def _bound_factor_list(bounds: BoundSequence, trunc: int,
         strict = b + 1
         odd_row, even_row = _row_monomials(size, image)
         if odd_row == even_row:
-            exps = tuple(strict * e for e in odd_row)
+            out.append(tuple(strict * e for e in odd_row))
         elif strict % 2 == 0:
-            exps = tuple(strict // 2 * (o + e) for o, e in zip(odd_row, even_row))
+            out.append(tuple(strict // 2 * (o + e) for o, e in zip(odd_row, even_row)))
         else:
             raise ValueError("part %d has strict cap %d; this identity needs even caps"
                              % (size, strict))
-        if size * strict <= trunc:  # the degree of every image of the block
-            out.append((size * strict, exps))
-    return [exps for _, exps in sorted(out, key=itemgetter(0))]
+    return out
 
 
 def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
@@ -525,48 +488,41 @@ def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
     """The four-parameter product over parts = i (mod k) with the caps of
     ``bounds``, every factor's a, b, c, d sent through ``weight``'s images.
 
-    The caps are applied before the two denominators, while the accumulated
+    With X(h, l) = a^ceil(h/2) b^floor(h/2) c^ceil(l/2) d^floor(l/2), the
+    cells of a part h in an odd row and a part l in an even row, it is
+
+    prod_j (1 + X(jk+i, (j-1)k+i))
+         / [(1 - X(jk+i, jk+i)) (1 - a^(jk) b^(jk) c^((j-1)k) d^((j-1)k))]
+
+    times (1 - X^block) for each capped size, a block being ``strict``
+    copies of the size (``_bound_factor_list``).  The j-th factor of every
+    family has degree >= j under every weight, so j runs to ``trunc``.  The
+    caps are applied before the two denominators, while the accumulated
     series is still small, so each sweep touches fewer terms.
     """
     if k < 1 or not 0 <= i < k:
         raise ValueError("need 0 <= i < k and k >= 1")
     image = _weight_image(weight, Series.zero(weight.names, trunc, weight.degree_index))
 
-    def num(j):
-        hi = j * k + i
-        lo = (j - 1) * k + i
+    def cells(hi, lo):
         return image((_half_up(hi), hi // 2, _half_up(lo), lo // 2))
 
-    def den_pair(j):
-        hi = j * k + i
-        return image((_half_up(hi), hi // 2, _half_up(hi), hi // 2))
-
-    def den_shift(j):
-        return image((j * k, j * k, (j - 1) * k, (j - 1) * k))
-
-    specs = [
-        FactorSpec(1, num),
-        finite_factors(-1, _bound_factor_list(bounds, trunc, image, i, k)),
-        FactorSpec(-1, den_pair, True),
-        FactorSpec(-1, den_shift, True),
-    ]
-    return product_series(specs, weight.names, trunc, weight.degree_index)
+    js = range(1, trunc + 1)
+    factors = [(1, cells(j * k + i, (j - 1) * k + i), False) for j in js]
+    factors += [(-1, exps, False) for exps in _bound_factor_list(bounds, trunc, image, i, k)]
+    factors += [(-1, cells(j * k + i, j * k + i), True) for j in js]
+    factors += [(-1, image((j * k, j * k, (j - 1) * k, (j - 1) * k)), True) for j in js]
+    return product_series(factors, weight.names, trunc, weight.degree_index)
 
 
 def boulet_product(trunc: int) -> Series:
-    """Boulet's four-parameter product over all partitions.
+    """Boulet's four-parameter product over all partitions, the capped
+    product with i = 0, k = 1 and no caps:
 
     prod_j (1 + a^j b^(j-1) c^(j-1) d^(j-1)) (1 + a^j b^j c^j d^(j-1))
          / [(1 - (abcd)^j) (1 - a^j b^j c^(j-1) d^(j-1)) (1 - a^j b^(j-1) c^j d^(j-1))]
     """
-    specs = [
-        FactorSpec(1, lambda j: (j, j - 1, j - 1, j - 1)),
-        FactorSpec(1, lambda j: (j, j, j, j - 1)),
-        FactorSpec(-1, lambda j: (j, j, j, j), True),
-        FactorSpec(-1, lambda j: (j, j, j - 1, j - 1), True),
-        FactorSpec(-1, lambda j: (j, j - 1, j, j - 1), True),
-    ]
-    return product_series(specs, ABCD, trunc)
+    return _capped_product(0, 1, BoundSequence.unbounded(), trunc, FOUR_PARAM)
 
 
 def restricted_boulet_product(i: int, k: int, bounds: BoundSequence, trunc: int) -> Series:
@@ -625,5 +581,5 @@ def binary_gf(m: int, trunc: int) -> Series:
 def partition_gf(trunc: int) -> Series:
     """1 / (q; q)_inf as an (x, q) series: the coefficient of q^n counts all
     partitions of n."""
-    specs = [FactorSpec(-1, lambda j: (0, j), True)]
-    return product_series(specs, XQ, trunc, degree_index=1)
+    factors = [(-1, (0, j), True) for j in range(1, trunc + 1)]
+    return product_series(factors, XQ, trunc, degree_index=1)

@@ -144,7 +144,7 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     """Check the bijection ``mapper`` for each of ``runs``, (context, source
     caps, target caps) triples, and each n up to ``max_n``: the histograms of
     ``stats`` over the two families agree; each source partition's image is
-    within the target caps, ``inverse`` undoes it and the statistic is carried
+    in the target family, ``inverse`` undoes it and the statistic is carried
     over; the images exhaust the target family.  n is the outer loop, so a
     partition several runs admit is mapped, inverted and compared once per n.
     The counterexample is the first in run order, then n order, and starts
@@ -154,7 +154,7 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     totals: Counter = Counter()
 
     def image(alpha, key):
-        # The image of alpha, and its failure apart from the target caps.
+        # The image of alpha, and its failure apart from target membership.
         try:
             beta = mapper(alpha)
         except AssertionError as exc:  # an invariant a map checks itself
@@ -172,7 +172,7 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     def check(n, src, dst, images):
         # The first failure of one run at n, or None.
         source = list(bounded_partitions(n, src))
-        target = list(bounded_partitions(n, dst))
+        target = set(bounded_partitions(n, dst))
         keys = list(map(source_stat, source))
         left = histogram(keys, lambda key: key)
         right = histogram(target, target_stat)
@@ -185,12 +185,12 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
             if entry is None:
                 entry = images[alpha] = image(alpha, key)
             beta, failure = entry
-            if beta is not None and not dst.admits(beta):
+            if beta is not None and beta not in target:
                 failure = {"image": str(beta), "detail": "image violates the target caps"}
             if failure:
                 return {"input": str(alpha), **failure}
             seen.add(beta)
-        if len(seen) != len(source) or seen != set(target):
+        if len(seen) != len(source) or seen != target:
             return {"detail": "images do not exhaust the target family"}
         return None
 

@@ -50,6 +50,11 @@ def test_enumerate_bad_dsl(capsys):
     code, _, err = run(capsys, "enumerate", "3", "--bounds", deep)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    # digits that int() rejects are named as bad entries, not parsed
+    code, _, err = run(capsys, "enumerate", "3", "--bounds", "all:\u00b2")
+    assert (code, err) == (2, "error: bad bound value '\u00b2'\n")
+    code, _, err = run(capsys, "enumerate", "3", "--bounds", "\u00b2:1")
+    assert (code, err) == (2, "error: bad bound key '\u00b2'\n")
     code, out, err = run(capsys, "enumerate", "5", "--filter", "mod:x,res:1")
     assert (code, out) == (2, "")
     assert err == "error: bad filter entry 'mod:x'\n"
@@ -490,3 +495,15 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == TABLE_CAP3_BY_ALT
+
+
+def test_closed_output_pipe_keeps_the_status():
+    # the reader stops after 10 bytes, as ``| head -c 10`` does; the 112 kB
+    # listing is more than a pipe holds, so later writes meet a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eulerparts", "enumerate", "30"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"30\n29,1\n28"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")

@@ -8,7 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
-from eulerparts.cli import main
+from eulerparts.cli import SERIES, main
 from eulerparts.verify import REGISTRY
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -79,3 +79,10 @@ def test_readme_verify_table_lists_the_registry():
     section = README.read_text(encoding="utf-8").split("### verify", 1)[1]
     section = section.split("\n## ", 1)[0]
     assert re.findall(r"^\| `([\w-]+)` \|", section, re.M) == list(REGISTRY)
+
+
+def test_readme_series_list_names_every_series():
+    section = README.read_text(encoding="utf-8").split("### series", 1)[1]
+    listed = section.split("Available:", 1)[1].split("\n\n", 1)[0]
+    listed = re.sub(r"\([^)]*\)", "", listed)  # the notes on some names
+    assert re.findall(r"`([\w-]+)`", listed) == list(SERIES)

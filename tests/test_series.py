@@ -13,13 +13,11 @@ from eulerparts.series import (
     ROW_TOTALS,
     WEIGHTS,
     XQ,
-    FactorSpec,
     Series,
     SeriesComparison,
     binary_gf,
     boulet_product,
     enumerated_series,
-    finite_factors,
     four_param_weight,
     half_cells_product,
     pairing_gf,
@@ -287,7 +285,7 @@ def test_partition_gf_matches_recurrence():
 
 def test_euler_function_expansion():
     # (q; q)_inf = sum (-1)^k q^(k(3k+-1)/2): sparse pentagonal signs
-    s = product_series([FactorSpec(-1, lambda j: (0, j))], XQ, 15, degree_index=1)
+    s = product_series([(-1, (0, j), False) for j in range(1, 16)], XQ, 15, degree_index=1)
     want = {(0, 0): 1, (0, 1): -1, (0, 2): -1, (0, 5): 1, (0, 7): 1,
             (0, 12): -1, (0, 15): -1}
     assert s.terms == want
@@ -295,7 +293,7 @@ def test_euler_function_expansion():
 
 def test_distinct_parts_product():
     # (-q; q)_inf counts partitions into distinct parts
-    s = product_series([FactorSpec(1, lambda j: (0, j))], XQ, 14, degree_index=1)
+    s = product_series([(1, (0, j), False) for j in range(1, 15)], XQ, 14, degree_index=1)
     bounds = parse_bounds("all:1")
     for n in range(15):
         assert s.coefficient((0, n)) == oracles.bounded_count_dp(
@@ -304,13 +302,14 @@ def test_distinct_parts_product():
 
 def test_product_series_validation():
     with pytest.raises(ValueError, match="sign"):
-        product_series([FactorSpec(2, lambda j: (0, j))], XQ, 5, degree_index=1)
+        product_series([(2, (0, 1), False)], XQ, 5, degree_index=1)
     with pytest.raises(ValueError, match="positive degree"):
-        product_series([FactorSpec(1, lambda j: (0, 0))], XQ, 5, degree_index=1)
-    with pytest.raises(ValueError, match="decreased"):
-        product_series([finite_factors(1, [(0, 3), (0, 2)])], XQ, 5, degree_index=1)
-    # an empty finite family is just 1
-    assert product_series([finite_factors(1, [])], XQ, 5, degree_index=1) == Series.one(XQ, 5, 1)
+        product_series([(1, (0, 0), False)], XQ, 5, degree_index=1)
+    # no factors is just 1
+    assert product_series([], XQ, 5, degree_index=1) == Series.one(XQ, 5, 1)
+    # a factor above the truncation is skipped, and the ones after it still apply
+    got = product_series([(1, (0, 9), False), (1, (0, 2), False)], XQ, 5, degree_index=1)
+    assert got.terms == {(0, 0): 1, (0, 2): 1}
 
 
 def reference_product(families, names, trunc, degree_index=None):
@@ -321,7 +320,7 @@ def reference_product(families, names, trunc, degree_index=None):
         for exps in exps_list:
             d = acc.degree(exps)
             if d > trunc:
-                break
+                continue
             if denominator:
                 terms = {tuple(t * e for e in exps): (-sign) ** t
                          for t in range(trunc // d + 1)}
@@ -332,9 +331,10 @@ def reference_product(families, names, trunc, degree_index=None):
 
 
 def sweep_product(families, names, trunc, degree_index=None):
-    specs = [finite_factors(sign, exps_list, denominator)
-             for sign, exps_list, denominator in families]
-    return product_series(specs, names, trunc, degree_index)
+    """``product_series`` on the families' factors, one triple each."""
+    factors = [(sign, exps, denominator)
+               for sign, exps_list, denominator in families for exps in exps_list]
+    return product_series(factors, names, trunc, degree_index)
 
 
 @st.composite
@@ -352,9 +352,7 @@ def factor_families(draw):
                        st.lists(exps, min_size=1, max_size=3),
                        st.booleans())
     families = draw(st.lists(family, min_size=1, max_size=4))
-    key = (lambda e: e[1]) if by_q else sum
-    return ([(sign, sorted(es, key=key), den) for sign, es, den in families],
-            names, trunc, index)
+    return families, names, trunc, index
 
 
 @given(factor_families())
@@ -448,6 +446,18 @@ def test_exchange_gfs_match_their_closed_forms(m):
     assert binary_gf(m, N) == reference_product(closed(4 * m + 4), XQ, N, 1)
 
 
+@pytest.mark.parametrize("N", (0, 1, 10))
+def test_boulet_product_matches_closed_form(N):
+    # Boulet's five factor families, stated apart from the capped product
+    js = range(1, N + 1)
+    families = [(1, [(j, j - 1, j - 1, j - 1) for j in js], False),
+                (1, [(j, j, j, j - 1) for j in js], False),
+                (-1, [(j, j, j, j) for j in js], True),
+                (-1, [(j, j, j - 1, j - 1) for j in js], True),
+                (-1, [(j, j - 1, j, j - 1) for j in js], True)]
+    assert boulet_product(N) == reference_product(families, ABCD, N)
+
+
 @pytest.mark.parametrize("spec", ("all:3", "1:1,3:5", "odd:3,even:5"))
 def test_row_totals_product_matches_closed_form(spec):
     N = 12
@@ -491,11 +501,6 @@ def test_restricted_product_exact_for_residue_zero(k, spec):
     filt = CongruenceFilter(k, 0)
     enum = enumerated_series(N, FOUR_PARAM, bounds, filt)
     assert series_equal(enum, restricted_boulet_product(0, k, bounds, N))
-
-
-def test_restricted_product_reduces_to_unrestricted():
-    N = 10
-    assert restricted_boulet_product(0, 1, parse_bounds("all:inf"), N) == boulet_product(N)
 
 
 @pytest.mark.parametrize(
