@@ -18,12 +18,17 @@ From these, two correspondences between multiplicity-bounded families:
   the alternating sum into the number of odd parts;
 * ``binary_map`` does the same statistic exchange on partitions whose even
   parts appear at most ``2m+1`` times, preserving that family.
+
+Every stage reads its input's parts tuple, which is already descending, and
+finds multiplicities as runs of equal neighbours.  Each stage, the two
+fishhooks included, runs in time linear in the number of parts it reads and
+writes, and sorts only when its output can come out of order:
+``merge_distinct_even``, ``binary_expand``, ``binary_contract`` and the join
+of the two halves.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .enumeration import UNBOUNDED, BoundSequence
@@ -40,8 +45,7 @@ def _ensure(holds: bool, invariant: str):
         raise AssertionError("invariant broken: " + invariant)
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(NamedTuple):
     """Intermediate stages of a composite map.
 
     ``lambda_part`` is distinct, ``mu_part`` has all multiplicities even,
@@ -57,6 +61,44 @@ class BijectionTrace:
     image: Partition
 
 
+# -- run lengths on a descending parts tuple --------------------------------
+
+def _split_runs(parts: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """``(singles, pairs)``: one copy of every part of odd multiplicity, and
+    the rest, both descending.  Equal neighbours pair off along each run, so
+    a run of odd length leaves one part over."""
+    singles: list[int] = []
+    pairs: list[int] = []
+    prev = 0
+    for p in parts:
+        if p == prev:
+            pairs += (p, p)
+            prev = 0
+        else:
+            if prev:
+                singles.append(prev)
+            prev = p
+    if prev:
+        singles.append(prev)
+    return singles, pairs
+
+
+def _evenly_paired(parts: tuple[int, ...]) -> bool:
+    """True when every multiplicity is even: the parts pair off as neighbours."""
+    return parts[::2] == parts[1::2]
+
+
+def _first_odd_multiplicity(p: Partition) -> tuple[int, int]:
+    """The largest part of odd multiplicity and that multiplicity."""
+    return next((size, mult) for size, mult in p.multiplicities().items() if mult % 2 == 1)
+
+
+def _descending(parts: list[int]) -> Partition:
+    """A partition of ``parts``, which are positive but in any order."""
+    parts.sort(reverse=True)
+    return Partition._raw(tuple(parts))
+
+
 # -- splitting off the odd multiplicities ---------------------------------
 
 def split_distinct_even(alpha: Partition) -> tuple[Partition, Partition]:
@@ -66,27 +108,20 @@ def split_distinct_even(alpha: Partition) -> tuple[Partition, Partition]:
     each (so it is distinct), and ``mu`` keeps everything else, so each of
     its multiplicities is even.
     """
-    lam = []
-    mu = []
-    for size, mult in alpha.multiplicities().items():
-        if mult % 2 == 1:
-            lam.append(size)
-            mult -= 1
-        mu.extend([size] * mult)
+    lam, mu = _split_runs(alpha.parts)
     return Partition._raw(tuple(lam)), Partition._raw(tuple(mu))
 
 
 def merge_distinct_even(lam: Partition, mu: Partition) -> Partition:
     """Inverse of :func:`split_distinct_even`; validates both halves."""
-    seen = set()
-    for p in lam.parts:
-        if p in seen:
+    parts = lam.parts
+    for prev, p in zip(parts, parts[1:]):
+        if p == prev:
             raise DomainError("part %d repeats in the distinct half" % p)
-        seen.add(p)
-    for size, mult in mu.multiplicities().items():
-        if mult % 2 == 1:
-            raise DomainError("part %d has odd multiplicity %d in the even half" % (size, mult))
-    return Partition(lam.parts + mu.parts)
+    if not _evenly_paired(mu.parts):
+        raise DomainError("part %d has odd multiplicity %d in the even half"
+                          % _first_odd_multiplicity(mu))
+    return _descending(list(parts + mu.parts))
 
 
 # -- Sylvester's fishhook bijection ---------------------------------------
@@ -98,40 +133,37 @@ def sylvester_odd_to_distinct(tau: Partition) -> Partition:
     The k-th pair of output parts comes from the k-th fishhook: with
     ``l_k`` counting the rows from the k-th down that still reach width
     ``2k - 1`` and ``d_k = max(b_k - k + 1, 0)`` the protruding arm, the
-    parts are ``d_k + l_k`` and ``d_k + l_{k+1}``.
+    parts are ``d_k + l_k`` and ``d_k + l_{k+1}``.  The rows that reach a
+    width are a prefix, shorter for each wider width, so one pointer walks
+    down the rows once for all k.
     """
     parts = tau.parts
     for p in parts:
         if p % 2 == 0:
             raise DomainError("part %d is even; all parts must be odd" % p)
     total = len(parts)
-    ascending = parts[::-1]
-
-    def rows_at_least(width: int) -> int:
-        return total - bisect_left(ascending, width)
-
-    def ell(k: int) -> int:
-        return max(rows_at_least(2 * k - 1) - (k - 1), 0)
-
+    reach = ell = total  # rows reaching width 2k - 1, and l_k
     out = []
     k = 1
     while True:
-        if k <= total:
-            d = max((parts[k - 1] - 1) // 2 - (k - 1), 0)
-        else:
+        d = (parts[k - 1] - 1) // 2 - k + 1 if k <= total else 0
+        if d < 0:
             d = 0
-        first = d + ell(k)
-        if first == 0:
+        while reach and parts[reach - 1] <= 2 * k:
+            reach -= 1
+        ell_next = reach - k if reach > k else 0
+        first = d + ell
+        if not first:
             break
         out.append(first)
-        second = d + ell(k + 1)
+        second = d + ell_next
         if second:
             out.append(second)
+        ell = ell_next
         k += 1
 
-    lam = Partition._raw(tuple(out))
-    _ensure(lam.weight() == tau.weight(), "weight preserved")
-    return lam
+    _ensure(sum(out) == sum(parts), "weight preserved")
+    return Partition._raw(tuple(out))
 
 
 def sylvester_distinct_to_odd(lam: Partition) -> Partition:
@@ -141,43 +173,32 @@ def sylvester_distinct_to_odd(lam: Partition) -> Partition:
     ``d_k = sum_{j>=k} (lam_{2j} - lam_{2j+1})`` and leg counts
     ``l_k = sum_{j>=k} (lam_{2j-1} - lam_{2j})``.  Rows with a protruding
     arm have half-width ``d_k + k - 1``; the remaining half-widths are read
-    off column-wise, column ``j`` reaching down ``l_{j+1} + j`` rows.
+    off column-wise, column ``j`` reaching down ``l_{j+1} + j`` rows.  One
+    walk over the pairs, from the last one up, builds both sums and meets
+    the columns shortest first, so the half-widths of the rows they reach
+    fill in as one run of rows per column.
     """
     parts = lam.parts
     if len(set(parts)) != len(parts):
         raise DomainError("parts must be distinct")
-    size = len(parts)
+    padded = parts + (0, 0, 0)
+    hooked = []  # odd parts of the rows with an arm, last row first
+    columns = []  # half-widths of rows 1, 2, ... as the columns reach them
+    d = ell = reached = 0
+    for k in range(len(parts) // 2 + 1, 0, -1):
+        if ell:  # ell = l_{k+1}
+            columns += [k] * (ell + k - reached)
+            reached = ell + k
+        d += padded[2 * k - 1] - padded[2 * k]
+        ell += padded[2 * k - 2] - padded[2 * k - 1]
+        if d:
+            hooked.append(2 * (d + k) - 1)
+    hooked.reverse()
+    columns += [0] * (ell - reached)  # ell = l_1, the number of rows
+    out = hooked + [2 * b + 1 for b in columns[len(hooked):]]
 
-    def at(idx: int) -> int:
-        return parts[idx - 1] if idx <= size else 0
-
-    kmax = size // 2 + 1
-    d = [0] * (kmax + 2)
-    ell = [0] * (kmax + 3)
-    for k in range(kmax, 0, -1):
-        d[k] = d[k + 1] + at(2 * k) - at(2 * k + 1)
-        ell[k] = ell[k + 1] + at(2 * k - 1) - at(2 * k)
-
-    rows = ell[1]
-    hooked = 0
-    while hooked < kmax and d[hooked + 1] > 0:
-        hooked += 1
-
-    half = [0] * rows
-    for k in range(1, hooked + 1):
-        half[k - 1] = d[k] + k - 1
-    for k in range(hooked + 1, rows + 1):
-        width = 0
-        j = 1
-        while j + 1 <= kmax + 1 and ell[j + 1] > 0:
-            if ell[j + 1] + j >= k:
-                width += 1
-            j += 1
-        half[k - 1] = width
-
-    tau = Partition._raw(tuple(2 * b + 1 for b in half))
-    _ensure(tau.weight() == lam.weight(), "weight preserved")
-    return tau
+    _ensure(sum(out) == sum(parts), "weight preserved")
+    return Partition._raw(tuple(out))
 
 
 # -- doubling and binary steps --------------------------------------------
@@ -187,22 +208,18 @@ def merge_pairs(mu: Partition) -> Partition:
 
     Requires all multiplicities even; the image has only even parts.
     """
-    out = []
-    for size, mult in mu.multiplicities().items():
-        if mult % 2 == 1:
-            raise DomainError("part %d has odd multiplicity %d" % (size, mult))
-        out.extend([2 * size] * (mult // 2))
-    return Partition(out)
+    if not _evenly_paired(mu.parts):
+        raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
+    return Partition._raw(tuple([2 * p for p in mu.parts[::2]]))
 
 
 def split_pairs(nu: Partition) -> Partition:
     """Inverse of :func:`merge_pairs`: each ``2t`` becomes two copies of ``t``."""
-    out = []
-    for p in nu.parts:
+    parts = nu.parts
+    for p in parts:
         if p % 2 == 1:
             raise DomainError("part %d is odd; all parts must be even" % p)
-        out.extend([p // 2, p // 2])
-    return Partition(out)
+    return Partition._raw(tuple([p // 2 for p in parts for _ in (0, 1)]))
 
 
 def binary_expand(mu: Partition) -> Partition:
@@ -212,19 +229,26 @@ def binary_expand(mu: Partition) -> Partition:
     digits, ``j >= 1``) becomes one part ``2^j t`` for each digit ``a_j = 1``;
     even parts pass through unchanged.  Requires all multiplicities even.
     """
+    parts = mu.parts
+    if not _evenly_paired(parts):
+        raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
     out = []
-    for size, mult in mu.multiplicities().items():
-        if mult % 2 == 1:
-            raise DomainError("part %d has odd multiplicity %d" % (size, mult))
-        if size % 2 == 0:
-            out.extend([size] * mult)
+    prev = half = 0  # a part of mu, and half its multiplicity so far
+    for size in parts[::2] + (0,):
+        if size == prev:
+            half += 1
+            continue
+        if prev % 2 == 0:
+            out += [prev] * (2 * half)
         else:
-            j = 1
-            while (1 << j) <= mult:
-                if mult & (1 << j):
-                    out.append(size << j)
+            j = 1  # digit j - 1 of the half multiplicity is a_j
+            while half:
+                if half & 1:
+                    out.append(prev << j)
+                half >>= 1
                 j += 1
-    return Partition(out)
+        prev, half = size, 1
+    return _descending(out)
 
 
 def binary_contract(nu: Partition) -> Partition:
@@ -234,16 +258,14 @@ def binary_contract(nu: Partition) -> Partition:
     copy of ``v`` dissolves into ``2^j`` copies of ``t``; even multiplicities
     stay as they are.  Requires all parts even.
     """
-    out = []
-    for size, mult in nu.multiplicities().items():
-        if size % 2 == 1:
-            raise DomainError("part %d is odd; all parts must be even" % size)
-        if mult % 2 == 1:
-            low = size & -size
-            out.extend([size // low] * low)
-            mult -= 1
-        out.extend([size] * mult)
-    return Partition(out)
+    for p in nu.parts:
+        if p % 2 == 1:
+            raise DomainError("part %d is odd; all parts must be even" % p)
+    singles, out = _split_runs(nu.parts)
+    for v in singles:
+        low = v & -v
+        out += [v // low] * low
+    return _descending(out)
 
 
 # -- the two bound-trading maps -------------------------------------------
@@ -280,7 +302,7 @@ def _forward(alpha: Partition, m, family, encode) -> tuple[Partition, BijectionT
     lam, mu = split_distinct_even(alpha)
     tau = sylvester_distinct_to_odd(lam)
     nu = encode(mu)
-    beta = Partition(tau.parts + nu.parts)
+    beta = _descending(list(tau.parts + nu.parts))
     _ensure(beta.weight() == alpha.weight(), "weight preserved")
     _ensure(alpha.alt_sum() == beta.odd_count(), "l_a of the input = l_o of the image")
     return beta, BijectionTrace(alpha, lam, mu, tau, nu, beta)
@@ -290,8 +312,8 @@ def _backward(beta: Partition, m, family, decode) -> tuple[Partition, BijectionT
     """Inverse of :func:`_forward`: odd parts go back through the fishhook,
     even parts through ``decode``."""
     _check_cap(beta, m, family)
-    tau = Partition._raw(tuple(p for p in beta.parts if p % 2 == 1))
-    nu = Partition._raw(tuple(p for p in beta.parts if p % 2 == 0))
+    tau = Partition._raw(tuple([p for p in beta.parts if p % 2 == 1]))
+    nu = Partition._raw(tuple([p for p in beta.parts if p % 2 == 0]))
     lam = sylvester_odd_to_distinct(tau)
     mu = decode(nu)
     alpha = merge_distinct_even(lam, mu)

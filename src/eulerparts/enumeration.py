@@ -336,41 +336,94 @@ def _size_caps(n: int, bounds: BoundSequence | None,
     return table
 
 
+def _walk(n: int, table: list[tuple[int, int]], need_even: bool) -> Iterator[list[int]]:
+    """Walk the partitions of ``n`` built from ``table``, a :func:`_size_caps`
+    table, in descending lexicographic order, yielding the one parts list
+    the walk fills; a caller copies it before the next step.
+
+    The walk keeps one block per distinct part: a table index and a count.
+    It places as many copies of the largest size that fits as it may, and so
+    on down.  To step on, it takes one copy off the last block and refills
+    the rest from the sizes below that block's.  ``room[i]``, the most that
+    the sizes ``table[:i]`` can hold, prunes the walk: a block is lowered
+    only while the sizes below it have room for the rest, and otherwise goes
+    whole, so no branch is entered whose rest is too heavy for its sizes.
+    """
+    sizes = [size for size, _ in table]
+    caps = [cap for _, cap in table]
+    room = [0]
+    for size, cap in table:
+        room.append(room[-1] + size * cap)
+    if n > room[-1]:
+        return
+    acc: list[int] = []
+    blocks: list[int] = []  # the table index of each distinct part
+    counts: list[int] = []  # and its number of copies
+    remaining, top = n, len(table)  # fill ``remaining`` from table[:top]
+    while True:
+        while remaining:
+            i = bisect_right(sizes, remaining, 0, top) - 1
+            if i < 0:
+                break
+            size = sizes[i]
+            count = min(caps[i], remaining // size)
+            acc += [size] * count
+            blocks.append(i)
+            counts.append(count)
+            remaining -= size * count
+            top = i
+            if remaining > room[i]:
+                break
+        else:
+            if not (need_even and len(acc) % 2):
+                yield acc
+        while blocks:
+            top = blocks[-1]
+            size = sizes[top]
+            if remaining + size <= room[top]:
+                break
+            count = counts.pop()
+            blocks.pop()
+            remaining += size * count
+            del acc[-count:]
+        else:
+            return
+        remaining += size
+        acc.pop()
+        if counts[-1] == 1:
+            blocks.pop()
+            counts.pop()
+        else:
+            counts[-1] -= 1
+
+
+def _leaves(n: int, bounds: BoundSequence | None,
+            filt: CongruenceFilter | None) -> Iterator[list[int]]:
+    """The walk over the partitions of ``n`` within the caps.  The caps and
+    the filter's sizes are read here, once, into the table of
+    :func:`_size_caps`, before the walk starts."""
+    if n < 0:
+        raise ValueError("cannot partition a negative number")
+    return _walk(n, _size_caps(n, bounds, filt), filt is not None and filt.even_length)
+
+
 def bounded_partitions(n: int, bounds: BoundSequence | None = None,
                        filt: CongruenceFilter | None = None) -> Iterator[Partition]:
-    """Yield all partitions of ``n`` within the caps, in descending
+    """Yield all partitions of ``n`` within the caps, lazily, in descending
     lexicographic order (largest first part first, ties broken by the next
     part, and so on).  The order is deterministic.
 
-    The caps and the filter's sizes are read once per call, into the table
-    of :func:`_size_caps`; the recursion walks that table.  ``n = 0``
+    The caps are read once, when this is called (:func:`_leaves`).  ``n = 0``
     yields exactly the empty partition whatever the caps are.
     """
-    if n < 0:
-        raise ValueError("cannot partition a negative number")
-    table = _size_caps(n, bounds, filt)
-    sizes = [size for size, _ in table]
-    need_even = filt is not None and filt.even_length
-    acc: list[int] = []
-
-    def gen(remaining: int, top: int):  # fill remaining from table[:top]
-        if remaining == 0:
-            if not need_even or len(acc) % 2 == 0:
-                yield Partition._raw(tuple(acc))
-            return
-        for i in range(bisect_right(sizes, remaining, 0, top) - 1, -1, -1):
-            size, cap = table[i]
-            for count in range(min(cap, remaining // size), 0, -1):
-                acc.extend([size] * count)
-                yield from gen(remaining - size * count, i)
-                del acc[-count:]
-
-    return gen(n, len(table))
+    return map(Partition._raw, map(tuple, _leaves(n, bounds, filt)))
 
 
 def count_total(n: int, bounds: BoundSequence | None = None,
                 filt: CongruenceFilter | None = None) -> int:
-    return sum(1 for _ in bounded_partitions(n, bounds, filt))
+    """How many partitions :func:`bounded_partitions` yields, counted on the
+    walk's leaves without building them."""
+    return sum(1 for _ in _leaves(n, bounds, filt))
 
 
 def histogram(partitions: Iterable[Partition],

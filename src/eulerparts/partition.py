@@ -112,14 +112,11 @@ class Partition:
 
         Always non-negative because the parts are non-increasing.
         """
-        total = 0
-        for i, p in enumerate(self.parts):
-            total += p if i % 2 == 0 else -p
-        return total
+        return sum(self.parts[::2]) - sum(self.parts[1::2])
 
     def odd_count(self) -> int:
         """How many parts are odd (counted with multiplicity)."""
-        return sum(1 for p in self.parts if p % 2 == 1)
+        return len([p for p in self.parts if p % 2 == 1])
 
     def multiplicity(self, size: int) -> int:
         return sum(1 for p in self.parts if p == size)

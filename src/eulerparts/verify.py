@@ -170,26 +170,28 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
         return beta, detail and {"image": str(beta), "detail": detail}
 
     def check(n, src, dst, images):
-        # The first failure of one run at n, or None.
+        # The first failure of one run at n, or None.  The target family,
+        # the images seen and the memo are keyed by parts tuples.
         source = list(bounded_partitions(n, src))
-        target = set(bounded_partitions(n, dst))
+        target_list = list(bounded_partitions(n, dst))
+        target = {beta.parts for beta in target_list}
         keys = list(map(source_stat, source))
         left = histogram(keys, lambda key: key)
-        right = histogram(target, target_stat)
+        right = histogram(target_list, target_stat)
         totals.update(left)
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
         seen = set()
         for alpha, key in zip(source, keys):
-            entry = images.get(alpha)
+            entry = images.get(alpha.parts)
             if entry is None:
-                entry = images[alpha] = image(alpha, key)
+                entry = images[alpha.parts] = image(alpha, key)
             beta, failure = entry
-            if beta is not None and beta not in target:
+            if beta is not None and beta.parts not in target:
                 failure = {"image": str(beta), "detail": "image violates the target caps"}
             if failure:
                 return {"input": str(alpha), **failure}
-            seen.add(beta)
+            seen.add(beta.parts)
         if len(seen) != len(source) or seen != target:
             return {"detail": "images do not exhaust the target family"}
         return None

@@ -2,9 +2,11 @@
 
 Everything here deliberately uses a *different* algorithm than the code under
 test: ascending-composition generation (Kelleher's accelAsc) instead of the
-library's descending recursion, Euler's pentagonal-number recurrence instead
-of products or enumeration, and plain filter-and-count instead of bounded
-search.  Agreement between the two sides is then meaningful evidence.
+library's descending walk, Euler's pentagonal-number recurrence instead
+of products or enumeration, plain filter-and-count instead of bounded
+search, and Sylvester's fishhooks read off the cells of a diagram instead of
+the library's arm and leg sums.  Agreement between the two sides is then
+meaningful evidence.
 """
 
 from collections import Counter
@@ -66,7 +68,7 @@ def bounded_count_dp(n, cap_of):
     """Count partitions of n where size s appears at most cap_of(s) times.
 
     cap_of returns an int cap or None for "no cap".  Plain coefficient DP over
-    one size at a time; shares nothing with the library's recursive search.
+    one size at a time; shares nothing with the library's enumeration walk.
     """
     coeff = [1] + [0] * n
     for size in range(1, n + 1):
@@ -126,3 +128,24 @@ def even_multiplicity_at_most(cap):
         return all(v % 2 == 1 or c <= cap for v, c in Counter(parts).items())
 
     return allow
+
+
+def fishhook_sizes(odd_parts):
+    """Sylvester's map from odd parts to distinct parts, read off the cells.
+
+    Row r of the centred diagram holds the cells (r, c) for |c| <= (part - 1)/2.
+    Hooks alternate right and left: hook 2k - 1 is row k from column k - 1
+    rightwards plus column k - 1 below row k, and hook 2k is row k from
+    column -k leftwards plus column -k below row k.  Each cell is put in its
+    hook, and the hook sizes, in hook order, are the distinct parts; an empty
+    hook before a full one would show as a 0.
+    """
+    cells = {(row, col) for row, part in enumerate(odd_parts, 1)
+             for col in range(-(part // 2), part // 2 + 1)}
+    hooks = Counter()
+    for row, col in cells:
+        if col >= 0:
+            hooks[2 * min(row, col + 1) - 1] += 1
+        else:
+            hooks[2 * min(row, -col)] += 1
+    return tuple(hooks[h] for h in range(1, len(hooks) + 1))

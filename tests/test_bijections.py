@@ -26,6 +26,8 @@ from eulerparts.bijections import (
 from eulerparts.enumeration import bounded_partitions, parse_bounds
 from eulerparts.partition import Partition
 
+import oracles
+
 
 P = Partition
 
@@ -86,6 +88,23 @@ def test_fishhook_hook_lengths_and_alternating_sum():
             tau = sylvester_distinct_to_odd(lam)
             assert lam.parts[0] == len(tau) + (tau.parts[0] - 1) // 2
             assert lam.alt_sum() == tau.odd_count()
+
+
+def test_fishhook_matches_the_cell_oracle():
+    # Both directions against hooks read off an explicit cell set; the
+    # partitions come from accelAsc, not from the library's walk.
+    for n in range(31):
+        everything = oracles.descending_partitions(n)
+        odd = [parts for parts in everything if all(p % 2 == 1 for p in parts)]
+        distinct = {parts for parts in everything if len(set(parts)) == len(parts)}
+        preimage = {}
+        for tau in odd:
+            lam = oracles.fishhook_sizes(tau)
+            assert sylvester_odd_to_distinct(P(tau)).parts == lam, tau
+            preimage[lam] = tau
+        assert set(preimage) == distinct, n
+        for lam, tau in preimage.items():
+            assert sylvester_distinct_to_odd(P(lam)).parts == tau, lam
 
 
 def test_fishhook_domain_errors():

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -41,6 +43,49 @@ def test_order_is_descending_lexicographic():
     assert got[-1] == (1, 1, 1, 1, 1, 1)
     # repeat runs are identical
     assert got == [p.parts for p in bounded_partitions(6)]
+
+
+def _count_builds(monkeypatch, limit):
+    """The parts of every partition the walk builds from now on.  Building
+    one past ``limit`` fails at once, so an eager walk stops instead of
+    listing a family of millions."""
+    built = []
+    raw = Partition._raw
+
+    def counted(parts):
+        built.append(parts)
+        if len(built) > limit:
+            raise AssertionError("built more partitions than were taken")
+        return raw(parts)
+
+    monkeypatch.setattr(Partition, "_raw", counted)
+    return built
+
+
+def _peak_bytes(take):
+    """``take()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return take(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_partition_comes_without_listing_the_family(monkeypatch):
+    built = _count_builds(monkeypatch, 1)
+    first, peak = _peak_bytes(lambda: next(iter(bounded_partitions(200))))
+    assert first == Partition([200])
+    assert built == [(200,)]
+    assert peak < 100_000
+
+
+def test_a_prefix_of_the_walk_is_the_start_of_the_order(monkeypatch):
+    built = _count_builds(monkeypatch, 5)
+    head, peak = _peak_bytes(lambda: list(itertools.islice(
+        bounded_partitions(70, parse_bounds("all:inf")), 5)))
+    assert [p.parts for p in head] == [(70,), (69, 1), (68, 2), (68, 1, 1), (67, 3)]
+    assert len(built) == 5
+    assert peak < 100_000
 
 
 def test_zero_and_negative():
@@ -323,6 +368,19 @@ def test_bounded_partitions_sequence_matches_accel_asc(cap_spec, cap_of, filter_
                       reverse=True)
         got = [p.parts for p in bounded_partitions(n, bounds, filt)]
         assert got == want, (cap_spec, filter_spec, n)
+
+
+@pytest.mark.parametrize("cap_spec, cap_of", SEQUENCE_CAPS)
+@pytest.mark.parametrize("filter_spec, keep", SEQUENCE_FILTERS)
+def test_count_total_matches_accel_asc(cap_spec, cap_of, filter_spec, keep):
+    # count_total counts the walk's leaves without building partitions
+    bounds = parse_bounds(cap_spec) if cap_spec else None
+    filt = parse_filter(filter_spec) if filter_spec else None
+    for n in range(17):
+        want = sum(1 for parts in oracles.descending_partitions(n)
+                   if keep(parts) and all(cap_of(s) is None or c <= cap_of(s)
+                                          for s, c in Counter(parts).items()))
+        assert count_total(n, bounds, filt) == want, (cap_spec, filter_spec, n)
 
 
 def test_invalid_cap_names_the_same_size_in_both_paths():
