@@ -19,7 +19,7 @@ from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ROW_TOTALS,
                      Series, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
                      partition_gf, product_series, restricted_boulet_product,
-                     row_totals_product, series_equal, substitute)
+                     row_totals_product, series_equal)
 from .verify import REGISTRY, VerificationReport
 
 __version__ = "0.1.0"
@@ -35,6 +35,6 @@ __all__ = [
     "pairing_inverse", "pairing_map", "parse_bounds", "parse_filter",
     "parse_phi", "partition_gf", "product_series",
     "restricted_boulet_product", "row_totals_product", "series_equal",
-    "split_distinct_even", "split_pairs", "substitute",
+    "split_distinct_even", "split_pairs",
     "sylvester_distinct_to_odd", "sylvester_odd_to_distinct",
 ]

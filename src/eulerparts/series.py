@@ -10,10 +10,11 @@ The module also provides the partition weights, their generating
 functions summed over capped partition families (``enumerated_series``),
 and the infinite products of the identities, truncated to a given degree.
 
-The four-parameter weight and the capped four-parameter product are stated
-once.  Every product except ``partition_gf`` comes from that one capped
-product: Boulet's product is its uncapped case, and the two-parameter
-weights (``rows``, ``halves``, ``la``, ``lo``) and their products
+The four-parameter weight (the cells of a part in an odd or an even row,
+``_row_monomials``) and the capped four-parameter product are stated once.
+Every product except ``partition_gf`` comes from that one capped product:
+Boulet's product is its uncapped case, and the two-parameter weights
+(``rows``, ``halves``, ``la``, ``lo``) and their products
 (``row_totals_product``, ``half_cells_product``, ``pairing_gf``,
 ``binary_gf``) are substitutions of the four-parameter ones: each variable
 a, b, c, d is sent to a monomial of degree 1 in the new variables.
@@ -23,7 +24,10 @@ The two sides of each series identity are computed independently.
 sizes, largest first, tracks whether an even or an odd number of rows is
 filled so far, which decides whether the next copies of a size land in
 (a, b) rows or (c, d) rows.  The products multiply out their factors and
-never see a partition.
+never see a partition: ``product_series`` keys each term by one integer
+that packs its degree and its exponents, each offset into the range the
+kept factors bound it to, so a factor sweep adds integers; it unpacks the
+keys to exponent tuples once, at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from typing import Callable, Iterable, Sequence
 
 from .bijections import BINARY_FAMILY, PAIRING_SOURCE
 from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter, _size_caps
-from .partition import Partition
 
 ABCD = ("a", "b", "c", "d")
 AB = ("a", "b")
@@ -214,27 +217,6 @@ def series_equal(s1: Series, s2: Series) -> SeriesComparison:
     return SeriesComparison(True)
 
 
-def substitute(series: Series, images: dict[str, Sequence[int]],
-               names: Sequence[str], degree_index: int | None = None) -> Series:
-    """Map every variable to a monomial in new variables.
-
-    Each image must have degree exactly 1 under the *target* metric, so the
-    truncation degree of every term is preserved and the result is exact.
-    """
-    target = Series.zero(names, series.trunc, degree_index)
-    image = _monomial_map(images, series.names, target)
-    out: dict[tuple, int] = {}
-    for exps, coeff in series.terms.items():
-        new = image(exps)
-        s = out.get(new, 0) + coeff
-        if s:
-            out[new] = s
-        else:
-            out.pop(new, None)
-    target.terms = out
-    return target
-
-
 def _monomial_map(images: dict[str, Sequence[int]], source: Sequence[str],
                   target: Series) -> Callable[[tuple], tuple]:
     """The exponent map sending each variable ``v`` of ``source`` to the
@@ -258,23 +240,6 @@ def _monomial_map(images: dict[str, Sequence[int]], source: Sequence[str],
 
 
 # -- partition weights ------------------------------------------------------
-
-def four_param_weight(p: Partition) -> tuple[int, int, int, int]:
-    """Exponents of the four-parameter weight a^.. b^.. c^.. d^..
-
-    Odd-indexed rows contribute their cells to (a, b) — ceilings to a,
-    floors to b — and even-indexed rows likewise to (c, d).
-    """
-    ea = eb = ec = ed = 0
-    for i, part in enumerate(p.parts):
-        if i % 2 == 0:
-            ea += (part + 1) // 2
-            eb += part // 2
-        else:
-            ec += (part + 1) // 2
-            ed += part // 2
-    return (ea, eb, ec, ed)
-
 
 def _half_up(x: int) -> int:
     return (x + 1) // 2
@@ -386,19 +351,16 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
 
 # -- products ---------------------------------------------------------------
 
-def _apply_factor(acc: Series, sign: int, exps: tuple, d: int, denominator: bool) -> None:
-    """Multiply ``acc`` in place by ``(1 + sign * X^exps)``, or divide it by
-    that factor, where ``d`` is the factor's truncation degree (>= 1)."""
-    terms = acc.terms
-    limit = acc.trunc - d
-    index = acc.degree_index
-    degree = sum if index is None else itemgetter(index)
+def _apply_factor(terms: dict, sign: int, delta: int, bound: int, denominator: bool) -> None:
+    """Multiply the packed ``terms`` in place by ``(1 + sign * X^e)``, or
+    divide them by that factor, where ``delta`` is the packed X^e and the
+    keys below ``bound`` are the terms of degree <= trunc - deg(X^e)."""
     if not denominator:
         # new[k + e] = old[k + e] + sign * old[k]: each target has one source,
         # so reading the sources from a snapshot makes the order irrelevant
-        sources = [(k, c) for k, c in terms.items() if degree(k) <= limit]
+        sources = [(k, c) for k, c in terms.items() if k < bound]
         for k, c in sources:
-            key = tuple(map(add, k, exps))
+            key = k + delta
             c = terms.get(key, 0) + sign * c
             if c:
                 terms[key] = c
@@ -406,13 +368,13 @@ def _apply_factor(acc: Series, sign: int, exps: tuple, d: int, denominator: bool
                 del terms[key]
         return
     # new[k] = old[k] - sign * new[k - e], walked along each chain k, k + e,
-    # k + 2e, ... until the carry dies.  Keys are taken in ascending degree,
-    # so a key that no walk has reached has new[k - e] = 0 and starts a chain.
+    # k + 2e, ... until the carry dies.  Keys are taken in ascending order,
+    # which is ascending degree, so a key that no walk has reached has
+    # new[k - e] = 0 and starts a chain.
     walked = set()
-    for key in sorted(terms, key=degree):
+    for key in sorted(terms):
         if key in walked:
             continue
-        deg = degree(key)
         carry = 0
         while True:
             walked.add(key)
@@ -421,10 +383,9 @@ def _apply_factor(acc: Series, sign: int, exps: tuple, d: int, denominator: bool
                 terms.pop(key, None)
                 break
             terms[key] = carry
-            if deg > limit:
+            if key >= bound:
                 break
-            key = tuple(map(add, key, exps))
-            deg += d
+            key += delta
 
 
 def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
@@ -435,20 +396,54 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
     Each triple is the factor ``(1 + sign * X^exps)``, or its inverse when
     ``denominator`` is true; ``sign`` is +1 or -1 and ``X^exps`` must have
     positive truncation degree, which gives a denominator the unit constant
-    term its division needs.  The factors are applied in the order given,
-    each with one sweep over the accumulated terms (``_apply_factor``); a
-    factor of degree above ``trunc`` is 1 at this truncation and is skipped.
+    term its division needs.  A factor of degree above ``trunc`` is 1 at
+    this truncation and is skipped; the others are applied in the order
+    given, each with one sweep over the accumulated terms (``_apply_factor``).
+
+    The sweeps key each term by one integer.  Every term is a product of
+    kept factor monomials whose degrees d sum to at most ``trunc``, so its
+    exponent of variable i lies in [lo_i, hi_i], with lo_i the floor of
+    trunc * min(0, e_i/d) and hi_i the ceiling of trunc * max(0, e_i/d) over
+    the kept factors.  The key packs the term's degree into the top digit
+    and each exponent, less lo_i, into a digit of base hi_i - lo_i + 1
+    below it.  Multiplying by X^e then adds one integer, ascending keys are
+    ascending degrees, and "degree <= trunc - d" is one comparison.  The
+    keys are unpacked to exponent tuples once, at the end.
     """
     acc = Series.one(names, trunc, degree_index)
+    width = len(acc.names)
+    kept = []
     for sign, exps, denominator in factors:
         if sign not in (1, -1):
             raise ValueError("factor sign must be +1 or -1")
         exps = tuple(exps)
+        if len(exps) != width:
+            raise ValueError("expected %d exponents, got %r" % (width, exps))
         d = acc.degree(exps)
         if d < 1:
             raise ValueError("factor monomial must have positive degree: %r" % (exps,))
         if d <= trunc:
-            _apply_factor(acc, sign, exps, d, denominator)
+            kept.append((sign, exps, d, denominator))
+
+    # Variable i's digit has base hi_i - lo_i + 1 and its place is the
+    # product of the bases below it; the degree's place, top, is above them.
+    lows, places, bases = [], [], []
+    top = 1
+    for i in range(width):
+        lo = min([0] + [trunc * exps[i] // d for _, exps, d, _ in kept])
+        base = max([0] + [-(-trunc * exps[i] // d) for _, exps, d, _ in kept]) - lo + 1
+        lows.append(lo)
+        places.append(top)
+        bases.append(base)
+        top *= base
+    terms = {-sum(map(mul, lows, places)): 1}
+    for sign, exps, d, denominator in kept:
+        delta = d * top + sum(map(mul, exps, places))
+        _apply_factor(terms, sign, delta, (trunc - d + 1) * top, denominator)
+
+    digits = list(zip(places, bases, lows))
+    acc.terms = {tuple(key // place % base + lo for place, base, lo in digits): c
+                 for key, c in terms.items()}
     return acc
 
 

@@ -171,9 +171,10 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
 
     def check(n, src, dst, images):
         # The first failure of one run at n, or None.  The target family,
-        # the images seen and the memo are keyed by parts tuples.
+        # the images seen and the memo are keyed by parts tuples.  A run
+        # whose target caps are its source caps lists its family once.
         source = list(bounded_partitions(n, src))
-        target_list = list(bounded_partitions(n, dst))
+        target_list = source if dst is src else list(bounded_partitions(n, dst))
         target = {beta.parts for beta in target_list}
         keys = list(map(source_stat, source))
         left = histogram(keys, lambda key: key)
@@ -228,11 +229,16 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
 
 
 def _m_runs(ms, source, target) -> list:
-    """One run per m: its context and both families' caps at m.  A negative
-    m is rejected before any work, naming m rather than a cap."""
+    """One run per m: its context and both families' caps at m, one caps
+    object if the families are one, so the engine enumerates it once.  A
+    negative m is rejected before any work, naming m rather than a cap."""
     if any(m < 0 for m in ms):
         raise ValueError("m must be >= 0")
-    return [({"m": m}, source.bounds(m), target.bounds(m)) for m in ms]
+    runs = []
+    for m in ms:
+        src = source.bounds(m)
+        runs.append(({"m": m}, src, src if target is source else target.bounds(m)))
+    return runs
 
 
 @_timed

@@ -6,10 +6,15 @@ library's descending walk, Euler's pentagonal-number recurrence instead
 of products or enumeration, plain filter-and-count instead of bounded
 search, and Sylvester's fishhooks read off the cells of a diagram instead of
 the library's arm and leg sums.  Agreement between the two sides is then
-meaningful evidence.
+meaningful evidence.  The four-parameter weight is read off the parts one
+by one, and the substitution of monomials for variables is written out
+variable by variable; neither shares code with the library's coefficient DP
+or its products.
 """
 
 from collections import Counter
+
+from eulerparts.series import Series
 
 
 def ascending_partitions(n):
@@ -149,3 +154,49 @@ def fishhook_sizes(odd_parts):
         else:
             hooks[2 * min(row, -col)] += 1
     return tuple(hooks[h] for h in range(1, len(hooks) + 1))
+
+
+def four_param_weight(parts):
+    """Exponents of the four-parameter weight a^.. b^.. c^.. d^.. of a
+    descending parts tuple.
+
+    Odd-indexed rows contribute their cells to (a, b) — ceilings to a,
+    floors to b — and even-indexed rows likewise to (c, d).
+    """
+    ea = eb = ec = ed = 0
+    for i, part in enumerate(parts):
+        if i % 2 == 0:
+            ea += (part + 1) // 2
+            eb += part // 2
+        else:
+            ec += (part + 1) // 2
+            ed += part // 2
+    return (ea, eb, ec, ed)
+
+
+def substitute(series, images, names, degree_index=None):
+    """Map every variable of ``series`` to the monomial ``images[v]`` in the
+    variables ``names``.
+
+    Each image must have degree exactly 1 under the target metric (the total
+    degree, or the exponent at ``degree_index``), so the truncation degree
+    of every term is preserved and the result is exact.
+    """
+    rows = []
+    for v in series.names:
+        if v not in images:
+            raise ValueError("no image for variable %r" % v)
+        img = tuple(images[v])
+        if len(img) != len(names):
+            raise ValueError("image for %r has wrong arity" % v)
+        if (sum(img) if degree_index is None else img[degree_index]) != 1:
+            raise ValueError("image for %r must have truncation degree 1" % v)
+        rows.append(img)
+    out = Counter()
+    for exps, coeff in series.terms.items():
+        new = [0] * len(names)
+        for e, img in zip(exps, rows):
+            for j, x in enumerate(img):
+                new[j] += e * x
+        out[tuple(new)] += coeff
+    return Series(names, series.trunc, dict(out), degree_index)

@@ -12,13 +12,13 @@ from eulerparts.series import (
     ODD_BY_WEIGHT,
     ROW_TOTALS,
     WEIGHTS,
+    WeightVariant,
     XQ,
     Series,
     SeriesComparison,
     binary_gf,
     boulet_product,
     enumerated_series,
-    four_param_weight,
     half_cells_product,
     pairing_gf,
     partition_gf,
@@ -26,7 +26,6 @@ from eulerparts.series import (
     restricted_boulet_product,
     row_totals_product,
     series_equal,
-    substitute,
 )
 
 import oracles
@@ -146,17 +145,17 @@ def test_series_equal_reports_first_difference():
 
 def weight_of(p, weight):
     """The single monomial ``weight`` gives the partition ``p``."""
-    four = Series(ABCD, p.weight(), {four_param_weight(p): 1})
+    four = Series(ABCD, p.weight(), {oracles.four_param_weight(p.parts): 1})
     if weight.images is None:
         (exps,) = four.terms
     else:
-        (exps,) = substitute(four, weight.images, weight.names, weight.degree_index).terms
+        (exps,) = oracles.substitute(four, weight.images, weight.names, weight.degree_index).terms
     return exps
 
 
 def test_weight_functions_worked_example():
     p = Partition([5, 4, 4, 3, 2])
-    assert four_param_weight(p) == (6, 5, 4, 3)
+    assert oracles.four_param_weight(p.parts) == (6, 5, 4, 3)
     assert weight_of(p, FOUR_PARAM) == (6, 5, 4, 3)
     assert weight_of(p, ROW_TOTALS) == (11, 7)
     assert weight_of(p, HALF_CELLS) == (10, 8)
@@ -171,7 +170,7 @@ def test_weight_functions_worked_example():
 def test_weight_exponents_sum_to_weight(parts):
     p = Partition(parts)
     n = p.weight()
-    assert sum(four_param_weight(p)) == n
+    assert sum(oracles.four_param_weight(p.parts)) == n
     assert sum(weight_of(p, ROW_TOTALS)) == n
     assert sum(weight_of(p, HALF_CELLS)) == n
     assert weight_of(p, ALT_BY_WEIGHT)[1] == n
@@ -199,7 +198,7 @@ def test_enumerated_series_matches_independent_generator():
             p = Partition(parts)
             if not bounds.admits(p):
                 continue
-            e = four_param_weight(p)
+            e = oracles.four_param_weight(p.parts)
             want[e] = want.get(e, 0) + 1
     got = enumerated_series(10, FOUR_PARAM, bounds)
     assert got.terms == want
@@ -265,13 +264,15 @@ def test_weights_match_direct_tallies(spec, filt):
 
 
 def test_substitution_validates_images():
+    # the oracle's substitution and the weights' image map alike
     four = enumerated_series(4, FOUR_PARAM)
-    with pytest.raises(ValueError, match="no image"):
-        substitute(four, {"a": (1, 1)}, XQ, 1)
-    with pytest.raises(ValueError, match="degree 1"):
-        substitute(four, {v: (0, 2) for v in ABCD}, XQ, 1)
-    with pytest.raises(ValueError, match="arity"):
-        substitute(four, {v: (1, 1, 0) for v in ABCD}, XQ, 1)
+    for images, message in (({"a": (1, 1)}, "no image"),
+                            ({v: (0, 2) for v in ABCD}, "degree 1"),
+                            ({v: (1, 1, 0) for v in ABCD}, "arity")):
+        with pytest.raises(ValueError, match=message):
+            oracles.substitute(four, images, XQ, 1)
+        with pytest.raises(ValueError, match=message):
+            enumerated_series(4, WeightVariant("bad", XQ, 1, images))
 
 
 # -- products ----------------------------------------------------------------
@@ -305,6 +306,10 @@ def test_product_series_validation():
         product_series([(2, (0, 1), False)], XQ, 5, degree_index=1)
     with pytest.raises(ValueError, match="positive degree"):
         product_series([(1, (0, 0), False)], XQ, 5, degree_index=1)
+    with pytest.raises(ValueError, match="expected 2 exponents"):
+        product_series([(1, (1,), False)], ("a", "b"), 5)
+    with pytest.raises(ValueError, match="expected 2 exponents"):
+        product_series([(1, (0, 1, 2), False)], XQ, 5, degree_index=1)
     # no factors is just 1
     assert product_series([], XQ, 5, degree_index=1) == Series.one(XQ, 5, 1)
     # a factor above the truncation is skipped, and the ones after it still apply
@@ -340,14 +345,22 @@ def sweep_product(families, names, trunc, degree_index=None):
 @st.composite
 def factor_families(draw):
     """Factor families over (x, q) truncated in q, with x exponents of
-    either sign, or over (a, b, c, d) truncated by total degree."""
-    by_q = draw(st.booleans())
-    if by_q:
+    either sign; over (a, b, c, d) truncated by total degree; or with wide
+    exponent ranges: mixed signs under the total degree, or x/q ratios up
+    to 6 under the q degree."""
+    case = draw(st.sampled_from(("by q", "total", "wide")))
+    if case == "by q":
         names, trunc, index = XQ, 8, 1
         exps = st.tuples(st.integers(-3, 3), st.integers(1, 5))
-    else:
+    elif case == "total":
         names, trunc, index = ABCD, 7, None
         exps = st.tuples(*[st.integers(0, 2)] * 4).filter(any)
+    elif draw(st.booleans()):
+        names, trunc, index = ("a", "b", "c"), 10, None
+        exps = st.tuples(*[st.integers(-2, 3)] * 3).filter(lambda e: sum(e) >= 1)
+    else:
+        names, trunc, index = XQ, 10, 1
+        exps = st.tuples(st.integers(-6, 6), st.integers(1, 2))
     family = st.tuples(st.sampled_from((1, -1)),
                        st.lists(exps, min_size=1, max_size=3),
                        st.booleans())
@@ -361,6 +374,23 @@ def test_sweep_matches_truncated_factor_multiplication(case):
     got = sweep_product(families, names, trunc, index)
     assert got == reference_product(families, names, trunc, index)
     assert 0 not in got.terms.values()
+
+
+@pytest.mark.parametrize("trunc", (0, 1, 2, 7))
+def test_sweep_reaches_every_exponent_bound(trunc):
+    # Each variable reaches both ends of its range [trunc * min(0, e/d),
+    # trunc * max(0, e/d)] over the factors X^e of degree d: the powers of
+    # one factor, or of its mirror, reach them.
+    abc = ("a", "b", "c")
+    total = [(1, [(2, -1, 0)], True), (-1, [(-1, 0, 2)], True), (1, [(3, -1, 0)], False)]
+    by_q = [(-1, [(6, 1)], True), (1, [(-6, 1)], True), (-1, [(-6, 2)], False)]
+    cases = ((total, abc, None, {(2 * trunc, -trunc, 0), (-trunc, 0, 2 * trunc)}),
+             (by_q, XQ, 1, {(6 * trunc, trunc), (-6 * trunc, trunc)}))
+    for families, names, index, extremes in cases:
+        got = sweep_product(families, names, trunc, index)
+        assert got == reference_product(families, names, trunc, index)
+        assert all(got.coefficient(e) for e in extremes)
+    assert sweep_product(total, abc, 0) == Series.one(abc, 0)
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -534,7 +564,7 @@ def test_restricted_enumerated_side_matches_independent_generator():
             p = Partition(parts)
             if not (bounds.admits(p) and filt.admits(p)):
                 continue
-            e = four_param_weight(p)
+            e = oracles.four_param_weight(p.parts)
             want[e] = want.get(e, 0) + 1
     assert enumerated_series(10, FOUR_PARAM, bounds, filt).terms == want
 

@@ -272,6 +272,18 @@ def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
                                      "detail": "image violates the target caps"}
 
 
+@pytest.mark.parametrize("runner, walks", ((verify_pairing, 2), (verify_binary, 1)))
+def test_exchange_lists_a_shared_family_once(monkeypatch, runner, walks):
+    # binary's source and target are one family, listed once per (m, n)
+    from eulerparts import verify
+    sizes = []
+    walk = verify.bounded_partitions
+    monkeypatch.setattr(verify, "bounded_partitions",
+                        lambda n, bounds: sizes.append(n) or walk(n, bounds))
+    assert runner(max_n=5, ms=(0, 1)).ok()
+    assert len(sizes) == walks * 2 * 6
+
+
 def test_sylvester_check_reports_an_even_image_part(monkeypatch):
     # the image 2,2 lies outside the inverse's domain; the caps report it
     from eulerparts import verify
