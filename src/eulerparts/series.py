@@ -24,10 +24,11 @@ The two sides of each series identity are computed independently.
 sizes, largest first, tracks whether an even or an odd number of rows is
 filled so far, which decides whether the next copies of a size land in
 (a, b) rows or (c, d) rows.  The products multiply out their factors and
-never see a partition: ``product_series`` keys each term by one integer
-that packs its degree and its exponents, each offset into the range the
-kept factors bound it to, so a factor sweep adds integers; it unpacks the
-keys to exponent tuples once, at the end.
+never see a partition: ``product_series`` keeps one dict of terms per
+degree, keys each term by one integer that packs its exponents, and applies
+each factor as one sweep from the top degree down; a denominator is divided
+out by repeated squaring, 1/(1 - Y) = prod_t (1 + Y^(2^t)).  The keys are
+unpacked to exponent tuples once, at the end.
 """
 
 from __future__ import annotations
@@ -113,32 +114,6 @@ class Series:
                     (other.names, other.trunc, other.degree_index)
                 and self.terms == other.terms)
 
-    def __neg__(self) -> "Series":
-        out = self._blank()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __add__(self, other) -> "Series":
-        if isinstance(other, int):
-            other = Series(self.names, self.trunc,
-                           {(0,) * len(self.names): other}, self.degree_index)
-        self._compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = self._blank()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Series":
-        return self + (-other)
-
     def __mul__(self, other) -> "Series":
         if isinstance(other, int):
             out = self._blank()
@@ -174,21 +149,6 @@ class Series:
 
     def __repr__(self) -> str:
         return "Series(%d terms, vars=%s, trunc=%d)" % (len(self.terms), self.names, self.trunc)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exps, coeff in self.items()[:14]:
-            mono = "*".join("%s^%d" % (n, e) for n, e in zip(self.names, exps) if e)
-            if not mono:
-                chunks.append(str(coeff))
-            elif coeff == 1:
-                chunks.append(mono)
-            else:
-                chunks.append("%d*%s" % (coeff, mono))
-        tail = " + ..." if len(self.terms) > 14 else ""
-        return " + ".join(chunks) + tail
 
 
 @dataclass(frozen=True)
@@ -351,41 +311,24 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
 
 # -- products ---------------------------------------------------------------
 
-def _apply_factor(terms: dict, sign: int, delta: int, bound: int, denominator: bool) -> None:
-    """Multiply the packed ``terms`` in place by ``(1 + sign * X^e)``, or
-    divide them by that factor, where ``delta`` is the packed X^e and the
-    keys below ``bound`` are the terms of degree <= trunc - deg(X^e)."""
-    if not denominator:
-        # new[k + e] = old[k + e] + sign * old[k]: each target has one source,
-        # so reading the sources from a snapshot makes the order irrelevant
-        sources = [(k, c) for k, c in terms.items() if k < bound]
-        for k, c in sources:
+def _apply_factor(buckets: list[dict], sign: int, d: int, delta: int) -> None:
+    """Multiply the bucketed terms in place by ``(1 + sign * X^e)``, where
+    ``d`` is the degree of X^e and ``delta`` its packed exponents.
+
+    new[g + d][k + delta] = old[g + d][k + delta] + sign * old[g][k].  The
+    degrees g are walked from trunc - d down to 0, so every bucket is read
+    before any term of this factor lands in it, and the buckets above
+    trunc - d, which the factor cannot change, are never visited.
+    """
+    for g in range(len(buckets) - 1 - d, -1, -1):
+        target = buckets[g + d]
+        for k, c in buckets[g].items():
             key = k + delta
-            c = terms.get(key, 0) + sign * c
+            c = target.get(key, 0) + sign * c
             if c:
-                terms[key] = c
+                target[key] = c
             else:
-                del terms[key]
-        return
-    # new[k] = old[k] - sign * new[k - e], walked along each chain k, k + e,
-    # k + 2e, ... until the carry dies.  Keys are taken in ascending order,
-    # which is ascending degree, so a key that no walk has reached has
-    # new[k - e] = 0 and starts a chain.
-    walked = set()
-    for key in sorted(terms):
-        if key in walked:
-            continue
-        carry = 0
-        while True:
-            walked.add(key)
-            carry = terms.get(key, 0) - sign * carry
-            if not carry:
-                terms.pop(key, None)
-                break
-            terms[key] = carry
-            if key >= bound:
-                break
-            key += delta
+                del target[key]
 
 
 def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
@@ -398,17 +341,19 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
     positive truncation degree, which gives a denominator the unit constant
     term its division needs.  A factor of degree above ``trunc`` is 1 at
     this truncation and is skipped; the others are applied in the order
-    given, each with one sweep over the accumulated terms (``_apply_factor``).
+    given.  A numerator is one sweep (``_apply_factor``).  A denominator of
+    degree d is divided out by repeated squaring, Euler's
+    1/(1 - Y) = prod_t (1 + Y^(2^t)): it is the sweeps (1 - sign * X^e),
+    (1 + X^2e), (1 + X^4e), ... while 2^t * d <= trunc.
 
-    The sweeps key each term by one integer.  Every term is a product of
-    kept factor monomials whose degrees d sum to at most ``trunc``, so its
-    exponent of variable i lies in [lo_i, hi_i], with lo_i the floor of
-    trunc * min(0, e_i/d) and hi_i the ceiling of trunc * max(0, e_i/d) over
-    the kept factors.  The key packs the term's degree into the top digit
-    and each exponent, less lo_i, into a digit of base hi_i - lo_i + 1
-    below it.  Multiplying by X^e then adds one integer, ascending keys are
-    ascending degrees, and "degree <= trunc - d" is one comparison.  The
-    keys are unpacked to exponent tuples once, at the end.
+    The terms are kept in one dict per degree 0..trunc, each keyed by one
+    integer.  Every term is a product of kept factor monomials whose
+    degrees d sum to at most ``trunc``, so its exponent of variable i lies
+    in [lo_i, hi_i], with lo_i the floor of trunc * min(0, e_i/d) and hi_i
+    the ceiling of trunc * max(0, e_i/d) over the kept factors.  The key
+    packs each exponent, less lo_i, into a digit of base hi_i - lo_i + 1,
+    so multiplying by X^e adds one integer to the key and d to the degree.
+    The keys are unpacked to exponent tuples once, at the end.
     """
     acc = Series.one(names, trunc, degree_index)
     width = len(acc.names)
@@ -426,24 +371,29 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
             kept.append((sign, exps, d, denominator))
 
     # Variable i's digit has base hi_i - lo_i + 1 and its place is the
-    # product of the bases below it; the degree's place, top, is above them.
+    # product of the bases below it.
     lows, places, bases = [], [], []
-    top = 1
+    place = 1
     for i in range(width):
         lo = min([0] + [trunc * exps[i] // d for _, exps, d, _ in kept])
         base = max([0] + [-(-trunc * exps[i] // d) for _, exps, d, _ in kept]) - lo + 1
         lows.append(lo)
-        places.append(top)
+        places.append(place)
         bases.append(base)
-        top *= base
-    terms = {-sum(map(mul, lows, places)): 1}
+        place *= base
+    buckets = [{} for _ in range(trunc + 1)]
+    buckets[0][-sum(map(mul, lows, places))] = 1
     for sign, exps, d, denominator in kept:
-        delta = d * top + sum(map(mul, exps, places))
-        _apply_factor(terms, sign, delta, (trunc - d + 1) * top, denominator)
+        delta = sum(map(mul, exps, places))
+        # 1 / (1 + sign X^e) = (1 - sign X^e) (1 + X^2e) (1 + X^4e) ...
+        _apply_factor(buckets, -sign if denominator else sign, d, delta)
+        while denominator and 2 * d <= trunc:
+            d, delta = 2 * d, 2 * delta
+            _apply_factor(buckets, 1, d, delta)
 
     digits = list(zip(places, bases, lows))
     acc.terms = {tuple(key // place % base + lo for place, base, lo in digits): c
-                 for key, c in terms.items()}
+                 for bucket in buckets for key, c in bucket.items()}
     return acc
 
 

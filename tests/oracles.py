@@ -9,7 +9,8 @@ the library's arm and leg sums.  Agreement between the two sides is then
 meaningful evidence.  The four-parameter weight is read off the parts one
 by one, and the substitution of monomials for variables is written out
 variable by variable; neither shares code with the library's coefficient DP
-or its products.
+or its products.  Series addition, negation and printing, which only the
+tests need, are plain functions here over ``Series.terms``.
 """
 
 from collections import Counter
@@ -200,3 +201,45 @@ def substitute(series, images, names, degree_index=None):
                 new[j] += e * x
         out[tuple(new)] += coeff
     return Series(names, series.trunc, dict(out), degree_index)
+
+
+def _same_ring(s1, s2):
+    if (s1.names, s1.trunc, s1.degree_index) != (s2.names, s2.trunc, s2.degree_index):
+        raise ValueError("series mismatch: %r/%d vs %r/%d"
+                         % (s1.names, s1.trunc, s2.names, s2.trunc))
+
+
+def series_add(s1, s2):
+    """s1 + s2 coefficientwise; an int ``s2`` is a constant term."""
+    if isinstance(s2, int):
+        s2 = Series(s1.names, s1.trunc, {(0,) * len(s1.names): s2}, s1.degree_index)
+    _same_ring(s1, s2)
+    out = Counter(s1.terms)
+    out.update(s2.terms)  # Counter.update adds, and the constructor drops zeros
+    return Series(s1.names, s1.trunc, dict(out), s1.degree_index)
+
+
+def series_neg(s):
+    return Series(s.names, s.trunc, {e: -c for e, c in s.terms.items()}, s.degree_index)
+
+
+def series_sub(s1, s2):
+    return series_add(s1, series_neg(s2))
+
+
+def series_str(s):
+    """The first 14 terms in ``Series.items`` order, as in
+    ``3*x^1*q^2 + ...``; the zero series is ``0``."""
+    if not s.terms:
+        return "0"
+    chunks = []
+    for exps, coeff in s.items()[:14]:
+        mono = "*".join("%s^%d" % (n, e) for n, e in zip(s.names, exps) if e)
+        if not mono:
+            chunks.append(str(coeff))
+        elif coeff == 1:
+            chunks.append(mono)
+        else:
+            chunks.append("%d*%s" % (coeff, mono))
+    tail = " + ..." if len(s.terms) > 14 else ""
+    return " + ".join(chunks) + tail
