@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bijections import (binary_inverse_trace, binary_map,
                          pairing_inverse_trace, pairing_map,
@@ -27,7 +26,7 @@ from .series import (WEIGHTS, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
                      partition_gf, restricted_boulet_product,
                      row_totals_product)
-from .verify import REGISTRY
+from .verify import REGISTRY, worker_pool
 
 STATS = {"la": Partition.alt_sum, "lo": Partition.odd_count}
 
@@ -261,11 +260,15 @@ def cmd_verify(args) -> int:
         name, kwargs = item
         return REGISTRY[name].runner(**kwargs)
 
-    if args.jobs == 1 or len(runs) == 1:
+    workers = min(args.jobs, len(runs), os.cpu_count() or 1)
+    if workers == 1:
         reports = [execute(r) for r in runs]
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(execute, runs))
+        # Each thread makes its runner calls here and waits while a worker
+        # process computes the run.
+        from concurrent.futures import ThreadPoolExecutor
+        with worker_pool(workers), ThreadPoolExecutor(workers) as threads:
+            reports = list(threads.map(execute, runs))
 
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
@@ -363,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, _, type_, _, help_ in VERIFY_FLAGS:
         p.add_argument(flag, type=type_, help=help_)
     p.add_argument("--jobs", type=int, default=1,
-                   help="run the grid points on this many threads; they share "
-                        "one interpreter lock, so this is no faster, and each "
-                        "run's elapsed_ms includes time spent waiting")
+                   help="run the grid points on min(N, runs, cores) worker "
+                        "processes; each run's elapsed_ms then includes the "
+                        "trip to its worker")
     _add_format(p)
     p.set_defaults(func=cmd_verify)
 

@@ -66,10 +66,6 @@ class BoundSequence:
         b = self.bound(size)
         return b is UNBOUNDED or mult <= b
 
-    def admits(self, p: Partition) -> bool:
-        """True when every multiplicity of ``p`` is within its cap."""
-        return all(self.allows(s, m) for s, m in p.multiplicities().items())
-
     def strict_products(self, cutoff: int) -> list[int]:
         """Sorted multiset of ``size * (bound + 1)`` values up to ``cutoff``.
 
@@ -107,13 +103,6 @@ class BoundSequence:
         return cls(lambda s: odd_cap if s % 2 == 1 else even_cap, spec)
 
     @classmethod
-    def from_items(cls, items: dict[int, object], default=UNBOUNDED) -> "BoundSequence":
-        table = dict(items)
-        chunks = ["%d:%s" % (s, _fmt_bound(b)) for s, b in sorted(table.items())]
-        chunks.append("default:%s" % _fmt_bound(default))
-        return cls(lambda s: table.get(s, default), ",".join(chunks))
-
-    @classmethod
     def from_function(cls, fn: Callable[[int], object], spec: str = "phi:<custom>") -> "BoundSequence":
         return cls(fn, spec)
 
@@ -141,16 +130,6 @@ class CongruenceFilter:
             raise ValueError("modulus must be >= 1")
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue must satisfy 0 <= residue < modulus")
-
-    def admits_size(self, size: int) -> bool:
-        return size % self.modulus == self.residue
-
-    def admits(self, p: Partition) -> bool:
-        if self.even_length and len(p) % 2 == 1:
-            return False
-        if self.first_part_once and self.residue >= 1 and p.multiplicity(self.residue) > 1:
-            return False
-        return all(self.admits_size(s) for s in p.parts)
 
     @property
     def spec(self) -> str:

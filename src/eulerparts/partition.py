@@ -118,24 +118,12 @@ class Partition:
         """How many parts are odd (counted with multiplicity)."""
         return len([p for p in self.parts if p % 2 == 1])
 
-    def multiplicity(self, size: int) -> int:
-        return sum(1 for p in self.parts if p == size)
-
     def multiplicities(self) -> dict[int, int]:
         """Part sizes mapped to their multiplicities, largest size first."""
         out: dict[int, int] = {}
         for p in self.parts:
             out[p] = out.get(p, 0) + 1
         return out
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram; an involution on partitions."""
-        if not self.parts:
-            return self
-        cols = []
-        for i in range(1, self.parts[0] + 1):
-            cols.append(sum(1 for p in self.parts if p >= i))
-        return Partition._raw(tuple(cols))
 
     def largest_odd_part(self) -> int:
         """The largest odd part, or 0 when every part is even (or none)."""

@@ -11,6 +11,7 @@ the end drives the command line.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from collections import Counter
@@ -75,12 +76,46 @@ class VerificationReport:
         return head
 
 
+# The process pool that runner bodies go to while a ``worker_pool`` block is
+# open, else None.
+_pool = None
+
+
+@contextlib.contextmanager
+def worker_pool(workers: int):
+    """While the block runs, every timed runner sends its body, by name and
+    with its arguments, to one of ``workers`` processes and waits for the
+    report, so runs called from several threads compute in parallel.  The
+    runner calls, and so any wrapper on a ``REGISTRY`` entry, stay in the
+    calling process.  Call from a thread that has not yet started others:
+    under ``fork`` the first submit starts every worker, and it is made here.
+    """
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) as pool:
+        pool.submit(int)  # starts the workers, before the caller starts threads
+        # set only now, so a forked worker runs the bodies it is sent itself
+        _pool = pool
+        try:
+            yield
+        finally:
+            _pool = None
+
+
+def _run_body(name: str, args, kwargs) -> VerificationReport:
+    return globals()[name].__wrapped__(*args, **kwargs)
+
+
 def _timed(runner):
-    """Set ``elapsed_ms`` on the report the runner returns to its wall time."""
+    """Set ``elapsed_ms`` on the report the runner returns to its wall time,
+    which inside a ``worker_pool`` block includes the trip to the worker."""
     @functools.wraps(runner)
     def timed(*args, **kwargs) -> VerificationReport:
         started = time.perf_counter()
-        report = runner(*args, **kwargs)
+        if _pool is None:
+            report = runner(*args, **kwargs)
+        else:
+            report = _pool.submit(_run_body, runner.__name__, args, kwargs).result()
         report.elapsed_ms = int((time.perf_counter() - started) * 1000)
         return report
     return timed

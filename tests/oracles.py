@@ -9,12 +9,14 @@ the library's arm and leg sums.  Agreement between the two sides is then
 meaningful evidence.  The four-parameter weight is read off the parts one
 by one, and the substitution of monomials for variables is written out
 variable by variable; neither shares code with the library's coefficient DP
-or its products.  Series addition, negation and printing, which only the
-tests need, are plain functions here over ``Series.terms``.
+or its products.  Series addition, negation and printing, the conjugate, and
+the cap and filter tests on a finished partition, which only the tests need,
+are plain functions here over ``Series.terms`` or a parts tuple.
 """
 
 from collections import Counter
 
+from eulerparts.enumeration import UNBOUNDED
 from eulerparts.series import Series
 
 
@@ -116,6 +118,33 @@ def odd_part_count(parts):
 
 def multiplicity_table(parts):
     return Counter(parts)
+
+
+def conjugate(parts):
+    """Transpose of the diagram of a descending parts tuple: column c holds
+    one cell for each part of size at least c."""
+    return tuple(sum(1 for v in parts if v >= col)
+                 for col in range(1, (parts[0] if parts else 0) + 1))
+
+
+def within_caps(parts, bounds):
+    """Every size occurs in ``parts`` at most ``bounds.bound(size)`` times."""
+    for size, count in Counter(parts).items():
+        cap = bounds.bound(size)
+        if cap is not UNBOUNDED and count > cap:
+            return False
+    return True
+
+
+def passes_filter(parts, filt):
+    """``parts`` lies in the class of a ``CongruenceFilter``: every part is
+    ``residue`` mod ``modulus``, the length is even if asked, and a positive
+    residue occurs at most once as a part if asked."""
+    if filt.even_length and len(parts) % 2 == 1:
+        return False
+    if filt.first_part_once and filt.residue >= 1 and parts.count(filt.residue) > 1:
+        return False
+    return all(v % filt.modulus == filt.residue for v in parts)
 
 
 def max_multiplicity_at_most(cap):

@@ -1,8 +1,12 @@
+import concurrent.futures
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,13 +323,106 @@ def test_verify_all_reduced_grid(capsys):
     assert len(failing) == 2 and all("boulet-restricted" in l for l in failing)
 
 
+def _without_elapsed(report):
+    return {k: v for k, v in report.items() if k != "elapsed_ms"}
+
+
 def test_verify_jobs_matches_serial(capsys):
     def status_rows(*argv):
         code, out, _ = run(capsys, "verify", "all", "--max-n", "6",
                            "--trunc", "6", "--format", "csv", *argv)
         return code, [line.rsplit(",", 1)[0] for line in out.splitlines()]
 
+    def reports(*argv):
+        code, out, _ = run(capsys, "verify", "all", "--max-n", "6",
+                           "--trunc", "6", "--format", "json", *argv)
+        return code, [_without_elapsed(r) for r in json.loads(out)]
+
     assert status_rows() == status_rows("--jobs", "4")
+    code, serial = reports()
+    assert (code, serial) == reports("--jobs", "4")
+    # the counterexamples and notes crossed the process boundary
+    failing = [r for r in serial if r["status"] == "fail"]
+    assert [r["theorem"] for r in failing] == ["boulet-restricted"] * 2
+    assert all(r["counterexample"] and r["notes"] for r in failing)
+
+
+def test_verify_jobs_calls_every_runner_in_this_process(capsys, monkeypatch):
+    # as a benchmark pass does: wrap each registry runner to record the pid
+    # and wall time of every call
+    calls = []
+
+    def recorded(name, runner):
+        def wrapper(**kwargs):
+            started = time.perf_counter()
+            try:
+                return runner(**kwargs)
+            finally:
+                calls.append((name, os.getpid(), time.perf_counter() - started))
+        return wrapper
+
+    for name, check in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, name,
+                            dataclasses.replace(check, runner=recorded(name, check.runner)))
+    code, out, _ = run(capsys, "verify", "all", "--jobs", "2", "--max-n", "6",
+                       "--trunc", "6", "--cutoff", "7", "--format", "csv")
+    assert code == 1
+    assert len(calls) == 21 == len(out.splitlines()) - 1
+    assert {pid for _, pid, _ in calls} == {os.getpid()}
+    assert all(wall > 0 for _, _, wall in calls)
+    names = [name for name, _, _ in calls]
+    assert sorted(names) == sorted(name for name, check in REGISTRY.items()
+                                   for _ in check.default_runs)
+
+
+def test_verify_jobs_bounds_the_worker_count(capsys, monkeypatch):
+    asked, submitted = [], []
+
+    class RecordingPool:
+        """Stands in for ``ProcessPoolExecutor``: runs each call inline and
+        starts no process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn.__name__)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _, out, _ = run(capsys, "verify", "all", "--jobs", "100000", "--max-n", "3",
+                    "--trunc", "3", "--cutoff", "4", "--format", "csv")
+    assert len(out.splitlines()) == 22
+    assert asked == [min(21, os.cpu_count())]
+    assert submitted.count("_run_body") == 21  # every run's body went to the pool
+    # one run, or one core, takes the serial path and starts no pool
+    run(capsys, "verify", "pairing", "--jobs", "4", "--max-n", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run(capsys, "verify", "all", "--jobs", "4", "--max-n", "3", "--trunc", "3")
+    assert asked == [3]
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize("flags, message", (
+    (("--m=-1",), "m must be >= 0"),
+    (("--bounds", "all:x"), "bad bound value 'x'"),
+    (("--k", "0"), "modulus must be >= 1"),
+    (("--bounds", "phi:i*0+1"), "cap on part 2, which lies outside the progression"),
+))
+def test_verify_all_errors_exit_2_on_every_path(capsys, jobs, flags, message):
+    # the first error in registry order, raised in a worker or here
+    code, out, err = run(capsys, "verify", "all", "--max-n", "4", "--trunc", "4",
+                         "--jobs", jobs, *flags)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 # -- malformed command lines ---------------------------------------------------
@@ -495,6 +592,14 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == TABLE_CAP3_BY_ALT
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool modules cost start-up time, and only ``verify --jobs`` needs them
+    code = ("import sys, eulerparts.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_closed_output_pipe_keeps_the_status():

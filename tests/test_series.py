@@ -196,10 +196,9 @@ def test_enumerated_series_matches_independent_generator():
     want = {}
     for n in range(11):
         for parts in oracles.descending_partitions(n):
-            p = Partition(parts)
-            if not bounds.admits(p):
+            if not oracles.within_caps(parts, bounds):
                 continue
-            e = oracles.four_param_weight(p.parts)
+            e = oracles.four_param_weight(parts)
             want[e] = want.get(e, 0) + 1
     got = enumerated_series(10, FOUR_PARAM, bounds)
     assert got.terms == want
@@ -588,10 +587,10 @@ def test_restricted_enumerated_side_matches_independent_generator():
     want = {}
     for n in range(11):
         for parts in oracles.descending_partitions(n):
-            p = Partition(parts)
-            if not (bounds.admits(p) and filt.admits(p)):
+            if not (oracles.within_caps(parts, bounds)
+                    and oracles.passes_filter(parts, filt)):
                 continue
-            e = oracles.four_param_weight(p.parts)
+            e = oracles.four_param_weight(parts)
             want[e] = want.get(e, 0) + 1
     assert enumerated_series(10, FOUR_PARAM, bounds, filt).terms == want
 
