@@ -26,17 +26,17 @@ from .series import (WEIGHTS, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
                      partition_gf, restricted_boulet_product,
                      row_totals_product)
-from .verify import REGISTRY, worker_pool
+from .verify import REGISTRY, run_checks, runs_for
 
 STATS = {"la": Partition.alt_sum, "lo": Partition.odd_count}
 
 
 def _bounds_arg(args):
-    return parse_bounds(args.bounds) if args.bounds else None
+    return None if args.bounds is None else parse_bounds(args.bounds)
 
 
 def _filter_arg(args):
-    return parse_filter(args.filter) if args.filter else None
+    return None if args.filter is None else parse_filter(args.filter)
 
 
 def _int(flag: str, text: str) -> int:
@@ -143,7 +143,7 @@ def cmd_map(args) -> int:
 # -- series ------------------------------------------------------------------------
 
 def _required_bounds(args):
-    if not args.bounds:
+    if args.bounds is None:
         raise ValueError("%s needs --bounds" % args.name)
     return parse_bounds(args.bounds)
 
@@ -213,62 +213,15 @@ VERIFY_FLAGS = (
 )
 
 
-def _verify_runs(args) -> list[tuple[str, dict]]:
-    """(theorem id, kwargs) pairs to execute, honouring explicit flags."""
+def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     given: dict[str, object] = {}
     for flag, keyword, _, convert, _ in VERIFY_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
         if value is not None:
             given[keyword] = convert(flag, value) if convert else value
-
-    names = list(REGISTRY) if args.theorem == "all" else [args.theorem]
-    for name in names:
-        if name not in REGISTRY:
-            raise ValueError("unknown theorem id %r (known: %s)"
-                             % (name, ", ".join(REGISTRY)))
-    runs = []
-    for name in names:
-        entry = REGISTRY[name]
-        relevant = {kw: v for kw, v in given.items() if kw in entry.flags}
-        if args.theorem != "all":
-            extra = set(given) - set(relevant)
-            if extra:
-                raise ValueError("flags %s do not apply to %r"
-                                 % (sorted(extra), name))
-        if not relevant:
-            runs.extend((name, dict(r)) for r in entry.default_runs)
-        elif args.theorem == "all":
-            for base in entry.default_runs:
-                run = dict(base)
-                run.update(relevant)
-                runs.append((name, run))
-        else:
-            # explicit flags define a single run; for multi-config checks the
-            # remaining parameters fall back to the runner's own defaults
-            run = dict(entry.default_runs[0]) if len(entry.default_runs) == 1 else {}
-            run.update(relevant)
-            runs.append((name, run))
-    return runs
-
-
-def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    runs = _verify_runs(args)
-
-    def execute(item):
-        name, kwargs = item
-        return REGISTRY[name].runner(**kwargs)
-
-    workers = min(args.jobs, len(runs), os.cpu_count() or 1)
-    if workers == 1:
-        reports = [execute(r) for r in runs]
-    else:
-        # Each thread makes its runner calls here and waits while a worker
-        # process computes the run.
-        from concurrent.futures import ThreadPoolExecutor
-        with worker_pool(workers), ThreadPoolExecutor(workers) as threads:
-            reports = list(threads.map(execute, runs))
+    reports = run_checks(runs_for(args.theorem, given), args.jobs)
 
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
@@ -386,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():
+        # argparse before Python 3.12 drops a value of "--" and leaves []
+        parser.error("'--' is not a value")
     try:
         return args.func(args)
     except ValueError as exc:  # a DomainError is a ValueError

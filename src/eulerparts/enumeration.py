@@ -98,17 +98,8 @@ class BoundSequence:
         return cls(lambda s: cap if s % 2 == 0 else UNBOUNDED, "even:%d" % cap)
 
     @classmethod
-    def odds_evens(cls, odd_cap, even_cap) -> "BoundSequence":
-        spec = "odd:%s,even:%s" % (_fmt_bound(odd_cap), _fmt_bound(even_cap))
-        return cls(lambda s: odd_cap if s % 2 == 1 else even_cap, spec)
-
-    @classmethod
     def from_function(cls, fn: Callable[[int], object], spec: str = "phi:<custom>") -> "BoundSequence":
         return cls(fn, spec)
-
-
-def _fmt_bound(b) -> str:
-    return "inf" if b is UNBOUNDED else str(b)
 
 
 @dataclass(frozen=True)
@@ -130,15 +121,6 @@ class CongruenceFilter:
             raise ValueError("modulus must be >= 1")
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue must satisfy 0 <= residue < modulus")
-
-    @property
-    def spec(self) -> str:
-        chunks = ["mod:%d" % self.modulus, "res:%d" % self.residue]
-        if self.even_length:
-            chunks.append("even-length")
-        if self.first_part_once:
-            chunks.append("first-once")
-        return ",".join(chunks)
 
 
 # -- the DSLs -----------------------------------------------------------

@@ -90,9 +90,6 @@ class Partition:
     def __lt__(self, other: "Partition") -> bool:
         return self.parts < other.parts
 
-    def __le__(self, other: "Partition") -> bool:
-        return self.parts <= other.parts
-
     def __repr__(self) -> str:
         return "Partition(%s)" % (list(self.parts),)
 

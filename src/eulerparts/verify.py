@@ -6,13 +6,15 @@ the identity holds everywhere on the grid.  The four bijection checks share
 one engine, :func:`_verify_exchange`, which maps each partition once per n
 however many m or phi runs admit it; a check over several m or phi reports
 its first failure in the order they were given, then by n.  The registry at
-the end drives the command line.
+the end plans and runs the grid of the ``verify`` command: :func:`runs_for`
+picks the runs and :func:`run_checks` runs them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import inspect
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -76,30 +78,9 @@ class VerificationReport:
         return head
 
 
-# The process pool that runner bodies go to while a ``worker_pool`` block is
-# open, else None.
+# The process pool that runner bodies go to while ``run_checks`` has one open,
+# else None.
 _pool = None
-
-
-@contextlib.contextmanager
-def worker_pool(workers: int):
-    """While the block runs, every timed runner sends its body, by name and
-    with its arguments, to one of ``workers`` processes and waits for the
-    report, so runs called from several threads compute in parallel.  The
-    runner calls, and so any wrapper on a ``REGISTRY`` entry, stay in the
-    calling process.  Call from a thread that has not yet started others:
-    under ``fork`` the first submit starts every worker, and it is made here.
-    """
-    global _pool
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) as pool:
-        pool.submit(int)  # starts the workers, before the caller starts threads
-        # set only now, so a forked worker runs the bodies it is sent itself
-        _pool = pool
-        try:
-            yield
-        finally:
-            _pool = None
 
 
 def _run_body(name: str, args, kwargs) -> VerificationReport:
@@ -108,7 +89,8 @@ def _run_body(name: str, args, kwargs) -> VerificationReport:
 
 def _timed(runner):
     """Set ``elapsed_ms`` on the report the runner returns to its wall time,
-    which inside a ``worker_pool`` block includes the trip to the worker."""
+    which, while ``run_checks`` has a process pool open, includes the trip to
+    the worker."""
     @functools.wraps(runner)
     def timed(*args, **kwargs) -> VerificationReport:
         started = time.perf_counter()
@@ -483,53 +465,95 @@ def verify_binary_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
 
 @dataclass(frozen=True)
 class Check:
-    """Registry entry: the runner plus the grids ``verify all`` uses."""
+    """Registry entry: the runner, the grids ``verify all`` uses and the
+    runner's keywords, which are the flags that apply to the check.  The
+    keywords are stored, so a wrapper that replaces the runner keeps them."""
 
     runner: object
     default_runs: tuple[dict, ...]
     flags: tuple[str, ...]
-    help: str
+
+
+def _check(runner, *default_runs: dict) -> Check:
+    # ``_timed`` wraps the body with functools.wraps, so the signature is the
+    # body's
+    return Check(runner, default_runs or ({},),
+                 tuple(inspect.signature(runner).parameters))
 
 
 REGISTRY: dict[str, Check] = {
-    "bessenrodt": Check(verify_bessenrodt, ({},), ("max_n",),
-                        "distinct by alternating sum vs odd parts by length"),
-    "sylvester": Check(verify_sylvester, ({},), ("max_n",),
-                       "fishhook bijection, inverse and its two statistics"),
-    "andrews": Check(verify_andrews,
-                     ({"bounds_a": "all:2s", "bounds_b": "even:1s"},
+    "bessenrodt": _check(verify_bessenrodt),
+    "sylvester": _check(verify_sylvester),
+    "andrews": _check(verify_andrews,
+                      {"bounds_a": "all:2s", "bounds_b": "even:1s"},
                       {"bounds_a": "all:4s", "bounds_b": "even:2s"},
                       {"bounds_a": "all:6s", "bounds_b": "even:3s"}),
-                     ("bounds_a", "bounds_b", "max_n", "cutoff"),
-                     "equivalence of cap sequences via strict products"),
-    "boulet": Check(verify_boulet, ({},), ("trunc",),
-                    "four-parameter product over all partitions"),
-    "boulet-restricted": Check(verify_boulet_restricted,
-                               ({"i": 0, "k": 1, "bounds": "1:1,2:3"},
+    "boulet": _check(verify_boulet),
+    "boulet-restricted": _check(verify_boulet_restricted,
+                                {"i": 0, "k": 1, "bounds": "1:1,2:3"},
                                 {"i": 1, "k": 2, "bounds": "3:1,5:3"},
                                 {"i": 2, "k": 3, "bounds": "5:1,8:1"}),
-                               ("i", "k", "bounds", "trunc"),
-                               "four-parameter product over a progression with caps"),
-    "rows-product": Check(verify_rows_product,
-                          ({"bounds": "all:3"}, {"bounds": "even:3"},
+    "rows-product": _check(verify_rows_product,
+                           {"bounds": "all:3"}, {"bounds": "even:3"},
                            {"bounds": "1:1,3:5"}),
-                          ("bounds", "trunc"),
-                          "two-parameter product for the row-totals weight"),
-    "halves-product": Check(verify_halves_product,
-                            ({"bounds": "even:1"}, {"bounds": "all:2"},
+    "halves-product": _check(verify_halves_product,
+                             {"bounds": "even:1"}, {"bounds": "all:2"},
                              {"bounds": "2:0,5:3"}),
-                            ("bounds", "trunc"),
-                            "two-parameter product for the half-cells weight"),
-    "pairing": Check(verify_pairing, ({},), ("max_n", "ms"),
-                     "bound-trading bijection (all parts capped)"),
-    "binary": Check(verify_binary, ({},), ("max_n", "ms"),
-                    "bound-preserving bijection (even parts capped)"),
-    "pairing-gf": Check(verify_pairing_gf, ({},), ("ms", "trunc"),
-                        "three-way generating function identity (pairing)"),
-    "binary-gf": Check(verify_binary_gf, ({},), ("ms", "trunc"),
-                       "three-way generating function identity (binary)"),
-    "pairing-refined": Check(verify_pairing_refined, ({},), ("max_n", "phi_specs"),
-                             "refined pairing statistics under a cap function"),
-    "partition-gf": Check(verify_partition_gf, ({},), ("max_n",),
-                          "Euler product against raw enumeration"),
+    "pairing": _check(verify_pairing),
+    "binary": _check(verify_binary),
+    "pairing-gf": _check(verify_pairing_gf),
+    "binary-gf": _check(verify_binary_gf),
+    "pairing-refined": _check(verify_pairing_refined),
+    "partition-gf": _check(verify_partition_gf),
 }
+
+
+def runs_for(theorem: str, given: dict) -> list[tuple[str, dict]]:
+    """The (check id, keyword arguments) runs that ``verify theorem`` makes,
+    given the runner keywords set on the command line.  Each check lays the
+    keywords it takes over every point of its default grid; a single check
+    given any keyword makes one run, of those keywords alone."""
+    if theorem != "all" and theorem not in REGISTRY:
+        raise ValueError("unknown theorem id %r (known: %s)"
+                         % (theorem, ", ".join(REGISTRY)))
+    runs = []
+    for name in REGISTRY if theorem == "all" else [theorem]:
+        entry = REGISTRY[name]
+        relevant = {kw: v for kw, v in given.items() if kw in entry.flags}
+        if theorem != "all" and len(relevant) < len(given):
+            raise ValueError("flags %s do not apply to %r"
+                             % (sorted(set(given) - set(relevant)), name))
+        bases = entry.default_runs if theorem == "all" or not relevant else ({},)
+        runs.extend((name, {**base, **relevant}) for base in bases)
+    return runs
+
+
+def run_checks(runs: list[tuple[str, dict]], jobs: int) -> list[VerificationReport]:
+    """Call the registry runner of every run in this process and return the
+    reports in the order of ``runs``.
+
+    With more than one of min(jobs, runs, cores) workers, each call is made
+    from a thread here, and its timed runner sends the body, by name and with
+    its arguments, to a worker process and waits for the report; so runs
+    compute in parallel while any wrapper on a ``REGISTRY`` entry stays here.
+    """
+    def execute(run):
+        name, kwargs = run
+        return REGISTRY[name].runner(**kwargs)
+
+    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    if workers < 2:
+        return [execute(run) for run in runs]
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    with ProcessPoolExecutor(workers) as pool:
+        # under fork the first submit starts every worker; make it before
+        # any thread starts here
+        pool.submit(int)
+        # set only now, so a forked worker runs the bodies it is sent itself
+        _pool = pool
+        try:
+            with ThreadPoolExecutor(workers) as threads:
+                return list(threads.map(execute, runs))
+        finally:
+            _pool = None

@@ -70,6 +70,21 @@ def test_enumerate_duplicate_filter_entry(capsys):
     assert err == "error: duplicate mod in 'mod:3,mod:2,res:1'\n"
 
 
+@pytest.mark.parametrize("argv", (
+    ("enumerate", "4", "--bounds="), ("enumerate", "4", "--filter="),
+    ("stats", "4", "--stat", "la", "--bounds="), ("stats", "4", "--stat", "la", "--filter="),
+    ("table", "4", "--stat", "lo", "--bounds="), ("table", "4", "--stat", "lo", "--filter="),
+    ("series", "enumerated", "-N", "4", "--bounds="),
+    ("series", "enumerated", "-N", "4", "--filter="),
+    ("series", "rows", "-N", "4", "--bounds="),
+))
+def test_empty_dsl_value_is_an_error(capsys, argv):
+    # an empty spec is malformed, as in ``verify``; it does not mean "none"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert sum("error:" in line for line in err.split("\n")) == 1
+
+
 DSL_TEXT = st.text(alphabet="0123456789i+*()s:,;-_ allodevnphimrfstxyz\n\x00é") | st.text()
 
 
@@ -411,6 +426,39 @@ def test_verify_jobs_bounds_the_worker_count(capsys, monkeypatch):
     assert asked == [3]
 
 
+def test_verify_flags_outlive_a_bare_runner_wrapper(capsys, monkeypatch):
+    # a wrapper that hides the runner's signature, as a benchmark pass's
+    # timing wrapper does, leaves each check with the flags it had
+    def bare(runner):
+        return lambda **kwargs: runner(**kwargs)
+
+    for name, check in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(check, runner=bare(check.runner)))
+    code, out, _ = run(capsys, "verify", "pairing", "--max-n", "3")
+    assert code == 0 and out.startswith("PASS pairing ")
+    code, out, err = run(capsys, "verify", "boulet", "--max-n", "3")
+    assert (code, out, err) == (2, "", "error: flags ['max_n'] do not apply to 'boulet'\n")
+
+
+@pytest.mark.parametrize("method", ("spawn", "forkserver"))
+def test_verify_jobs_under_other_start_methods(capsys, method):
+    # workers that import the package afresh instead of forking this process
+    argv = ("verify", "all", "--max-n", "6", "--trunc", "6", "--cutoff", "7",
+            "--format", "csv")
+    code = ("import multiprocessing, sys; from eulerparts.cli import main; "
+            "multiprocessing.set_start_method(sys.argv[1]); "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, method, *argv, "--jobs", "2"],
+                          capture_output=True, text=True, timeout=120)
+    serial_code, serial, _ = run(capsys, *argv)
+
+    def status_rows(out):
+        return [line.rsplit(",", 1)[0] for line in out.splitlines()]
+
+    assert (proc.returncode, proc.stderr) == (serial_code, "") == (1, "")
+    assert status_rows(proc.stdout) == status_rows(serial)
+
+
 @pytest.mark.parametrize("jobs", ("1", "2"))
 @pytest.mark.parametrize("flags, message", (
     (("--m=-1",), "m must be >= 0"),
@@ -428,17 +476,28 @@ def test_verify_all_errors_exit_2_on_every_path(capsys, jobs, flags, message):
 # -- malformed command lines ---------------------------------------------------
 
 # A flag's value is in range, out of range, or not a value at all.  Sizes
-# (n, -N, --max-n, --trunc) stay at most 20 so that no run is long.
+# (n, -N, --max-n, --trunc) stay at most 20, and the other small integers at
+# most 40, so that no run is long: garbage that argparse's ``int`` reads as a
+# larger number is dropped.  ``--jobs`` has no bound, as the worker count is
+# capped by the program.
 GARBAGE = st.text(alphabet="0123456789-+*,:;()aeis ñ\n\x00", max_size=10)
 
 
-def values(good):
+def _exceeds(bound, text):
+    try:
+        return int(text) > bound
+    except ValueError:
+        return False
+
+
+def values(good, bound=None):
     # mostly well formed, so that most command lines get past argparse
-    return st.integers(0, 7).flatmap(lambda k: good if k else GARBAGE)
+    garbage = GARBAGE if bound is None else GARBAGE.filter(lambda t: not _exceeds(bound, t))
+    return st.integers(0, 7).flatmap(lambda k: good if k else garbage)
 
 
-SIZE = values(st.integers(-3, 20).map(str))
-SMALL = values(st.integers(-3, 40).map(str))
+SIZE = values(st.integers(-3, 20).map(str), 20)
+SMALL = values(st.integers(-3, 40).map(str), 40)
 INT_LIST = values(st.lists(st.integers(-2, 6), min_size=1, max_size=3)
                   .map(lambda ms: ",".join(map(str, ms))))
 BOUNDS = values(st.sampled_from(("all:3", "even:1", "all:4s", "odd:inf,even:2s",
@@ -583,6 +642,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ("enumerate", "3", "--bounds=--"), ("stats", "3", "--stat", "la", "--filter=--"),
+    ("series", "pairing-gf", "-m=--"), ("verify", "pairing", "--max-n=--"),
+    ("verify", "rows-product", "--bounds=--", "--trunc", "3"),
+    ("map", "sylvester", "fwd", "--format=--", "--", "1"),
+))
+def test_double_dash_value_is_a_usage_error(capsys, argv):
+    # whether or not argparse keeps "--" as the value, it exits 2 with one
+    # error line and no traceback
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert sum("error:" in line for line in captured.err.split("\n")) == 1
 
 
 def test_module_entry_point():

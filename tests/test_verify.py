@@ -73,7 +73,6 @@ def test_registry_contents():
     for name, check in REGISTRY.items():
         assert callable(check.runner), name
         assert check.default_runs, name
-        assert check.help, name
         for run in check.default_runs:
             assert set(run) <= set(check.flags), (name, run)
 
