@@ -25,13 +25,18 @@ fishhooks included, runs in time linear in the number of parts it reads and
 writes, and sorts only when its output can come out of order:
 ``merge_distinct_even``, ``binary_expand``, ``binary_contract`` and the join
 of the two halves.
+
+The families the maps trade between, with their caps as functions of m,
+are :class:`~eulerparts.enumeration.CapFamily` values imported from
+``enumeration``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .enumeration import UNBOUNDED, BoundSequence
+from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
+                          UNBOUNDED, CapFamily)
 from .partition import Partition
 
 
@@ -270,29 +275,17 @@ def binary_contract(nu: Partition) -> Partition:
 
 # -- the two bound-trading maps -------------------------------------------
 
-# A family cut out by multiplicity caps: its caps as a function of m, and the
-# text that names them in a DomainError.  The two maps trade between these
-# families; the maps do not depend on m, only the caps do.
-CapFamily = NamedTuple("CapFamily", [("bounds", Callable[[int], BoundSequence]),
-                                     ("what", str)])
-PAIRING_SOURCE = CapFamily(lambda m: BoundSequence.constant(2 * m + 1),
-                           "every part, at most 2m+1 times")
-PAIRING_TARGET = CapFamily(BoundSequence.evens_only, "even parts, at most m times")
-BINARY_FAMILY = CapFamily(lambda m: BoundSequence.evens_only(2 * m + 1),
-                          "even parts, at most 2m+1 times")
-
-
 def _check_cap(p: Partition, m, family: CapFamily):
-    """Validate ``m`` and, unless it is ``UNBOUNDED``, that ``p`` is in ``family``."""
+    """Unless ``m`` is ``UNBOUNDED``, check that ``p`` is in ``family`` at ``m``
+    (which :meth:`CapFamily.bounds` validates)."""
     if m is UNBOUNDED:
         return
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError("m must be a non-negative integer or UNBOUNDED, got %r" % (m,))
     bounds = family.bounds(m)
     for size, mult in p.multiplicities().items():
-        if not bounds.allows(size, mult):
+        b = bounds.bound(size)
+        if b is not UNBOUNDED and mult > b:
             raise DomainError("part %d appears %d times, above the cap of %d (%s)"
-                              % (size, mult, bounds.bound(size), family.what))
+                              % (size, mult, b, family.what))
 
 
 def _forward(alpha: Partition, m, family, encode) -> tuple[Partition, BijectionTrace]:

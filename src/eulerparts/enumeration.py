@@ -5,6 +5,10 @@ inclusive: "at most b times").  Enumeration can further be restricted to a
 congruence class of part sizes, to even length, and to at most one copy of
 the class representative.  Both restrictions have a small text DSL so they
 can be passed on a command line.
+
+The exchange families (:class:`CapFamily`) live here too: each writes its
+caps in the bound DSL as a function of m, so the maps that trade between
+them and the generating functions that count them read the same caps.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partition import Partition
 
@@ -62,10 +66,6 @@ class BoundSequence:
             raise ValueError("bound for part %d must be a non-negative integer, got %r" % (size, b))
         return b
 
-    def allows(self, size: int, mult: int) -> bool:
-        b = self.bound(size)
-        return b is UNBOUNDED or mult <= b
-
     def strict_products(self, cutoff: int) -> list[int]:
         """Sorted multiset of ``size * (bound + 1)`` values up to ``cutoff``.
 
@@ -81,25 +81,6 @@ class BoundSequence:
             if prod <= cutoff:
                 out.append(prod)
         return sorted(out)
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def unbounded(cls) -> "BoundSequence":
-        return cls(lambda s: UNBOUNDED, "all:inf")
-
-    @classmethod
-    def constant(cls, cap: int) -> "BoundSequence":
-        return cls(lambda s: cap, "all:%d" % cap)
-
-    @classmethod
-    def evens_only(cls, cap: int) -> "BoundSequence":
-        """Cap only the even sizes; odd sizes stay unbounded."""
-        return cls(lambda s: cap if s % 2 == 0 else UNBOUNDED, "even:%d" % cap)
-
-    @classmethod
-    def from_function(cls, fn: Callable[[int], object], spec: str = "phi:<custom>") -> "BoundSequence":
-        return cls(fn, spec)
 
 
 @dataclass(frozen=True)
@@ -225,7 +206,7 @@ def parse_bounds(text: str) -> BoundSequence:
     if s.startswith("phi:"):
         expr = s[len("phi:"):]
         fn = parse_phi(expr)
-        return BoundSequence.from_function(fn, "phi:%s" % expr.replace(" ", ""))
+        return BoundSequence(fn, "phi:%s" % expr.replace(" ", ""))
 
     caps: dict[object, object] = {}  # "default", "odd", "even" or a size
     for entry in s.split(","):
@@ -275,6 +256,32 @@ def parse_filter(text: str) -> CongruenceFilter:
         fields[key] = val
     return CongruenceFilter(fields.get("mod", 1), fields.get("res", 0),
                             "even-length" in fields, "first-once" in fields)
+
+
+# -- the exchange families ------------------------------------------------
+
+class CapFamily(NamedTuple):
+    """A family cut out by multiplicity caps: ``spec`` writes its caps at
+    ``m`` in the bound DSL, and ``what`` names them in a map's DomainError.
+    The exchange maps trade between these families; the maps do not depend
+    on m, only the caps do."""
+
+    spec: Callable[[int], str]
+    what: str
+
+    def bounds(self, m: int) -> BoundSequence:
+        """The family's caps at ``m``, a non-negative integer."""
+        # checked before formatting: "%d" % 1.5 would read m as 1
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError("m must be a non-negative integer, got %r" % (m,))
+        if m < 0:
+            raise ValueError("m must be >= 0")
+        return parse_bounds(self.spec(m))
+
+
+PAIRING_SOURCE = CapFamily(lambda m: "all:%d" % (2 * m + 1), "every part, at most 2m+1 times")
+PAIRING_TARGET = CapFamily(lambda m: "even:%d" % m, "even parts, at most m times")
+BINARY_FAMILY = CapFamily(lambda m: "even:%d" % (2 * m + 1), "even parts, at most 2m+1 times")
 
 
 # -- enumeration ---------------------------------------------------------

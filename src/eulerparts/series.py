@@ -11,10 +11,10 @@ functions summed over capped partition families (``enumerated_series``),
 and the infinite products of the identities, truncated to a given degree.
 
 The four-parameter weight (the cells of a part in an odd or an even row,
-``_row_monomials``) and the capped four-parameter product are stated once.
-Every product except ``partition_gf`` comes from that one capped product:
-Boulet's product is its uncapped case, and the two-parameter weights
-(``rows``, ``halves``, ``la``, ``lo``) and their products
+``WeightVariant.cells``) and the capped four-parameter product are stated
+once.  Every product except ``partition_gf`` comes from that one capped
+product: Boulet's product is its uncapped case, and the two-parameter
+weights (``rows``, ``halves``, ``la``, ``lo``) and their products
 (``row_totals_product``, ``half_cells_product``, ``pairing_gf``,
 ``binary_gf``) are substitutions of the four-parameter ones: each variable
 a, b, c, d is sent to a monomial of degree 1 in the new variables.
@@ -33,12 +33,12 @@ unpacked to exponent tuples once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .bijections import BINARY_FAMILY, PAIRING_SOURCE
-from .enumeration import UNBOUNDED, BoundSequence, CongruenceFilter, _size_caps
+from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, UNBOUNDED, BoundSequence,
+                          CongruenceFilter, _size_caps, parse_bounds)
 
 ABCD = ("a", "b", "c", "d")
 AB = ("a", "b")
@@ -177,52 +177,44 @@ def series_equal(s1: Series, s2: Series) -> SeriesComparison:
     return SeriesComparison(True)
 
 
-def _monomial_map(images: dict[str, Sequence[int]], source: Sequence[str],
-                  target: Series) -> Callable[[tuple], tuple]:
-    """The exponent map sending each variable ``v`` of ``source`` to the
-    monomial ``images[v]`` of truncation degree 1 in ``target``."""
-    vecs = []
-    for v in source:
-        if v not in images:
-            raise ValueError("no image for variable %r" % v)
-        img = tuple(images[v])
-        if len(img) != len(target.names):
-            raise ValueError("image for %r has wrong arity" % v)
-        if target.degree(img) != 1:
-            raise ValueError("image for %r must have truncation degree 1" % v)
-        vecs.append(img)
-    columns = tuple(zip(*vecs))
-
-    def image(exps: tuple) -> tuple:
-        return tuple(sum(map(mul, exps, col)) for col in columns)
-
-    return image
-
-
 # -- partition weights ------------------------------------------------------
-
-def _half_up(x: int) -> int:
-    return (x + 1) // 2
-
-
-def _row_monomials(size: int, image: Callable[[tuple], tuple]) -> tuple[tuple, tuple]:
-    """The images of a part ``size`` in an odd-indexed row (cells to a, b)
-    and in an even-indexed row (cells to c, d)."""
-    return (image((_half_up(size), size // 2, 0, 0)),
-            image((0, 0, _half_up(size), size // 2)))
-
 
 @dataclass(frozen=True)
 class WeightVariant:
     """A named partition weight: the four-parameter weight with a, b, c, d
-    sent to the monomials ``images`` in the variables ``names`` (``None``
-    keeps a, b, c, d), truncated by ``degree_index`` as in :class:`Series`.
+    sent to the monomials ``images`` in the variables ``names``, truncated by
+    ``degree_index`` as in :class:`Series`.  Each image must have truncation
+    degree 1, so a partition's weight monomial has its size as degree.
     """
 
     name: str
     names: tuple[str, ...]
     degree_index: int | None
-    images: dict[str, tuple[int, ...]] | None = None
+    images: dict[str, tuple[int, ...]]
+    # the images' transposed columns: column i holds the i-th exponent of
+    # the images of a, b, c and d
+    _columns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        probe = Series.zero(self.names, 0, self.degree_index)
+        vecs = []
+        for v in ABCD:
+            if v not in self.images:
+                raise ValueError("no image for variable %r" % v)
+            img = tuple(self.images[v])
+            if len(img) != len(self.names):
+                raise ValueError("image for %r has wrong arity" % v)
+            if probe.degree(img) != 1:
+                raise ValueError("image for %r must have truncation degree 1" % v)
+            vecs.append(img)
+        object.__setattr__(self, "_columns", tuple(zip(*vecs)))
+
+    def cells(self, odd: int, even: int) -> tuple:
+        """The image of X(odd, even) = a^ceil(odd/2) b^floor(odd/2)
+        c^ceil(even/2) d^floor(even/2): the cells of a part ``odd`` in an
+        odd-indexed row and of a part ``even`` in an even-indexed row."""
+        x = ((odd + 1) // 2, odd // 2, (even + 1) // 2, even // 2)
+        return tuple(sum(map(mul, x, col)) for col in self._columns)
 
 
 # The two degree-1 specialisations of the four-parameter weight:
@@ -230,7 +222,9 @@ class WeightVariant:
 TO_ALT = {"a": (1, 1), "b": (1, 1), "c": (-1, 1), "d": (-1, 1)}
 TO_ODD = {"a": (1, 1), "b": (-1, 1), "c": (1, 1), "d": (-1, 1)}
 
-FOUR_PARAM = WeightVariant("abcd", ABCD, None)
+FOUR_PARAM = WeightVariant("abcd", ABCD, None,
+                           {"a": (1, 0, 0, 0), "b": (0, 1, 0, 0),
+                            "c": (0, 0, 1, 0), "d": (0, 0, 0, 1)})
 # the collapses a=b, c=d (row totals) and a=c, b=d (half cells)
 ROW_TOTALS = WeightVariant("rows", AB, None,
                            {"a": (1, 0), "b": (1, 0), "c": (0, 1), "d": (0, 1)})
@@ -241,14 +235,6 @@ ODD_BY_WEIGHT = WeightVariant("lo", XQ, 1, TO_ODD)
 
 WEIGHTS = {w.name: w for w in
            (FOUR_PARAM, ROW_TOTALS, HALF_CELLS, ALT_BY_WEIGHT, ODD_BY_WEIGHT)}
-
-
-def _weight_image(weight: WeightVariant, target: Series) -> Callable[[tuple], tuple]:
-    """The exponent map sending a four-parameter monomial to ``weight``'s
-    monomial in ``target``'s variables."""
-    if weight.images is None:
-        return tuple
-    return _monomial_map(weight.images, ABCD, target)
 
 
 def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
@@ -273,12 +259,11 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
     (``_size_caps``); ``filt``'s even length reads only the even dict.
     """
     out = Series.zero(weight.names, trunc, weight.degree_index)
-    image = _weight_image(weight, out)
     degree = sum if out.degree_index is None else itemgetter(out.degree_index)
     zero = (0,) * len(out.names)
     states = ({zero: 1}, {})
     for size, cap in reversed(_size_caps(trunc, bounds, filt)):
-        rows = _row_monomials(size, image)
+        rows = (weight.cells(size, 0), weight.cells(0, size))
         # steps[p][c]: the monomial of c copies placed from parity p
         steps = []
         for p in (0, 1):
@@ -398,12 +383,12 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
 
 
 def _bound_factor_list(bounds: BoundSequence, trunc: int,
-                       image: Callable[[tuple], tuple], i: int, k: int) -> list[tuple]:
+                       weight: WeightVariant, i: int, k: int) -> list[tuple]:
     """Cap factor exponents, one per capped size up to ``trunc``; sizes
     outside the progression i (mod k) must stay uncapped.
 
     A cap forbids blocks of ``strict`` (= cap + 1) copies of a size.  The
-    block's weight is fixed if ``image`` sends a part in an odd row and one
+    block's weight is fixed if ``weight`` sends a part in an odd row and one
     in an even row alike (then it is ``strict`` times that), or if
     ``strict`` is even (``strict/2`` parts in rows of each parity).
     """
@@ -417,7 +402,7 @@ def _bound_factor_list(bounds: BoundSequence, trunc: int,
         if b is UNBOUNDED:
             continue
         strict = b + 1
-        odd_row, even_row = _row_monomials(size, image)
+        odd_row, even_row = weight.cells(size, 0), weight.cells(0, size)
         if odd_row == even_row:
             out.append(tuple(strict * e for e in odd_row))
         elif strict % 2 == 0:
@@ -434,10 +419,10 @@ def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
     ``bounds``, every factor's a, b, c, d sent through ``weight``'s images.
 
     With X(h, l) = a^ceil(h/2) b^floor(h/2) c^ceil(l/2) d^floor(l/2), the
-    cells of a part h in an odd row and a part l in an even row, it is
+    cells of a part h in an odd row and a part l in an even row
+    (:meth:`WeightVariant.cells`), it is
 
-    prod_j (1 + X(jk+i, (j-1)k+i))
-         / [(1 - X(jk+i, jk+i)) (1 - a^(jk) b^(jk) c^((j-1)k) d^((j-1)k))]
+    prod_j (1 + X(jk+i, (j-1)k+i)) / [(1 - X(jk+i, jk+i)) (1 - X(2jk, 2(j-1)k))]
 
     times (1 - X^block) for each capped size, a block being ``strict``
     copies of the size (``_bound_factor_list``).  The j-th factor of every
@@ -447,16 +432,11 @@ def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
     """
     if k < 1 or not 0 <= i < k:
         raise ValueError("need 0 <= i < k and k >= 1")
-    image = _weight_image(weight, Series.zero(weight.names, trunc, weight.degree_index))
-
-    def cells(hi, lo):
-        return image((_half_up(hi), hi // 2, _half_up(lo), lo // 2))
-
     js = range(1, trunc + 1)
-    factors = [(1, cells(j * k + i, (j - 1) * k + i), False) for j in js]
-    factors += [(-1, exps, False) for exps in _bound_factor_list(bounds, trunc, image, i, k)]
-    factors += [(-1, cells(j * k + i, j * k + i), True) for j in js]
-    factors += [(-1, image((j * k, j * k, (j - 1) * k, (j - 1) * k)), True) for j in js]
+    factors = [(1, weight.cells(j * k + i, (j - 1) * k + i), False) for j in js]
+    factors += [(-1, exps, False) for exps in _bound_factor_list(bounds, trunc, weight, i, k)]
+    factors += [(-1, weight.cells(j * k + i, j * k + i), True) for j in js]
+    factors += [(-1, weight.cells(2 * j * k, 2 * (j - 1) * k), True) for j in js]
     return product_series(factors, weight.names, trunc, weight.degree_index)
 
 
@@ -467,7 +447,7 @@ def boulet_product(trunc: int) -> Series:
     prod_j (1 + a^j b^(j-1) c^(j-1) d^(j-1)) (1 + a^j b^j c^j d^(j-1))
          / [(1 - (abcd)^j) (1 - a^j b^j c^(j-1) d^(j-1)) (1 - a^j b^(j-1) c^j d^(j-1))]
     """
-    return _capped_product(0, 1, BoundSequence.unbounded(), trunc, FOUR_PARAM)
+    return _capped_product(0, 1, parse_bounds("all:inf"), trunc, FOUR_PARAM)
 
 
 def restricted_boulet_product(i: int, k: int, bounds: BoundSequence, trunc: int) -> Series:
@@ -507,8 +487,6 @@ def pairing_gf(m: int, trunc: int) -> Series:
 
     (-xq; q^2)_inf (q^(2m+2); q^(2m+2))_inf / [(q^2; q^2)_inf (x^2 q^2; q^4)_inf]
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return _capped_product(0, 1, PAIRING_SOURCE.bounds(m), trunc, ALT_BY_WEIGHT)
 
 
@@ -518,8 +496,6 @@ def binary_gf(m: int, trunc: int) -> Series:
 
     (-xq; q^2)_inf (q^(4m+4); q^(4m+4))_inf / [(q^2; q^2)_inf (x^2 q^2; q^4)_inf]
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return _capped_product(0, 1, BINARY_FAMILY.bounds(m), trunc, ALT_BY_WEIGHT)
 
 

@@ -19,11 +19,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .bijections import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
-                         DomainError, binary_inverse, binary_map,
+from .bijections import (DomainError, binary_inverse, binary_map,
                          pairing_inverse, pairing_map,
                          sylvester_distinct_to_odd, sylvester_odd_to_distinct)
-from .enumeration import (UNBOUNDED, BoundSequence, CongruenceFilter,
+from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
+                          UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_by_statistic, count_total,
                           histogram, parse_bounds, parse_phi)
 from .partition import Partition
@@ -247,10 +247,8 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
 
 def _m_runs(ms, source, target) -> list:
     """One run per m: its context and both families' caps at m, one caps
-    object if the families are one, so the engine enumerates it once.  A
-    negative m is rejected before any work, naming m rather than a cap."""
-    if any(m < 0 for m in ms):
-        raise ValueError("m must be >= 0")
+    object if the families are one, so the engine enumerates it once.  Every
+    run is built, and so every m validated, before any work."""
     runs = []
     for m in ms:
         src = source.bounds(m)
@@ -293,11 +291,9 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
     runs = []
     for spec in phi_specs:
         phi = parse_phi(spec)
-        src = BoundSequence.from_function(lambda s, phi=phi: 2 * phi(s) + 1,
-                                          "phi:2*(%s)+1" % spec)
-        dst = BoundSequence.from_function(
-            lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
-            "even phi:%s" % spec)
+        src = BoundSequence(lambda s, phi=phi: 2 * phi(s) + 1, "phi:2*(%s)+1" % spec)
+        dst = BoundSequence(lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
+                            "even phi:%s" % spec)
         runs.append(({"phi": spec}, src, dst))
     totals = _verify_exchange(report, lambda a: pairing_map(a)[0], pairing_inverse,
                               runs, max_n, _REFINED)

@@ -239,6 +239,20 @@ def test_pairing_map_rejects_bad_m(bad):
         pairing_map(P([1]), bad)
 
 
+def test_bad_m_is_rejected_before_the_map_runs(monkeypatch):
+    # "%d" % 1.5 is "1" and "%d" % True is "1": an m checked only after its
+    # caps are written would let these maps run under caps nobody asked for
+    def ran(p):
+        raise AssertionError("the map ran")
+
+    monkeypatch.setattr(bijections, "sylvester_distinct_to_odd", ran)
+    monkeypatch.setattr(bijections, "sylvester_odd_to_distinct", ran)
+    with pytest.raises(ValueError, match="^m must be a non-negative integer, got 1.5$"):
+        pairing_map(P.parse("2,1"), m=1.5)
+    with pytest.raises(ValueError, match="^m must be a non-negative integer, got True$"):
+        binary_inverse(P.parse("3"), m=True)
+
+
 @given(part_lists)
 def test_pairing_round_trip_unbounded(parts):
     alpha = P(parts)

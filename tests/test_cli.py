@@ -169,8 +169,8 @@ def test_map_domain_violation(capsys):
 
 
 def test_map_rejects_bad_m(capsys):
-    code, _, err = run(capsys, "map", "pairing", "fwd", "1", "-m", "-3")
-    assert code == 2
+    code, out, err = run(capsys, "map", "pairing", "fwd", "1", "-m", "-3")
+    assert (code, out, err) == (2, "", "error: m must be >= 0\n")
     code, out, err = run(capsys, "map", "pairing", "fwd", "1", "-m", "x")
     assert (code, out, err) == (2, "", "error: -m: 'x' is not an integer\n")
 

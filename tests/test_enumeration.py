@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulerparts.enumeration import (
+    BINARY_FAMILY,
+    PAIRING_SOURCE,
+    PAIRING_TARGET,
     UNBOUNDED,
     BoundSequence,
     CongruenceFilter,
@@ -131,7 +134,7 @@ def test_enumerated_partitions_obey_caps(spec):
 
 
 def test_euler_distinct_equals_odd():
-    distinct = BoundSequence.constant(1)
+    distinct = parse_bounds("all:1")
     odd_only = parse_bounds("odd:inf,even:0")
     for n in range(26):
         assert count_total(n, distinct) == count_total(n, odd_only), n
@@ -175,8 +178,6 @@ def test_bound_lookup_and_allows():
     b = parse_bounds("odd:inf,even:2")
     assert b.bound(3) is UNBOUNDED
     assert b.bound(4) == 2
-    assert b.allows(4, 2) and not b.allows(4, 3)
-    assert b.allows(3, 999)
     assert oracles.within_caps((4, 4, 3, 3, 3), b)
     assert not oracles.within_caps((4, 4, 4), b)
     with pytest.raises(ValueError):
@@ -184,7 +185,7 @@ def test_bound_lookup_and_allows():
 
 
 def test_bound_rejects_bad_function_values():
-    b = BoundSequence.from_function(lambda s: -1)
+    b = BoundSequence(lambda s: -1, "phi:<custom>")
     with pytest.raises(ValueError):
         b.bound(2)
 
@@ -192,11 +193,22 @@ def test_bound_rejects_bad_function_values():
 def test_strict_products():
     # all:3 allows at most 3 copies, so 4 copies of size i is the first
     # excluded product: 4i.
-    assert BoundSequence.constant(3).strict_products(17) == [4, 8, 12, 16]
-    assert BoundSequence.evens_only(1).strict_products(13) == [4, 8, 12]
-    assert BoundSequence.unbounded().strict_products(50) == []
+    assert parse_bounds("all:3").strict_products(17) == [4, 8, 12, 16]
+    assert parse_bounds("even:1").strict_products(13) == [4, 8, 12]
+    assert parse_bounds("all:inf").strict_products(50) == []
     mixed = parse_bounds("1:1,3:1,default:inf")
     assert mixed.strict_products(10) == [2, 6]
+
+
+def test_cap_families_validate_m_once():
+    assert PAIRING_SOURCE.bounds(1).spec == "all:3"
+    assert PAIRING_TARGET.bounds(2).spec == "even:2"
+    assert BINARY_FAMILY.bounds(0).spec == "even:1"
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        PAIRING_SOURCE.bounds(-1)
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match="^m must be a non-negative integer, got %r$" % bad):
+            PAIRING_SOURCE.bounds(bad)
 
 
 def test_spec_strings_round_trip():
@@ -384,7 +396,7 @@ def test_count_total_matches_accel_asc(cap_spec, cap_of, filter_spec, keep):
 
 def test_invalid_cap_names_the_same_size_in_both_paths():
     # caps are read in ascending size by the enumeration and the DP alike
-    bad = BoundSequence.from_function(lambda s: -1 if s >= 3 else 2)
+    bad = BoundSequence(lambda s: -1 if s >= 3 else 2, "phi:<custom>")
     message = "^bound for part 3 must be a non-negative integer, got -1$"
     with pytest.raises(ValueError, match=message):
         list(bounded_partitions(8, bad))
@@ -404,5 +416,5 @@ def test_invalid_cap_names_the_same_size_in_both_paths():
     ),
 )
 def test_random_cap_tables_match_dp(n, items):
-    bounds = BoundSequence.from_function(lambda size: items.get(size, UNBOUNDED))
+    bounds = BoundSequence(lambda size: items.get(size, UNBOUNDED), "phi:<custom>")
     assert count_total(n, bounds) == oracles.bounded_count_dp(n, items.get)

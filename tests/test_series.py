@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerparts import series
 from eulerparts.enumeration import UNBOUNDED, CongruenceFilter, parse_bounds, parse_filter
 from eulerparts.partition import Partition
 from eulerparts.series import (
@@ -50,6 +54,21 @@ def series_tuples(draw, count):
     terms = st.dictionaries(exps, st.integers(-5, 5), max_size=8)
     index = 1 if by_q else None
     return tuple(Series(XQ, 6, draw(terms), index) for _ in range(count))
+
+
+# -- layering ----------------------------------------------------------------
+
+def test_series_imports_nothing_from_the_maps():
+    # the generating functions read their cap families from enumeration, so
+    # they stay independent of the bijections they are checked against
+    imported = []
+    for node in ast.walk(ast.parse(Path(series.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if "bijections" in name]
 
 
 # -- core arithmetic -------------------------------------------------------
@@ -147,10 +166,7 @@ def test_series_equal_reports_first_difference():
 def weight_of(p, weight):
     """The single monomial ``weight`` gives the partition ``p``."""
     four = Series(ABCD, p.weight(), {oracles.four_param_weight(p.parts): 1})
-    if weight.images is None:
-        (exps,) = four.terms
-    else:
-        (exps,) = oracles.substitute(four, weight.images, weight.names, weight.degree_index).terms
+    (exps,) = oracles.substitute(four, weight.images, weight.names, weight.degree_index).terms
     return exps
 
 
@@ -593,6 +609,57 @@ def test_restricted_enumerated_side_matches_independent_generator():
             e = oracles.four_param_weight(parts)
             want[e] = want.get(e, 0) + 1
     assert enumerated_series(10, FOUR_PARAM, bounds, filt).terms == want
+
+
+def _in_product_family(parts, i, k, lone_blocks=True):
+    """Whether ``parts`` lies in C(i, k), the family the uncapped restricted
+    product counts.  T holds the parts = i (mod k) and S the others, every
+    one a positive multiple of 2k.  T has even size 2r; S is empty, or has
+    odd size with s_2 = s_3, s_4 = s_5, ....  If r >= 1, T_2r >= s_1 + i
+    (s_1 = 0 for an empty S), and not both T_2r - s_1 = i and
+    T_(2r-1) = T_2r (mod 2k).  If r = 0, S needs nothing more, unless
+    ``lone_blocks`` is false: then S must be empty too."""
+    T = [p for p in parts if p % k == i]
+    S = [p for p in parts if p % k != i]
+    if any(s % (2 * k) for s in S) or len(T) % 2:
+        return False
+    if S and (len(S) % 2 == 0 or S[1::2] != S[2::2]):
+        return False
+    if not T:
+        return lone_blocks or not S
+    s1 = S[0] if S else 0
+    return T[-1] >= s1 + i and not (T[-1] - s1 == i and (T[-2] - T[-1]) % (2 * k) == 0)
+
+
+def test_uncapped_restricted_product_counts_its_pair_family():
+    # Explains the boulet-restricted failure without touching the check:
+    # the product is Boulet's pair decomposition, base pairs
+    # (jk+i, (j-1)k+i) and (jk+i, jk+i) plus blocks of 2k columns of odd
+    # height, and a block taller than the 2r rows of T spills into S.  So it
+    # counts C(i, k), not the checked family (parts = i mod k, even length,
+    # part i at most once).  At r = 0 a lone block of S is in the family:
+    # requiring S empty there loses the (ab)^k monomial of the part 2k.
+    N = 22
+    by_weight = [oracles.descending_partitions(n) for n in range(N + 1)]
+
+    def family_series(n, i, k, lone_blocks=True):
+        out = {}
+        for parts in (p for of_weight in by_weight[:n + 1] for p in of_weight):
+            if _in_product_family(parts, i, k, lone_blocks):
+                e = oracles.four_param_weight(parts)
+                out[e] = out.get(e, 0) + 1
+        return out
+
+    uncapped = parse_bounds("all:inf")
+    for i, k in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5)):
+        assert restricted_boulet_product(i, k, uncapped, N).terms == family_series(N, i, k)
+    for (i, k), lost in (((1, 2), 6), ((1, 3), 2), ((2, 3), 2), ((1, 4), 2)):
+        product = restricted_boulet_product(i, k, uncapped, 16).terms
+        strict = family_series(16, i, k, lone_blocks=False)
+        differ = [e for e in product.keys() | strict.keys()
+                  if product.get(e, 0) != strict.get(e, 0)]
+        assert len(differ) == lost, (i, k)
+        assert product[(k, k, 0, 0)] == 1 and (k, k, 0, 0) not in strict
 
 
 # -- closed forms for the two bound-trading families --------------------------
