@@ -4,7 +4,9 @@ Subcommands: ``enumerate``, ``stats``, ``map``, ``series``, ``verify`` and
 ``table``.  Exit codes: 0 on success, 1 when a verification fails, 2 for
 usage errors (including inputs outside a map's domain).  A reader that
 closes the output pipe early leaves the exit code as it would be.  All
-output is deterministic for a given invocation.
+output is deterministic for a given invocation.  Each subcommand computes its
+result once and prints it through :func:`_print`, and a flag that the chosen
+``series`` builder or ``map`` does not read is a usage error, as in ``verify``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .bijections import (binary_inverse_trace, binary_map,
                          pairing_inverse_trace, pairing_map,
                          sylvester_distinct_to_odd, sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, bounded_partitions, count_by_statistic,
-                          parse_bounds, parse_filter)
+                          count_total, parse_bounds, parse_filter)
 from .partition import Partition
 from .series import (WEIGHTS, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
@@ -70,20 +72,44 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
+def _print(args, payload, header, rows, lines):
+    """Print a command's result in ``args.format``: ``payload()`` as JSON,
+    ``header`` and ``rows()`` as CSV, or ``lines()`` as text, one line at a
+    time.  The views are zero-argument functions, so only the printed one is
+    built."""
+    if args.format == "json":
+        _emit(_json(payload()))
+    elif args.format == "csv":
+        _emit(_csv_out(header, rows()))
+    else:
+        for line in lines():
+            _emit(line)
+
+
+def _given_or(value, default):
+    """A flag's value, or ``default`` when argparse left it None (not given)."""
+    return default if value is None else value
+
+
+def _reject(args, name: str, flags) -> None:
+    """A usage error, worded as ``verify``'s, if any of ``flags``, which
+    ``name`` does not read, was given."""
+    given = sorted(f for f in flags if getattr(args, f.lstrip("-")) is not None)
+    if given:
+        raise ValueError("flags %s do not apply to %r" % (given, name))
+
+
 # -- enumerate ----------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    parts = list(bounded_partitions(args.n, _bounds_arg(args), _filter_arg(args)))
+    bounds, filt = _bounds_arg(args), _filter_arg(args)
     if args.count:
-        _emit(str(len(parts)))
+        _emit(str(count_total(args.n, bounds, filt)))
         return 0
-    if args.format == "json":
-        _emit(_json([list(p.parts) for p in parts]))
-    elif args.format == "csv":
-        _emit(_csv_out(["parts"], [[" ".join(map(str, p.parts))] for p in parts]))
-    else:
-        for p in parts:
-            _emit(str(p))
+    parts = list(bounded_partitions(args.n, bounds, filt))
+    _print(args, lambda: [list(p.parts) for p in parts],
+           ["parts"], lambda: ([" ".join(map(str, p.parts))] for p in parts),
+           lambda: map(str, parts))
     return 0
 
 
@@ -93,16 +119,10 @@ def cmd_stats(args) -> int:
     hist = count_by_statistic(args.n, STATS[args.stat],
                               _bounds_arg(args), _filter_arg(args))
     total = sum(hist.values())
-    if args.format == "json":
-        _emit(_json({"n": args.n, "stat": args.stat,
-                     "counts": {str(k): v for k, v in hist.items()},
-                     "total": total}))
-    elif args.format == "csv":
-        _emit(_csv_out([args.stat, "count"], [[k, v] for k, v in hist.items()]))
-    else:
-        for k, v in hist.items():
-            _emit("%d: %d" % (k, v))
-        _emit("total: %d" % total)
+    _print(args, lambda: {"n": args.n, "stat": args.stat, "total": total,
+                          "counts": {str(k): v for k, v in hist.items()}},
+           [args.stat, "count"], hist.items,
+           lambda: ["%d: %d" % kv for kv in hist.items()] + ["total: %d" % total])
     return 0
 
 
@@ -114,29 +134,23 @@ EXCHANGE_MAPS = {("pairing", "fwd"): pairing_map, ("pairing", "inv"): pairing_in
 
 def cmd_map(args) -> int:
     p = Partition.parse(args.partition)
-    m = UNBOUNDED if args.m == "inf" else _int("-m", args.m)
     if args.name == "sylvester":
+        _reject(args, args.name, ["-m"])
         if args.direction == "fwd":
-            image = sylvester_odd_to_distinct(p)
-            lines = [("τ", p), ("λ", image)]
+            stages = [("τ", p), ("λ", sylvester_odd_to_distinct(p))]
         else:
-            image = sylvester_distinct_to_odd(p)
-            lines = [("λ", p), ("τ", image)]
+            stages = [("λ", p), ("τ", sylvester_distinct_to_odd(p))]
     else:
+        m = UNBOUNDED if args.m in (None, "inf") else _int("-m", args.m)
         image, trace = EXCHANGE_MAPS[args.name, args.direction](p, m)
         first, last = ("α", "β") if args.direction == "fwd" else ("β", "α")
-        lines = [(first, p), ("λ", trace.lambda_part), ("μ", trace.mu_part),
-                 ("τ", trace.tau_part), ("ν", trace.nu_part), (last, image)]
-    if args.format == "json":
-        _emit(_json({"map": args.name, "direction": args.direction,
-                     "stages": [{"label": lab, "parts": list(q.parts)}
-                                for lab, q in lines]}))
-    elif args.format == "csv":
-        _emit(_csv_out(["stage", "parts"],
-                       [[lab, " ".join(map(str, q.parts))] for lab, q in lines]))
-    else:
-        for lab, q in lines:
-            _emit("%s: %s" % (lab, q))
+        stages = [(first, p), ("λ", trace.lambda_part), ("μ", trace.mu_part),
+                  ("τ", trace.tau_part), ("ν", trace.nu_part), (last, image)]
+    _print(args, lambda: {"map": args.name, "direction": args.direction,
+                          "stages": [{"label": lab, "parts": list(q.parts)}
+                                     for lab, q in stages]},
+           ["stage", "parts"], lambda: ([lab, " ".join(map(str, q.parts))] for lab, q in stages),
+           lambda: ("%s: %s" % stage for stage in stages))
     return 0
 
 
@@ -148,35 +162,33 @@ def _required_bounds(args):
     return parse_bounds(args.bounds)
 
 
-# Builder of each ``series`` name, in the order ``--help`` lists them.
+# Each ``series`` name, in the order ``--help`` lists them: the flags its
+# builder reads besides -N and --format, and the builder.
 SERIES = {
-    "partition-gf": lambda args: partition_gf(args.N),
-    "pairing-gf": lambda args: pairing_gf(_int("-m", args.m), args.N),
-    "binary-gf": lambda args: binary_gf(_int("-m", args.m), args.N),
-    "boulet": lambda args: boulet_product(args.N),
-    "restricted-boulet": lambda args: restricted_boulet_product(
-        args.i, args.k, _required_bounds(args), args.N),
-    "rows": lambda args: row_totals_product(_required_bounds(args), args.N),
-    "halves": lambda args: half_cells_product(_required_bounds(args), args.N),
-    "enumerated": lambda args: enumerated_series(
-        args.N, WEIGHTS[args.weight], _bounds_arg(args), _filter_arg(args)),
+    "partition-gf": ((), lambda args: partition_gf(args.N)),
+    "pairing-gf": (("-m",), lambda args: pairing_gf(_int("-m", _given_or(args.m, "0")), args.N)),
+    "binary-gf": (("-m",), lambda args: binary_gf(_int("-m", _given_or(args.m, "0")), args.N)),
+    "boulet": ((), lambda args: boulet_product(args.N)),
+    "restricted-boulet": (("--i", "--k", "--bounds"), lambda args: restricted_boulet_product(
+        _given_or(args.i, 0), _given_or(args.k, 1), _required_bounds(args), args.N)),
+    "rows": (("--bounds",), lambda args: row_totals_product(_required_bounds(args), args.N)),
+    "halves": (("--bounds",), lambda args: half_cells_product(_required_bounds(args), args.N)),
+    "enumerated": (("--bounds", "--filter", "--weight"), lambda args: enumerated_series(
+        args.N, WEIGHTS[_given_or(args.weight, "abcd")], _bounds_arg(args), _filter_arg(args))),
 }
+SERIES_FLAGS = ("-m", "--i", "--k", "--bounds", "--filter", "--weight")
 
 
 def cmd_series(args) -> int:
-    series = SERIES[args.name](args)
-    items = series.items()
-    if args.format == "json":
-        _emit(_json({"vars": list(series.names), "trunc": series.trunc,
-                     "terms": [[list(e), c] for e, c in items]}))
-    elif args.format == "csv":
-        _emit(_csv_out(list(series.names) + ["coeff"],
-                       [list(e) + [c] for e, c in items]))
-    else:
-        for exps, coeff in items:
-            mono = "*".join("%s^%d" % (n, e)
-                            for n, e in zip(series.names, exps) if e) or "1"
-            _emit("%s\t%d" % (mono, coeff))
+    reads, build = SERIES[args.name]
+    _reject(args, args.name, [f for f in SERIES_FLAGS if f not in reads])
+    series = build(args)
+    names, items = list(series.names), series.items()
+    _print(args, lambda: {"vars": names, "trunc": series.trunc,
+                          "terms": [[list(e), c] for e, c in items]},
+           names + ["coeff"], lambda: (list(e) + [c] for e, c in items),
+           lambda: ("%s\t%d" % ("*".join("%s^%d" % (n, x) for n, x in zip(names, e) if x)
+                                 or "1", c) for e, c in items))
     return 0
 
 
@@ -222,17 +234,11 @@ def cmd_verify(args) -> int:
         if value is not None:
             given[keyword] = convert(flag, value) if convert else value
     reports = run_checks(runs_for(args.theorem, given), args.jobs)
-
-    if args.format == "json":
-        payload = [r.to_dict() for r in reports]
-        _emit(_json(payload[0] if len(payload) == 1 else payload))
-    elif args.format == "csv":
-        _emit(_csv_out(["theorem", "params", "status", "elapsed_ms"],
-                       [[r.theorem, _json(r.params), r.status, r.elapsed_ms]
-                        for r in reports]))
-    else:
-        for r in reports:
-            _emit(r.summary())
+    _print(args, lambda: (reports[0].to_dict() if len(reports) == 1
+                          else [r.to_dict() for r in reports]),
+           ["theorem", "params", "status", "elapsed_ms"],
+           lambda: ([r.theorem, _json(r.params), r.status, r.elapsed_ms] for r in reports),
+           lambda: (r.summary() for r in reports))
     return 0 if all(r.ok() for r in reports) else 1
 
 
@@ -243,23 +249,17 @@ def cmd_table(args) -> int:
     rows: dict[int, list[Partition]] = {}
     for p in bounded_partitions(args.n, _bounds_arg(args), _filter_arg(args)):
         rows.setdefault(stat(p), []).append(p)
-    ordered = {k: sorted(v) for k, v in sorted(rows.items())}
-    counts = {k: len(v) for k, v in ordered.items()}
+    # every format prints each partition in exponent form
+    forms = {k: [p.exponent_form() for p in sorted(v)] for k, v in sorted(rows.items())}
+    counts = {k: len(v) for k, v in forms.items()}
     total = sum(counts.values())
-    if args.format == "json":
-        _emit(_json({"n": args.n, "stat": args.stat,
-                     "rows": {str(k): [p.exponent_form() for p in v]
-                              for k, v in ordered.items()},
-                     "counts": {str(k): v for k, v in counts.items()},
-                     "total": total}))
-    elif args.format == "csv":
-        flat = [[k, p.exponent_form()] for k, v in ordered.items() for p in v]
-        _emit(_csv_out([args.stat, "partition"], flat))
-    else:
-        for k, v in ordered.items():
-            _emit("%d: %s" % (k, " ".join(p.exponent_form() for p in v)))
-        _emit("counts: {%s}" % ", ".join("%d: %d" % kv for kv in counts.items()))
-        _emit("total: %d" % total)
+    _print(args, lambda: {"n": args.n, "stat": args.stat, "total": total,
+                          "rows": {str(k): v for k, v in forms.items()},
+                          "counts": {str(k): v for k, v in counts.items()}},
+           [args.stat, "partition"], lambda: ([k, f] for k, v in forms.items() for f in v),
+           lambda: ["%d: %s" % (k, " ".join(v)) for k, v in forms.items()]
+           + ["counts: {%s}" % ", ".join("%d: %d" % kv for kv in counts.items()),
+              "total: %d" % total])
     return 0
 
 
@@ -297,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("sylvester", "pairing", "binary"))
     p.add_argument("direction", choices=("fwd", "inv"))
     p.add_argument("partition", help='e.g. "7,2,1" or "2^5,4^4" ("" for empty)')
-    p.add_argument("-m", default="inf", help="cap parameter (integer or inf)")
+    p.add_argument("-m", help="cap parameter (integer or inf)")
     _add_format(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("series", help="dump a truncated series")
     p.add_argument("name", choices=tuple(SERIES))
     p.add_argument("-N", type=int, default=12, help="truncation degree")
-    p.add_argument("-m", default="0")
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("-m")
+    p.add_argument("--i", type=int)
+    p.add_argument("--k", type=int)
     p.add_argument("--bounds")
     p.add_argument("--filter")
-    p.add_argument("--weight", choices=sorted(WEIGHTS), default="abcd")
+    p.add_argument("--weight", choices=sorted(WEIGHTS))
     _add_format(p)
     p.set_defaults(func=cmd_series)
 

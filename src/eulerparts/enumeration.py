@@ -44,7 +44,9 @@ class BoundSequence:
     """Per-size multiplicity caps: part ``i`` may appear at most ``bound(i)`` times.
 
     Caps are inclusive; 0 forbids the size entirely and ``UNBOUNDED`` lifts
-    the cap.  ``spec`` is the canonical DSL text, kept for reports.
+    the cap.  ``spec``, kept for reports, is the DSL text when
+    :func:`parse_bounds` built the caps, and otherwise the name given by
+    whoever built them.
     """
 
     __slots__ = ("_fn", "spec")

@@ -193,7 +193,9 @@ def test_map_partition_text_fuzz(name, direction, m, text):
     # "--" keeps a leading "-" in the text from reading as an option
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["map", name, direction, "-m", m, "--", text])
+        # sylvester reads no -m
+        cap = [] if name == "sylvester" else ["-m", m]
+        code = main(["map", name, direction, *cap, "--", text])
     assert code in (0, 2)
     if code == 2:
         lines = err.getvalue().split("\n")
@@ -236,6 +238,41 @@ def test_series_restricted_needs_bounds(capsys):
 def test_series_rejects_non_integer_m(capsys, name):
     code, out, err = run(capsys, "series", name, "-m", "x")
     assert (code, out, err) == (2, "", "error: -m: 'x' is not an integer\n")
+
+
+# A value of each flag a series builder or map may read, and the values with
+# which each series name reads all of its flags.
+FLAG_VALUE = {"-m": "1", "--i": "0", "--k": "1", "--bounds": "all:3",
+              "--filter": "mod:2,res:1", "--weight": "la"}
+READ_VALUES = {"restricted-boulet": {"--i": "1", "--k": "2", "--bounds": "3:1,5:3"},
+               "halves": {"--bounds": "even:1"}}
+
+
+@pytest.mark.parametrize("name, flag", [(name, flag) for name, (reads, _) in SERIES.items()
+                                        for flag in FLAG_VALUE if flag not in reads])
+def test_series_rejects_a_flag_its_builder_does_not_read(capsys, name, flag):
+    code, out, err = run(capsys, "series", name, "-N", "4", flag, FLAG_VALUE[flag])
+    assert (code, out, err) == (2, "", "error: flags [%r] do not apply to %r\n" % (flag, name))
+
+
+@pytest.mark.parametrize("name", tuple(SERIES))
+def test_series_accepts_every_flag_its_builder_reads(capsys, name):
+    given = {**{f: FLAG_VALUE[f] for f in SERIES[name][0]}, **READ_VALUES.get(name, {})}
+    argv = [x for flag, value in given.items() for x in (flag, value)]
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run(capsys, "series", name, "-N", "6", *argv, "--format", fmt)
+        assert (code, err) == (0, "") and out
+
+
+def test_stray_flags_name_every_one(capsys):
+    code, out, err = run(capsys, "series", "boulet", "--bounds", "all:0", "-m", "2", "-N", "2")
+    assert (code, out, err) == (2, "", "error: flags ['--bounds', '-m'] do not apply to 'boulet'\n")
+
+
+@pytest.mark.parametrize("direction, text", (("fwd", "3,1"), ("inv", "7,2,1")))
+def test_map_sylvester_rejects_m(capsys, direction, text):
+    code, out, err = run(capsys, "map", "sylvester", direction, text, "-m", "2")
+    assert (code, out, err) == (2, "", "error: flags ['-m'] do not apply to 'sylvester'\n")
 
 
 # -- verify -----------------------------------------------------------------------
@@ -543,6 +580,12 @@ def command_lines(draw):
         keywords = REGISTRY[args[0]].flags
         options = {f: v for f, v in options.items()
                    if f in ("--jobs", "--format") or KEYWORD[f] in keywords}
+    if command == "series" and args[0] in SERIES:
+        # the flags the builder reads; a flag it does not read is tested above
+        options = {f: v for f, v in options.items()
+                   if f in ("-N", "--format") + SERIES[args[0]][0]}
+    if command == "map" and args[0] == "sylvester":
+        options = {f: v for f, v in options.items() if f != "-m"}
     flags = draw(st.lists(st.sampled_from(tuple(options)), unique=True))
     if command == "verify":
         # a run without its size flag takes the default grid, which is long

@@ -1,6 +1,8 @@
 """Byte-identity of CLI output: sha256 digests of stdout, stderr and the exit
-code of fixed invocations, recorded before the two-parameter weights and
-products were derived from the four-parameter ones by substitution.
+code of fixed invocations.  The ``series`` and ``verify`` digests were
+recorded before the two-parameter weights and products were derived from the
+four-parameter ones by substitution, and the ``OTHERS`` digests before every
+subcommand printed through one function.
 
 Wall times are blanked before hashing.  After an intended output change,
 print fresh digests with ``PYTHONPATH=src python tests/test_golden.py`` and
@@ -48,6 +50,30 @@ CASES += [
 ]
 CASES += [("verify", "all", "--max-n", "8", "--trunc", "8", "--cutoff", "9", "--format", fmt)
           for fmt in FORMATS]
+
+# The other subcommands, with their empty and degenerate inputs.
+OTHERS = (
+    ("enumerate", "6", "--bounds", "all:2"),
+    ("enumerate", "9", "--filter", "mod:2,res:1,even-length"),
+    ("enumerate", "0"),
+    ("enumerate", "4", "--bounds", "all:0"),  # an empty family
+    ("enumerate", "12", "--bounds", "odd:1", "--count"),
+    ("stats", "9", "--stat", "la", "--bounds", "all:3"),
+    ("stats", "8", "--stat", "lo", "--filter", "mod:2,res:1"),
+    ("stats", "0", "--stat", "lo"),
+    ("table", "7", "--stat", "lo", "--bounds", "even:1"),
+    ("table", "8", "--stat", "la", "--filter", "mod:3,res:1,first-once"),
+    ("table", "0", "--stat", "la"),
+    ("map", "sylvester", "fwd", "3,3,1,1,1,1"),
+    ("map", "sylvester", "inv", "7,2,1"),
+    ("map", "pairing", "fwd", "7,7,7,4,4,4,4,2,2,2,2,2,1", "-m", "2"),
+    ("map", "pairing", "inv", "14,8,8,4,4,3,3,1,1,1,1", "-m", "2"),
+    ("map", "pairing", "fwd", "3,3,2,1"),
+    ("map", "binary", "fwd", "2^5,4^4", "-m", "2"),
+    ("map", "binary", "inv", "4^4,2^4,1^2", "-m", "2"),
+    ("map", "binary", "fwd", ""),
+)
+CASES += [case + ("--format", fmt) for case in OTHERS for fmt in FORMATS]
 
 ELAPSED = (
     (re.compile(r'"elapsed_ms": \d+(, )?'), ""),         # json
@@ -181,6 +207,120 @@ DIGESTS = {
         '116473b6a92967b34bc48621d91f8610f61ab68535d4d8ae5932942dc6b99035',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format json':
         '22e1558ccb56aa9fb9644700dab02f9f15b5d5c8b44e152665fa13d459db4cd8',
+    'enumerate 6 --bounds all:2 --format text':
+        '8ddf26146c60e51f8e4d1dbbfa9e9a956918551f217a5f5c6e84a9ee272f3b3e',
+    'enumerate 6 --bounds all:2 --format csv':
+        'd7b39c40e8c37294741cedafce4079f95d5a747c77157e820200b4148d80344f',
+    'enumerate 6 --bounds all:2 --format json':
+        '6feb788e19b914eba259da69d188fce9d7dafea9630896108c43e56d1ba82d80',
+    'enumerate 9 --filter mod:2,res:1,even-length --format text':
+        'afe4fed5ec02b824628fa3273fffb3c581f3cffd6db8209b0215bb1f29770b3b',
+    'enumerate 9 --filter mod:2,res:1,even-length --format csv':
+        'f756ec45c7ff9d222efb2e4bed815fd68b4d343f1dc187321eb86d2931f160f2',
+    'enumerate 9 --filter mod:2,res:1,even-length --format json':
+        '3de2ced265be7a60257529458e63dbc0110a47cbb3f6e97d5c864aa43a8613cc',
+    'enumerate 0 --format text':
+        'c0db741729b543578e4a32d76f3c1670bcb72416157da0b0d5dbfee120a81af9',
+    'enumerate 0 --format csv':
+        '556144ee02919a4c0c173b87900af8ec820d71e1ec3c2b40f5ca6b32f61727b8',
+    'enumerate 0 --format json':
+        '2a763a06dd69a8957ecf8f57b3d8d725581e44dfa522b6e95316b2f00dce71e4',
+    'enumerate 4 --bounds all:0 --format text':
+        'afe4fed5ec02b824628fa3273fffb3c581f3cffd6db8209b0215bb1f29770b3b',
+    'enumerate 4 --bounds all:0 --format csv':
+        'f756ec45c7ff9d222efb2e4bed815fd68b4d343f1dc187321eb86d2931f160f2',
+    'enumerate 4 --bounds all:0 --format json':
+        '3de2ced265be7a60257529458e63dbc0110a47cbb3f6e97d5c864aa43a8613cc',
+    'enumerate 12 --bounds odd:1 --count --format text':
+        '3802a08a152207b25bf84599c7ef6b0d8b1fdee137972a486c3dd09c4f1fa090',
+    'enumerate 12 --bounds odd:1 --count --format csv':
+        '3802a08a152207b25bf84599c7ef6b0d8b1fdee137972a486c3dd09c4f1fa090',
+    'enumerate 12 --bounds odd:1 --count --format json':
+        '3802a08a152207b25bf84599c7ef6b0d8b1fdee137972a486c3dd09c4f1fa090',
+    'stats 9 --stat la --bounds all:3 --format text':
+        '139845e08f22ba3cdd11c90db25956ce8b77e3d0828d15ff1d7ea22c1704c6a5',
+    'stats 9 --stat la --bounds all:3 --format csv':
+        '91d437530435e67472e77d42cedf5227376caac28a47677473b65c2f08ba639a',
+    'stats 9 --stat la --bounds all:3 --format json':
+        '8ad286d579aea023fb7a1dd52f7c73d4a9b336c1b8a9764a8e6770dc597cc401',
+    'stats 8 --stat lo --filter mod:2,res:1 --format text':
+        'cbd1f01ec3350c9e443102e0edcde8844a35b9840a40df7c42cf43e27ac4d4aa',
+    'stats 8 --stat lo --filter mod:2,res:1 --format csv':
+        '56aab2882b5fc0293c9fce470753d9be8594f2f19da17aa5f8389967a5dd78dd',
+    'stats 8 --stat lo --filter mod:2,res:1 --format json':
+        '8bab2cd8ee817ec7c38b4e48b95a5414190fd831eb6f07031402190b6a49bb0e',
+    'stats 0 --stat lo --format text':
+        'd6831ba8f6efba622440dc8f92ed9fb5bc221b87e173fdf8652697c60e05ca29',
+    'stats 0 --stat lo --format csv':
+        '1e2b90386605ea8d6d0d8e6f3127f8ccc09527cf0811aae27969a30eb309591d',
+    'stats 0 --stat lo --format json':
+        '8f33f042fa1293e4dfd640ee101da120e1306d0c7c64a82cf601c5b9a49cf2d8',
+    'table 7 --stat lo --bounds even:1 --format text':
+        'bc1793a6b38d202ebf38d9625e7bb635170884ad40b6e9f9302c235119fd52c6',
+    'table 7 --stat lo --bounds even:1 --format csv':
+        'fdb87ce664f96d454ab2b52053596e1a241f0feebe39c5c4cae742d3815409fd',
+    'table 7 --stat lo --bounds even:1 --format json':
+        'db4cb7b601ea8379660d2227ae0af0f1eb97610c2d8a686fa38cea51e97a8836',
+    'table 8 --stat la --filter mod:3,res:1,first-once --format text':
+        '9ca8038a7ff9542690579bc04b92ebe0cd696e4b4f65eeb5735ef25f4f6b41d0',
+    'table 8 --stat la --filter mod:3,res:1,first-once --format csv':
+        '4be8d7fcd6325cfa6f5ced5e5dae51fb71410ea9683801e99be7fb5525096071',
+    'table 8 --stat la --filter mod:3,res:1,first-once --format json':
+        'faa31d4d1a984fa8793e4d1acc47d21ddd2fc1493c50e6548d47a74cdd2b794f',
+    'table 0 --stat la --format text':
+        'c94e54dd99cc30345b8b21de730da57d14a9ec684c6e25261af8c0b26c6876e6',
+    'table 0 --stat la --format csv':
+        '4fa21850eb026fc81631d4a16552974aa60ab4303e3e1fd2ac4b5aba90a52cfa',
+    'table 0 --stat la --format json':
+        'f54e3338a593b0a7b6600aa7cd370018c56e1335406aa419fe32769db69febb1',
+    'map sylvester fwd 3,3,1,1,1,1 --format text':
+        '431194638b418046939561e67900be5537851fb819f4a4d17fa76b59beedd23e',
+    'map sylvester fwd 3,3,1,1,1,1 --format csv':
+        '907d12708acae31d13f18063be5f74524331d52f2914e679ae661d8eaa7074f9',
+    'map sylvester fwd 3,3,1,1,1,1 --format json':
+        '3db27cf02f69ffb91a8c45f263bfaf1a4eb006d823aac5e81945cde50202e9c5',
+    'map sylvester inv 7,2,1 --format text':
+        'f69b10651cf9bf8a3f43ee407e459f0e40ea020d9b9a2dbccdb244a0ad548c97',
+    'map sylvester inv 7,2,1 --format csv':
+        'df5303040924128e1399965b795b396a087fc6f0d0f5bbe50591900ecafdfe87',
+    'map sylvester inv 7,2,1 --format json':
+        'abef313d26d1cc8a59660cd74e8bea4048f3a5c5feffd079a8aaa8645d221847',
+    'map pairing fwd 7,7,7,4,4,4,4,2,2,2,2,2,1 -m 2 --format text':
+        'ac461ecbece951c3fb5332496f53411172bfb1a1b8a56d031fc52867c0a4b23c',
+    'map pairing fwd 7,7,7,4,4,4,4,2,2,2,2,2,1 -m 2 --format csv':
+        '60b28b395d99d0c2c9239168a1ff8aef7eeb3d32240e945fd529b43426326afe',
+    'map pairing fwd 7,7,7,4,4,4,4,2,2,2,2,2,1 -m 2 --format json':
+        '5b366580052256f6e370236fd118788b0a108466c75ba4c81dd561a0abbb46b6',
+    'map pairing inv 14,8,8,4,4,3,3,1,1,1,1 -m 2 --format text':
+        '66b15855d386b4f7ea5db893e16e6e2565d652306905fb2f449b26c6f7152080',
+    'map pairing inv 14,8,8,4,4,3,3,1,1,1,1 -m 2 --format csv':
+        '6606bf5e42b678c45a90f6177a9a00cfebfd57851b43f7a5b5af1547890f2349',
+    'map pairing inv 14,8,8,4,4,3,3,1,1,1,1 -m 2 --format json':
+        '36cfb73236c9b8ac084dc32c8bf321f807d855c50b402a5d75f98ae27ce90971',
+    'map pairing fwd 3,3,2,1 --format text':
+        '671e1706805f6c4a2aca7389173099f61fa4101654e43ac31011535ee8a58d89',
+    'map pairing fwd 3,3,2,1 --format csv':
+        'f6df5dcfedf45122c8bf4aaacfb65e738c5c1c318e0976b5fe2a099db1374578',
+    'map pairing fwd 3,3,2,1 --format json':
+        '2730f550b72369ff32acfd5db43fb05f56c1b77adcbc2d56eabcf323deb8a41f',
+    'map binary fwd 2^5,4^4 -m 2 --format text':
+        'fd443161c9fa1218c58f486f089599147058542ec5a09af022ba68072ef23bac',
+    'map binary fwd 2^5,4^4 -m 2 --format csv':
+        '5146742257468397a889078ec56c3c9c3ea00fd60d55a50afedd29025a6dff3c',
+    'map binary fwd 2^5,4^4 -m 2 --format json':
+        '0f420bf70bff86fc18ab80663fe422ab873a60e02f5c5345232c3906960c4b97',
+    'map binary inv 4^4,2^4,1^2 -m 2 --format text':
+        'bb04999abcc2dcba0698e74bfc75ed1b0c91080cc228be744d408f1bda2fbcc1',
+    'map binary inv 4^4,2^4,1^2 -m 2 --format csv':
+        '918c364fd6c789dd090050152474ee57e9aeca89fa3af07ab9d773546c9d5b49',
+    'map binary inv 4^4,2^4,1^2 -m 2 --format json':
+        '78333bf546f0c95e3ab93da4a7cda214586279fd9aec026d9302726e787aad7c',
+    'map binary fwd  --format text':
+        'b3899170efd068602392e6f18b0288cee87fe31be0f405a7c3adef8e4c98b2a7',
+    'map binary fwd  --format csv':
+        'f6834040c8c1270d138ebe4d01c06cb6e53ff0ec17a24badd7a0ebae6d3471ec',
+    'map binary fwd  --format json':
+        '7e60435eff49b39e076c1e92d6c1682e779321e8c2a56977b14ef2d178b0b744',
 }
 
 

@@ -174,6 +174,26 @@ def test_restricted_product_mismatch_is_fully_reported(i, k, bounds, monomial):
     assert any("excluded" in note and "0 vs 1" in note for note in report.notes)
 
 
+def test_refined_source_caps_are_bound_dsl(monkeypatch):
+    # the source caps' spec parses back to the same caps; the target caps
+    # have no DSL text, and their name does not parse as DSL
+    from eulerparts import verify
+    seen = []
+    engine = verify._verify_exchange
+    monkeypatch.setattr(verify, "_verify_exchange",
+                        lambda report, mapper, inverse, runs, *rest:
+                        seen.extend(runs) or engine(report, mapper, inverse, runs, *rest))
+    assert verify_pairing_refined(max_n=3, phi_specs=("1", "i", " 2 * i + 1 ")).ok()
+    assert [context["phi"] for context, _, _ in seen] == ["1", "i", " 2 * i + 1 "]
+    for _, src, dst in seen:
+        again = parse_bounds(src.spec)
+        assert again.spec == src.spec
+        assert [again.bound(s) for s in range(1, 25)] == [src.bound(s) for s in range(1, 25)]
+        with pytest.raises(ValueError):
+            parse_bounds(dst.spec)
+    assert [src.spec for _, src, _ in seen] == ["phi:2*(1)+1", "phi:2*(i)+1", "phi:2*(2*i+1)+1"]
+
+
 def test_refined_pairing_reports_skipped_inputs():
     report = verify_pairing_refined(max_n=10, phi_specs=("1",))
     assert report.ok()
@@ -248,6 +268,18 @@ def test_exchange_reports_the_first_failure_in_run_order(broken_inverse, ms, m, 
 def test_refined_check_inverts_every_image(broken_inverse):
     report = verify_pairing_refined(max_n=8, phi_specs=("1", "i"))
     assert report.counterexample == {"phi": "1", "n": 4, "input": "2,2", "image": "4",
+                                     "detail": "inverse round trip failed"}
+
+
+def test_exchange_catches_a_map_that_misses_the_target(monkeypatch):
+    # every input of weight n goes to 1^n, inside the target family, so the
+    # images miss the rest of it; the round trip fails, with no check that
+    # the images exhaust the target
+    from eulerparts import verify
+    from eulerparts.partition import Partition
+    monkeypatch.setattr(verify, "pairing_map", lambda a: (Partition([1] * a.weight()), None))
+    report = verify_pairing(max_n=6, ms=(0, 1))
+    assert report.counterexample == {"m": 0, "n": 3, "input": "2,1", "image": "1,1,1",
                                      "detail": "inverse round trip failed"}
 
 
