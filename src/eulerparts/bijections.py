@@ -19,12 +19,26 @@ From these, two correspondences between multiplicity-bounded families:
 * ``binary_map`` does the same statistic exchange on partitions whose even
   parts appear at most ``2m+1`` times, preserving that family.
 
-Every stage reads its input's parts tuple, which is already descending, and
-finds multiplicities as runs of equal neighbours.  Each stage, the two
-fishhooks included, runs in time linear in the number of parts it reads and
-writes, and sorts only when its output can come out of order:
+Every stage has one body, a private function of the same name with a
+leading underscore, that runs on a descending parts tuple and finds
+multiplicities as runs of equal neighbours; the public functions above wrap
+those bodies in :class:`~eulerparts.partition.Partition` values.  Each stage,
+the two fishhooks included, runs in time linear in the number of parts it
+reads and writes, and sorts only when its output can come out of order:
 ``merge_distinct_even``, ``binary_expand``, ``binary_contract`` and the join
-of the two halves.
+of the two halves.  :func:`_forward` and :func:`_backward` compose the
+stages of the two composite maps on tuples, taking the fishhook and the even
+half's stage as arguments.
+
+That lets a caller memoise the stages, as the exchange checks in
+``verify`` do for the life of one check, and stay exact:
+
+* each stage is a pure function of its input tuple, so a stored image is
+  the image it would compute again;
+* an input on which a stage raises is never stored, so the stage raises
+  for every partition whose split meets that input;
+* the split, the join and the composite's own checks (the weight and
+  l_a = l_o) are not stages: they run for every partition.
 
 The families the maps trade between, with their caps as functions of m,
 are :class:`~eulerparts.enumeration.CapFamily` values imported from
@@ -37,7 +51,7 @@ from typing import NamedTuple
 
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, CapFamily)
-from .partition import Partition
+from .partition import Partition, alt_sum, multiplicities, odd_count
 
 
 class DomainError(ValueError):
@@ -93,18 +107,42 @@ def _evenly_paired(parts: tuple[int, ...]) -> bool:
     return parts[::2] == parts[1::2]
 
 
-def _first_odd_multiplicity(p: Partition) -> tuple[int, int]:
+def _first_odd_multiplicity(parts: tuple[int, ...]) -> tuple[int, int]:
     """The largest part of odd multiplicity and that multiplicity."""
-    return next((size, mult) for size, mult in p.multiplicities().items() if mult % 2 == 1)
+    return next((size, mult) for size, mult in multiplicities(parts).items() if mult % 2 == 1)
 
 
-def _descending(parts: list[int]) -> Partition:
-    """A partition of ``parts``, which are positive but in any order."""
+def _descending(parts: list[int]) -> tuple[int, ...]:
+    """``parts``, which are positive but in any order, as a parts tuple."""
     parts.sort(reverse=True)
-    return Partition._raw(tuple(parts))
+    return tuple(parts)
+
+
+def _all_even(parts: tuple[int, ...]):
+    """Raise unless every part is even."""
+    for p in parts:
+        if p % 2 == 1:
+            raise DomainError("part %d is odd; all parts must be even" % p)
 
 
 # -- splitting off the odd multiplicities ---------------------------------
+
+def _split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The body of :func:`split_distinct_even`, on parts tuples."""
+    lam, mu = _split_runs(alpha)
+    return tuple(lam), tuple(mu)
+
+
+def _merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`merge_distinct_even`, on parts tuples."""
+    for prev, p in zip(lam, lam[1:]):
+        if p == prev:
+            raise DomainError("part %d repeats in the distinct half" % p)
+    if not _evenly_paired(mu):
+        raise DomainError("part %d has odd multiplicity %d in the even half"
+                          % _first_odd_multiplicity(mu))
+    return _descending(list(lam + mu))
+
 
 def split_distinct_even(alpha: Partition) -> tuple[Partition, Partition]:
     """Peel one copy of every odd-multiplicity part.
@@ -113,36 +151,19 @@ def split_distinct_even(alpha: Partition) -> tuple[Partition, Partition]:
     each (so it is distinct), and ``mu`` keeps everything else, so each of
     its multiplicities is even.
     """
-    lam, mu = _split_runs(alpha.parts)
-    return Partition._raw(tuple(lam)), Partition._raw(tuple(mu))
+    lam, mu = _split_distinct_even(alpha.parts)
+    return Partition._raw(lam), Partition._raw(mu)
 
 
 def merge_distinct_even(lam: Partition, mu: Partition) -> Partition:
     """Inverse of :func:`split_distinct_even`; validates both halves."""
-    parts = lam.parts
-    for prev, p in zip(parts, parts[1:]):
-        if p == prev:
-            raise DomainError("part %d repeats in the distinct half" % p)
-    if not _evenly_paired(mu.parts):
-        raise DomainError("part %d has odd multiplicity %d in the even half"
-                          % _first_odd_multiplicity(mu))
-    return _descending(list(parts + mu.parts))
+    return Partition._raw(_merge_distinct_even(lam.parts, mu.parts))
 
 
 # -- Sylvester's fishhook bijection ---------------------------------------
 
-def sylvester_odd_to_distinct(tau: Partition) -> Partition:
-    """Map a partition with all parts odd to one with all parts distinct.
-
-    Rows are written as centred hooks of half-width ``b_k = (tau_k - 1) / 2``.
-    The k-th pair of output parts comes from the k-th fishhook: with
-    ``l_k`` counting the rows from the k-th down that still reach width
-    ``2k - 1`` and ``d_k = max(b_k - k + 1, 0)`` the protruding arm, the
-    parts are ``d_k + l_k`` and ``d_k + l_{k+1}``.  The rows that reach a
-    width are a prefix, shorter for each wider width, so one pointer walks
-    down the rows once for all k.
-    """
-    parts = tau.parts
+def _sylvester_odd_to_distinct(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`sylvester_odd_to_distinct`, on parts tuples."""
     for p in parts:
         if p % 2 == 0:
             raise DomainError("part %d is even; all parts must be odd" % p)
@@ -168,22 +189,11 @@ def sylvester_odd_to_distinct(tau: Partition) -> Partition:
         k += 1
 
     _ensure(sum(out) == sum(parts), "weight preserved")
-    return Partition._raw(tuple(out))
+    return tuple(out)
 
 
-def sylvester_distinct_to_odd(lam: Partition) -> Partition:
-    """Inverse fishhook map: distinct parts back to odd parts.
-
-    Reading the input in consecutive pairs recovers the arm lengths
-    ``d_k = sum_{j>=k} (lam_{2j} - lam_{2j+1})`` and leg counts
-    ``l_k = sum_{j>=k} (lam_{2j-1} - lam_{2j})``.  Rows with a protruding
-    arm have half-width ``d_k + k - 1``; the remaining half-widths are read
-    off column-wise, column ``j`` reaching down ``l_{j+1} + j`` rows.  One
-    walk over the pairs, from the last one up, builds both sums and meets
-    the columns shortest first, so the half-widths of the rows they reach
-    fill in as one run of rows per column.
-    """
-    parts = lam.parts
+def _sylvester_distinct_to_odd(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`sylvester_distinct_to_odd`, on parts tuples."""
     if len(set(parts)) != len(parts):
         raise DomainError("parts must be distinct")
     padded = parts + (0, 0, 0)
@@ -203,43 +213,60 @@ def sylvester_distinct_to_odd(lam: Partition) -> Partition:
     out = hooked + [2 * b + 1 for b in columns[len(hooked):]]
 
     _ensure(sum(out) == sum(parts), "weight preserved")
-    return Partition._raw(tuple(out))
+    return tuple(out)
+
+
+def sylvester_odd_to_distinct(tau: Partition) -> Partition:
+    """Map a partition with all parts odd to one with all parts distinct.
+
+    Rows are written as centred hooks of half-width ``b_k = (tau_k - 1) / 2``.
+    The k-th pair of output parts comes from the k-th fishhook: with
+    ``l_k`` counting the rows from the k-th down that still reach width
+    ``2k - 1`` and ``d_k = max(b_k - k + 1, 0)`` the protruding arm, the
+    parts are ``d_k + l_k`` and ``d_k + l_{k+1}``.  The rows that reach a
+    width are a prefix, shorter for each wider width, so one pointer walks
+    down the rows once for all k.
+    """
+    return Partition._raw(_sylvester_odd_to_distinct(tau.parts))
+
+
+def sylvester_distinct_to_odd(lam: Partition) -> Partition:
+    """Inverse fishhook map: distinct parts back to odd parts.
+
+    Reading the input in consecutive pairs recovers the arm lengths
+    ``d_k = sum_{j>=k} (lam_{2j} - lam_{2j+1})`` and leg counts
+    ``l_k = sum_{j>=k} (lam_{2j-1} - lam_{2j})``.  Rows with a protruding
+    arm have half-width ``d_k + k - 1``; the remaining half-widths are read
+    off column-wise, column ``j`` reaching down ``l_{j+1} + j`` rows.  One
+    walk over the pairs, from the last one up, builds both sums and meets
+    the columns shortest first, so the half-widths of the rows they reach
+    fill in as one run of rows per column.
+    """
+    return Partition._raw(_sylvester_distinct_to_odd(lam.parts))
 
 
 # -- doubling and binary steps --------------------------------------------
 
-def merge_pairs(mu: Partition) -> Partition:
-    """Replace every two copies of ``t`` by one ``2t``.
-
-    Requires all multiplicities even; the image has only even parts.
-    """
-    if not _evenly_paired(mu.parts):
+def _merge_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`merge_pairs`, on parts tuples."""
+    if not _evenly_paired(mu):
         raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
-    return Partition._raw(tuple([2 * p for p in mu.parts[::2]]))
+    return tuple([2 * p for p in mu[::2]])
 
 
-def split_pairs(nu: Partition) -> Partition:
-    """Inverse of :func:`merge_pairs`: each ``2t`` becomes two copies of ``t``."""
-    parts = nu.parts
-    for p in parts:
-        if p % 2 == 1:
-            raise DomainError("part %d is odd; all parts must be even" % p)
-    return Partition._raw(tuple([p // 2 for p in parts for _ in (0, 1)]))
+def _split_pairs(nu: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`split_pairs`, on parts tuples."""
+    _all_even(nu)
+    return tuple([p // 2 for p in nu for _ in (0, 1)])
 
 
-def binary_expand(mu: Partition) -> Partition:
-    """Trade each odd part's (even) multiplicity for distinct even parts.
-
-    An odd part ``t`` appearing ``m = sum_j a_j 2^j`` times (``a_j`` binary
-    digits, ``j >= 1``) becomes one part ``2^j t`` for each digit ``a_j = 1``;
-    even parts pass through unchanged.  Requires all multiplicities even.
-    """
-    parts = mu.parts
-    if not _evenly_paired(parts):
+def _binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`binary_expand`, on parts tuples."""
+    if not _evenly_paired(mu):
         raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
     out = []
     prev = half = 0  # a part of mu, and half its multiplicity so far
-    for size in parts[::2] + (0,):
+    for size in mu[::2] + (0,):
         if size == prev:
             half += 1
             continue
@@ -256,6 +283,39 @@ def binary_expand(mu: Partition) -> Partition:
     return _descending(out)
 
 
+def _binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
+    """The body of :func:`binary_contract`, on parts tuples."""
+    _all_even(nu)
+    singles, out = _split_runs(nu)
+    for v in singles:
+        low = v & -v
+        out += [v // low] * low
+    return _descending(out)
+
+
+def merge_pairs(mu: Partition) -> Partition:
+    """Replace every two copies of ``t`` by one ``2t``.
+
+    Requires all multiplicities even; the image has only even parts.
+    """
+    return Partition._raw(_merge_pairs(mu.parts))
+
+
+def split_pairs(nu: Partition) -> Partition:
+    """Inverse of :func:`merge_pairs`: each ``2t`` becomes two copies of ``t``."""
+    return Partition._raw(_split_pairs(nu.parts))
+
+
+def binary_expand(mu: Partition) -> Partition:
+    """Trade each odd part's (even) multiplicity for distinct even parts.
+
+    An odd part ``t`` appearing ``m = sum_j a_j 2^j`` times (``a_j`` binary
+    digits, ``j >= 1``) becomes one part ``2^j t`` for each digit ``a_j = 1``;
+    even parts pass through unchanged.  Requires all multiplicities even.
+    """
+    return Partition._raw(_binary_expand(mu.parts))
+
+
 def binary_contract(nu: Partition) -> Partition:
     """Inverse of :func:`binary_expand`.
 
@@ -263,14 +323,7 @@ def binary_contract(nu: Partition) -> Partition:
     copy of ``v`` dissolves into ``2^j`` copies of ``t``; even multiplicities
     stay as they are.  Requires all parts even.
     """
-    for p in nu.parts:
-        if p % 2 == 1:
-            raise DomainError("part %d is odd; all parts must be even" % p)
-    singles, out = _split_runs(nu.parts)
-    for v in singles:
-        low = v & -v
-        out += [v // low] * low
-    return _descending(out)
+    return Partition._raw(_binary_contract(nu.parts))
 
 
 # -- the two bound-trading maps -------------------------------------------
@@ -281,37 +334,45 @@ def _check_cap(p: Partition, m, family: CapFamily):
     if m is UNBOUNDED:
         return
     bounds = family.bounds(m)
-    for size, mult in p.multiplicities().items():
+    for size, mult in multiplicities(p.parts).items():
         b = bounds.bound(size)
         if b is not UNBOUNDED and mult > b:
             raise DomainError("part %d appears %d times, above the cap of %d (%s)"
                               % (size, mult, b, family.what))
 
 
-def _forward(alpha: Partition, m, family, encode) -> tuple[Partition, BijectionTrace]:
-    """Split ``alpha`` by multiplicity parity, send the distinct half through
-    the fishhook and the even half through ``encode``, and join the images."""
-    _check_cap(alpha, m, family)
-    lam, mu = split_distinct_even(alpha)
-    tau = sylvester_distinct_to_odd(lam)
+def _forward(alpha: tuple[int, ...], fishhook, encode) -> tuple[tuple[int, ...], ...]:
+    """The stages ``(lam, mu, tau, nu, beta)`` of a composite map on the
+    parts tuple ``alpha``: split it by multiplicity parity, send the distinct
+    half through ``fishhook`` and the even half through ``encode``, and join
+    the images.  The weight and l_a = l_o are checked here on every call,
+    whatever the two stages are."""
+    lam, mu = _split_distinct_even(alpha)
+    tau = fishhook(lam)
     nu = encode(mu)
-    beta = _descending(list(tau.parts + nu.parts))
-    _ensure(beta.weight() == alpha.weight(), "weight preserved")
-    _ensure(alpha.alt_sum() == beta.odd_count(), "l_a of the input = l_o of the image")
-    return beta, BijectionTrace(alpha, lam, mu, tau, nu, beta)
+    beta = _descending(list(tau + nu))
+    _ensure(sum(beta) == sum(alpha), "weight preserved")
+    _ensure(alt_sum(alpha) == odd_count(beta), "l_a of the input = l_o of the image")
+    return lam, mu, tau, nu, beta
 
 
-def _backward(beta: Partition, m, family, decode) -> tuple[Partition, BijectionTrace]:
-    """Inverse of :func:`_forward`: odd parts go back through the fishhook,
-    even parts through ``decode``."""
-    _check_cap(beta, m, family)
-    tau = Partition._raw(tuple([p for p in beta.parts if p % 2 == 1]))
-    nu = Partition._raw(tuple([p for p in beta.parts if p % 2 == 0]))
-    lam = sylvester_odd_to_distinct(tau)
+def _backward(beta: tuple[int, ...], fishhook, decode) -> tuple[tuple[int, ...], ...]:
+    """Inverse of :func:`_forward`, with the stages in the same order
+    ``(lam, mu, tau, nu, alpha)``: odd parts go back through ``fishhook``,
+    even parts through ``decode``, and the halves are joined."""
+    tau = tuple([p for p in beta if p % 2 == 1])
+    nu = tuple([p for p in beta if p % 2 == 0])
+    lam = fishhook(tau)
     mu = decode(nu)
-    alpha = merge_distinct_even(lam, mu)
-    _ensure(alpha.weight() == beta.weight(), "weight preserved")
-    return alpha, BijectionTrace(beta, lam, mu, tau, nu, alpha)
+    alpha = _merge_distinct_even(lam, mu)
+    _ensure(sum(alpha) == sum(beta), "weight preserved")
+    return lam, mu, tau, nu, alpha
+
+
+def _traced(source: Partition, stages) -> tuple[Partition, BijectionTrace]:
+    """The image and the trace of a composite map from its stage tuples."""
+    lam, mu, tau, nu, image = map(Partition._raw, stages)
+    return image, BijectionTrace(source, lam, mu, tau, nu, image)
 
 
 def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
@@ -322,12 +383,14 @@ def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrac
     image, and the weight is preserved.  With ``m = UNBOUNDED`` no caps are
     checked and the map is the general multiplicity-parity correspondence.
     """
-    return _forward(alpha, m, PAIRING_SOURCE, merge_pairs)
+    _check_cap(alpha, m, PAIRING_SOURCE)
+    return _traced(alpha, _forward(alpha.parts, _sylvester_distinct_to_odd, _merge_pairs))
 
 
 def pairing_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`pairing_map`, with the intermediate stages."""
-    return _backward(beta, m, PAIRING_TARGET, split_pairs)
+    _check_cap(beta, m, PAIRING_TARGET)
+    return _traced(beta, _backward(beta.parts, _sylvester_odd_to_distinct, _split_pairs))
 
 
 def pairing_inverse(beta: Partition, m=UNBOUNDED) -> Partition:
@@ -341,12 +404,14 @@ def binary_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace
     through :func:`binary_expand`, so the image again has its even parts
     capped at ``2m+1``.  Alternating sum maps to odd-part count.
     """
-    return _forward(alpha, m, BINARY_FAMILY, binary_expand)
+    _check_cap(alpha, m, BINARY_FAMILY)
+    return _traced(alpha, _forward(alpha.parts, _sylvester_distinct_to_odd, _binary_expand))
 
 
 def binary_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`binary_map`, with the intermediate stages."""
-    return _backward(beta, m, BINARY_FAMILY, binary_contract)
+    _check_cap(beta, m, BINARY_FAMILY)
+    return _traced(beta, _backward(beta.parts, _sylvester_odd_to_distinct, _binary_contract))
 
 
 def binary_inverse(beta: Partition, m=UNBOUNDED) -> Partition:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -32,6 +33,8 @@ from .verify import REGISTRY, run_checks, runs_for
 
 STATS = {"la": Partition.alt_sum, "lo": Partition.odd_count}
 
+CSV_CHUNK = 256  # CSV rows formatted per write
+
 
 def _bounds_arg(args):
     return None if args.bounds is None else parse_bounds(args.bounds)
@@ -49,12 +52,19 @@ def _int(flag: str, text: str) -> int:
         raise ValueError("%s: %r is not an integer" % (flag, text)) from None
 
 
-def _csv_out(header, rows) -> str:
+def _csv_chunks(header, rows):
+    """The CSV text of ``header`` and then ``rows``, ``CSV_CHUNK`` rows at a
+    time, each chunk built as it is asked for."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = iter(rows)
+    chunk = [header]
+    while chunk:
+        writer.writerows(chunk)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        chunk = list(itertools.islice(rows, CSV_CHUNK))
 
 
 def _emit(text: str):
@@ -76,14 +86,12 @@ def _print(args, payload, header, rows, lines):
     """Print a command's result in ``args.format``: ``payload()`` as JSON,
     ``header`` and ``rows()`` as CSV, or ``lines()`` as text, one line at a
     time.  The views are zero-argument functions, so only the printed one is
-    built."""
+    built, and a CSV or text view that yields lazily is never held whole."""
     if args.format == "json":
         _emit(_json(payload()))
-    elif args.format == "csv":
-        _emit(_csv_out(header, rows()))
     else:
-        for line in lines():
-            _emit(line)
+        for text in _csv_chunks(header, rows()) if args.format == "csv" else lines():
+            _emit(text)
 
 
 def _given_or(value, default):
@@ -106,10 +114,13 @@ def cmd_enumerate(args) -> int:
     if args.count:
         _emit(str(count_total(args.n, bounds, filt)))
         return 0
-    parts = list(bounded_partitions(args.n, bounds, filt))
-    _print(args, lambda: [list(p.parts) for p in parts],
-           ["parts"], lambda: ([" ".join(map(str, p.parts))] for p in parts),
-           lambda: map(str, parts))
+
+    def family():  # the text and CSV views stream it; JSON lists it
+        return bounded_partitions(args.n, bounds, filt)
+
+    _print(args, lambda: [list(p.parts) for p in family()],
+           ["parts"], lambda: ([" ".join(map(str, p.parts))] for p in family()),
+           lambda: map(str, family()))
     return 0
 
 
@@ -233,7 +244,8 @@ def cmd_verify(args) -> int:
         value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
         if value is not None:
             given[keyword] = convert(flag, value) if convert else value
-    reports = run_checks(runs_for(args.theorem, given), args.jobs)
+    runs = runs_for(args.theorem, given, {keyword: flag for flag, keyword, *_ in VERIFY_FLAGS})
+    reports = run_checks(runs, args.jobs)
     _print(args, lambda: (reports[0].to_dict() if len(reports) == 1
                           else [r.to_dict() for r in reports]),
            ["theorem", "params", "status", "elapsed_ms"],
@@ -339,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if [] in vars(args).values():
-        # argparse before Python 3.12 drops a value of "--" and leaves []
-        parser.error("'--' is not a value")
     try:
+        if [] in vars(args).values():
+            # argparse before Python 3.12 drops a value of "--" and leaves []
+            raise ValueError("'--' is not a value")
         return args.func(args)
     except ValueError as exc:  # a DomainError is a ValueError
         print("error: %s" % exc, file=sys.stderr)

@@ -1,7 +1,9 @@
 """Integer partitions and the statistics used throughout the package.
 
 A partition is stored canonically as a non-increasing tuple of positive
-parts; the empty tuple is the (unique) partition of 0.
+parts; the empty tuple is the (unique) partition of 0.  Each statistic is
+defined once, as a function of that parts tuple; the :class:`Partition`
+methods and the exchange checks, which run on tuples, both call it.
 """
 
 from __future__ import annotations
@@ -105,36 +107,24 @@ class Partition:
         return sum(self.parts)
 
     def alt_sum(self) -> int:
-        """Alternating sum of the parts: first - second + third - ...
-
-        Always non-negative because the parts are non-increasing.
-        """
-        return sum(self.parts[::2]) - sum(self.parts[1::2])
+        """Alternating sum of the parts: :func:`alt_sum`."""
+        return alt_sum(self.parts)
 
     def odd_count(self) -> int:
-        """How many parts are odd (counted with multiplicity)."""
-        return len([p for p in self.parts if p % 2 == 1])
+        """How many parts are odd: :func:`odd_count`."""
+        return odd_count(self.parts)
 
     def multiplicities(self) -> dict[int, int]:
-        """Part sizes mapped to their multiplicities, largest size first."""
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        """Sizes to multiplicities, largest first: :func:`multiplicities`."""
+        return multiplicities(self.parts)
 
     def largest_odd_part(self) -> int:
-        """The largest odd part, or 0 when every part is even (or none)."""
-        for p in self.parts:
-            if p % 2 == 1:
-                return p
-        return 0
+        """The largest odd part or 0: :func:`largest_odd_part`."""
+        return largest_odd_part(self.parts)
 
     def largest_odd_multiplicity_part(self) -> int:
-        """The largest part occurring an odd number of times, 0 if none."""
-        for size, mult in self.multiplicities().items():
-            if mult % 2 == 1:
-                return size
-        return 0
+        """The largest part of odd multiplicity or 0: :func:`largest_odd_multiplicity_part`."""
+        return largest_odd_multiplicity_part(self.parts)
 
     # -- rendering -----------------------------------------------------
 
@@ -146,3 +136,42 @@ class Partition:
         for size, mult in self.multiplicities().items():
             chunks.append(str(size) if mult == 1 else "%d^%d" % (size, mult))
         return "(%s)" % ",".join(chunks)
+
+
+# -- statistics of a non-increasing parts tuple ------------------------------
+
+def alt_sum(parts: tuple[int, ...]) -> int:
+    """Alternating sum of the parts: first - second + third - ...
+
+    Always non-negative because the parts are non-increasing.
+    """
+    return sum(parts[::2]) - sum(parts[1::2])
+
+
+def odd_count(parts: tuple[int, ...]) -> int:
+    """How many parts are odd (counted with multiplicity)."""
+    return len([p for p in parts if p % 2 == 1])
+
+
+def multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
+    """Part sizes mapped to their multiplicities, largest size first."""
+    out: dict[int, int] = {}
+    for p in parts:
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+def largest_odd_part(parts: tuple[int, ...]) -> int:
+    """The largest odd part, or 0 when every part is even (or none)."""
+    for p in parts:
+        if p % 2 == 1:
+            return p
+    return 0
+
+
+def largest_odd_multiplicity_part(parts: tuple[int, ...]) -> int:
+    """The largest part occurring an odd number of times, 0 if none."""
+    for size, mult in multiplicities(parts).items():
+        if mult % 2 == 1:
+            return size
+    return 0

@@ -3,9 +3,10 @@
 Every checker computes both sides of an identity over an explicit grid and
 returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The four bijection checks share
-one engine, :func:`_verify_exchange`, which maps each partition once per n
-however many m or phi runs admit it; a check over several m or phi reports
-its first failure in the order they were given, then by n.  The registry at
+one engine, :func:`_verify_exchange`, which runs on parts tuples, runs each
+map stage once per distinct input in a check, and maps each partition once
+per n however many m or phi runs admit it; a check over several m or phi
+reports its first failure in the order they were given, then by n.  The registry at
 the end plans and runs the grid of the ``verify`` command: :func:`runs_for`
 picks the runs and :func:`run_checks` runs them.
 """
@@ -19,14 +20,19 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .bijections import (DomainError, binary_inverse, binary_map,
-                         pairing_inverse, pairing_map,
-                         sylvester_distinct_to_odd, sylvester_odd_to_distinct)
+# pairing_map, binary_map and their inverses are not called here; the
+# benchmark's tracer (perfbench/spans.py) wraps them under these names.
+from .bijections import (DomainError, _backward, _forward, binary_contract,
+                         binary_expand, binary_inverse, binary_map,
+                         merge_pairs, pairing_inverse, pairing_map,
+                         split_pairs, sylvester_distinct_to_odd,
+                         sylvester_odd_to_distinct)
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_by_statistic, count_total,
                           histogram, parse_bounds, parse_phi)
-from .partition import Partition
+from .partition import (Partition, alt_sum, largest_odd_multiplicity_part,
+                        largest_odd_part, odd_count)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, WeightVariant, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
@@ -138,17 +144,18 @@ def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
     return report
 
 
-def _odd_hook(beta: Partition) -> tuple[int, int]:
+def _odd_hook(beta: tuple[int, ...]) -> tuple[int, int]:
     """(l_o, l_o + (largest odd part - 1)/2), or (0, 0) with no odd part."""
-    k = beta.odd_count()
-    return k, k + beta.largest_odd_part() // 2
+    k = odd_count(beta)
+    return k, k + largest_odd_part(beta) // 2
 
 
-# The statistics an exchange check compares, (on the source, on the image).
-# The refined pair adds the largest part of odd multiplicity, (0, 0) if none;
-# at phi = 0 it is Sylvester's hook-size property together with l_a = l_o.
-_EXCHANGED = (Partition.alt_sum, Partition.odd_count)
-_REFINED = (lambda a: (a.alt_sum(), a.largest_odd_multiplicity_part()), _odd_hook)
+# The statistics an exchange check compares on parts tuples, (on the source,
+# on the image).  The refined pair adds the largest part of odd multiplicity,
+# (0, 0) if none; at phi = 0 it is Sylvester's hook-size property together
+# with l_a = l_o.
+_EXCHANGED = (alt_sum, odd_count)
+_REFINED = (lambda a: (alt_sum(a), largest_odd_multiplicity_part(a)), _odd_hook)
 
 
 def _json_keys(hist: dict) -> dict:
@@ -156,16 +163,32 @@ def _json_keys(hist: dict) -> dict:
     return {str(k) if isinstance(k, tuple) else k: v for k, v in hist.items()}
 
 
+def _text(parts: tuple[int, ...]) -> str:
+    return str(Partition._raw(parts))
+
+
 def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
                      max_n: int, stats) -> Counter:
-    """Check the bijection ``mapper`` for each of ``runs``, (context, source
-    caps, target caps) triples, and each n up to ``max_n``: the histograms of
-    ``stats`` over the two families agree; each source partition's image is
-    in the target family, ``inverse`` undoes it and the statistic is carried
-    over.  n is the outer loop, so a partition several runs admit is mapped,
-    inverted and compared once per n.  The counterexample is the first in run
-    order, then n order, and starts with the run's context.  Returns the
+    """Check a bijection for each of ``runs``, (context, source caps, target
+    caps) triples, and each n up to ``max_n``: the histograms of ``stats``
+    over the two families agree; each source partition's image is in the
+    target family, the inverse undoes it and the statistic is carried over.
+    n is the outer loop, so a partition several runs admit is mapped,
+    inverted and compared once per n.  The counterexample is the first in
+    run order, then n order, and starts with the run's context.  Returns the
     source histogram summed over the (run, n) pairs checked.
+
+    The check runs on parts tuples.  ``mapper(stage)`` and ``inverse(stage)``
+    build the map and its inverse on tuples, passing each map stage they run
+    through ``stage``, which memoises it for the life of this call: a stage
+    runs once per distinct input the check meets.  That changes no verdict,
+    as the ``bijections`` module argues: the stages are pure functions of
+    their input tuple; an input on which a stage raises is not stored, so it
+    raises again for every partition that meets it; and every per-partition
+    check still runs for every source partition (the split, the join, the
+    map's weight and l_a = l_o checks, the round trip, the statistic and the
+    target caps).  ``stage`` calls the public function of the stage, by its
+    name here, on a miss, so a wrapper or patch on that name sees every run.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -177,29 +200,42 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     source_stat, target_stat = stats
     totals: Counter = Counter()
 
+    def stage(fn):
+        # fn, a map of partitions, as a map of parts tuples that runs once
+        # per distinct input for the life of this check
+        memo: dict = {}
+
+        def run(parts):
+            out = memo.get(parts)
+            if out is None:
+                out = memo[parts] = fn(Partition._raw(parts)).parts
+            return out
+        return run
+
+    forward, backward = mapper(stage), inverse(stage)
+
     def image(alpha, key):
         # The image of alpha, and its failure apart from target membership.
         try:
-            beta = mapper(alpha)
+            beta = forward(alpha)
         except AssertionError as exc:  # an invariant a map checks itself
             return None, {"detail": str(exc)}
         try:
-            detail = ("inverse round trip failed" if inverse(beta) != alpha else
+            detail = ("inverse round trip failed" if backward(beta) != alpha else
                       "statistic not carried over" if target_stat(beta) != key else
                       None)
         except (AssertionError, DomainError) as exc:
             # Also an image outside the inverse's domain: the inverse runs
             # before a run checks its caps, which are reported first.
             return beta, {"detail": str(exc)}
-        return beta, detail and {"image": str(beta), "detail": detail}
+        return beta, detail and {"image": _text(beta), "detail": detail}
 
     def check(n, src, dst, images):
-        # The first failure of one run at n, or None.  The target family and
-        # the memo are keyed by parts tuples.  A run whose target caps are
-        # its source caps lists its family once.
-        source = list(bounded_partitions(n, src))
-        target_list = source if dst is src else list(bounded_partitions(n, dst))
-        target = {beta.parts for beta in target_list}
+        # The first failure of one run at n, or None.  A run whose target
+        # caps are its source caps lists its family once.
+        source = [p.parts for p in bounded_partitions(n, src)]
+        target_list = source if dst is src else [p.parts for p in bounded_partitions(n, dst)]
+        target = set(target_list)
         keys = list(map(source_stat, source))
         left = histogram(keys, lambda key: key)
         right = histogram(target_list, target_stat)
@@ -207,14 +243,14 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
         for alpha, key in zip(source, keys):
-            entry = images.get(alpha.parts)
+            entry = images.get(alpha)
             if entry is None:
-                entry = images[alpha.parts] = image(alpha, key)
+                entry = images[alpha] = image(alpha, key)
             beta, failure = entry
-            if beta is not None and beta.parts not in target:
-                failure = {"image": str(beta), "detail": "image violates the target caps"}
+            if beta is not None and beta not in target:
+                failure = {"image": _text(beta), "detail": "image violates the target caps"}
             if failure:
-                return {"input": str(alpha), **failure}
+                return {"input": _text(alpha), **failure}
         return None
 
     failed, first = len(runs), None  # the earliest run that failed, and how
@@ -232,6 +268,16 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     return totals
 
 
+def _composite(compose, fishhook, code):
+    """One direction of the pairing or binary map, as the engine builds it:
+    ``compose`` (``_forward`` or ``_backward``) with ``fishhook`` and
+    ``code``, the stage of the even half, each passed through ``stage``."""
+    def build(stage):
+        hook, coded = stage(fishhook), stage(code)
+        return lambda parts: compose(parts, hook, coded)[-1]
+    return build
+
+
 @_timed
 def verify_sylvester(max_n: int = 25) -> VerificationReport:
     """The fishhook map is a bijection distinct -> odd for every weight up
@@ -243,8 +289,8 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     """
     report = VerificationReport("sylvester", {"max_n": max_n})
     runs = [({}, PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0))]
-    _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct,
-                     runs, max_n, _REFINED)
+    _verify_exchange(report, lambda stage: stage(sylvester_distinct_to_odd),
+                     lambda stage: stage(sylvester_odd_to_distinct), runs, max_n, _REFINED)
     return report
 
 
@@ -264,7 +310,8 @@ def verify_pairing(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     """The pairing map is a statistic-exchanging bijection from "every part
     at most 2m+1 times" onto "even parts at most m times"."""
     report = VerificationReport("pairing", {"max_n": max_n, "m": list(ms)})
-    _verify_exchange(report, lambda a: pairing_map(a)[0], pairing_inverse,
+    _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, merge_pairs),
+                     _composite(_backward, sylvester_odd_to_distinct, split_pairs),
                      _m_runs(ms, PAIRING_SOURCE, PAIRING_TARGET), max_n, _EXCHANGED)
     return report
 
@@ -274,7 +321,8 @@ def verify_binary(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
     """The binary map exchanges the statistics within the family "even parts
     at most 2m+1 times"."""
     report = VerificationReport("binary", {"max_n": max_n, "m": list(ms)})
-    _verify_exchange(report, lambda a: binary_map(a)[0], binary_inverse,
+    _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, binary_expand),
+                     _composite(_backward, sylvester_odd_to_distinct, binary_contract),
                      _m_runs(ms, BINARY_FAMILY, BINARY_FAMILY), max_n, _EXCHANGED)
     return report
 
@@ -299,8 +347,9 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
         dst = BoundSequence(lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
                             "at most phi(i) of each even part 2i, phi = %s" % spec)
         runs.append(({"phi": spec}, src, dst))
-    totals = _verify_exchange(report, lambda a: pairing_map(a)[0], pairing_inverse,
-                              runs, max_n, _REFINED)
+    totals = _verify_exchange(
+        report, _composite(_forward, sylvester_distinct_to_odd, merge_pairs),
+        _composite(_backward, sylvester_odd_to_distinct, split_pairs), runs, max_n, _REFINED)
     report.skipped = totals[(0, 0)]
     report.notes.append("inputs with all multiplicities even fall outside the refinement")
     return report
@@ -508,11 +557,13 @@ REGISTRY: dict[str, Check] = {
 }
 
 
-def runs_for(theorem: str, given: dict) -> list[tuple[str, dict]]:
+def runs_for(theorem: str, given: dict, flags: dict) -> list[tuple[str, dict]]:
     """The (check id, keyword arguments) runs that ``verify theorem`` makes,
-    given the runner keywords set on the command line.  Each check lays the
-    keywords it takes over every point of its default grid; a single check
-    given any keyword makes one run, of those keywords alone."""
+    given the runner keywords set on the command line and ``flags``, the
+    flag that sets each keyword.  Each check lays the keywords it takes over
+    every point of its default grid; a single check given any keyword makes
+    one run, of those keywords alone, and a keyword it does not take is an
+    error that names the flag typed."""
     if theorem != "all" and theorem not in REGISTRY:
         raise ValueError("unknown theorem id %r (known: %s)"
                          % (theorem, ", ".join(REGISTRY)))
@@ -522,7 +573,8 @@ def runs_for(theorem: str, given: dict) -> list[tuple[str, dict]]:
         relevant = {kw: v for kw, v in given.items() if kw in entry.flags}
         if theorem != "all" and len(relevant) < len(given):
             raise ValueError("flags %s do not apply to %r"
-                             % (sorted(set(given) - set(relevant)), name))
+                             % (sorted(flags[kw] for kw in given if kw not in relevant),
+                                name))
         bases = entry.default_runs if theorem == "all" or not relevant else ({},)
         runs.extend((name, {**base, **relevant}) for base in bases)
     return runs

@@ -245,8 +245,8 @@ def test_bad_m_is_rejected_before_the_map_runs(monkeypatch):
     def ran(p):
         raise AssertionError("the map ran")
 
-    monkeypatch.setattr(bijections, "sylvester_distinct_to_odd", ran)
-    monkeypatch.setattr(bijections, "sylvester_odd_to_distinct", ran)
+    monkeypatch.setattr(bijections, "_sylvester_distinct_to_odd", ran)
+    monkeypatch.setattr(bijections, "_sylvester_odd_to_distinct", ran)
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got 1.5$"):
         pairing_map(P.parse("2,1"), m=1.5)
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got True$"):
@@ -346,7 +346,8 @@ def test_refined_statistics_hold_generally(parts):
 # -- invariant checks -------------------------------------------------------
 
 def test_broken_stage_raises(monkeypatch):
-    monkeypatch.setattr(bijections, "merge_pairs", lambda mu: P([]))
+    # the maps compose the stage bodies, which run on parts tuples
+    monkeypatch.setattr(bijections, "_merge_pairs", lambda mu: ())
     with pytest.raises(AssertionError, match="weight preserved"):
         pairing_map(P([2, 2]))
 

@@ -7,9 +7,10 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulerparts.cli import SERIES, VERIFY_FLAGS, main
 from eulerparts.series import WEIGHTS
@@ -90,6 +91,8 @@ DSL_TEXT = st.text(alphabet="0123456789i+*()s:,;-_ allodevnphimrfstxyz\n\x00é")
 
 @settings(max_examples=300, deadline=None)
 @given(flag=st.sampled_from(("--bounds", "--filter")), text=DSL_TEXT)
+@example(flag="--bounds", text="--")
+@example(flag="--filter", text="--")
 def test_enumerate_dsl_fuzz(flag, text):
     # "--flag=text" keeps a leading "-" in the text from reading as an option
     out, err = io.StringIO(), io.StringIO()
@@ -99,6 +102,30 @@ def test_enumerate_dsl_fuzz(flag, text):
     if code == 2:
         lines = err.getvalue().split("\n")
         assert len(lines) == 2 and lines[0].startswith("error:") and lines[1] == ""
+
+
+class _Discard(io.TextIOBase):
+    # an output stream that keeps nothing, so only the command's own memory counts
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ("text", "csv"))
+def test_enumerate_streams_the_family(fmt):
+    # p(40) = 37338 partitions took about 7 MB when they were listed first;
+    # streamed, the peak stays well under 1 MB
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(["enumerate", "40", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000
 
 
 # -- stats ----------------------------------------------------------------------
@@ -330,6 +357,16 @@ def test_verify_irrelevant_flag(capsys):
     assert "do not apply" in err
 
 
+@pytest.mark.parametrize("argv, flags", (
+    (("boulet", "--max-n", "5"), "['--max-n']"),
+    (("andrews", "--m", "1"), "['--m']"),
+    (("sylvester", "--phi", "1", "--a", "all:1", "--max-n", "3"), "['--a', '--phi']"),
+))
+def test_verify_stray_flags_are_named_as_typed(capsys, argv, flags):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", "error: flags %s do not apply to %r\n" % (flags, argv[0]))
+
+
 def test_verify_andrews_needs_both_caps(capsys):
     code, out, err = run(capsys, "verify", "andrews", "--max-n", "5")
     assert (code, out) == (2, "")
@@ -474,7 +511,7 @@ def test_verify_flags_outlive_a_bare_runner_wrapper(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "pairing", "--max-n", "3")
     assert code == 0 and out.startswith("PASS pairing ")
     code, out, err = run(capsys, "verify", "boulet", "--max-n", "3")
-    assert (code, out, err) == (2, "", "error: flags ['max_n'] do not apply to 'boulet'\n")
+    assert (code, out, err) == (2, "", "error: flags ['--max-n'] do not apply to 'boulet'\n")
 
 
 @pytest.mark.parametrize("method", ("spawn", "forkserver"))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from eulerparts import partition
 from eulerparts.partition import EMPTY_TEXT, MAX_TEXT_WEIGHT, Partition
 
 import oracles
@@ -118,6 +119,20 @@ def test_statistics_match_oracle(parts):
     assert p.alt_sum() == oracles.alternating_sum(p.parts)
     assert p.odd_count() == oracles.odd_part_count(p.parts)
     assert p.multiplicities() == dict(oracles.multiplicity_table(parts))
+
+
+@given(part_lists)
+def test_tuple_statistics_match_oracle(parts):
+    # the statistics the exchange checks compare run on parts tuples
+    desc = tuple(sorted(parts, reverse=True))
+    table = oracles.multiplicity_table(parts)
+    assert partition.alt_sum(desc) == oracles.alternating_sum(desc)
+    assert partition.odd_count(desc) == oracles.odd_part_count(desc)
+    assert partition.multiplicities(desc) == dict(table)
+    assert list(partition.multiplicities(desc)) == sorted(table, reverse=True)
+    assert partition.largest_odd_part(desc) == max((v for v in parts if v % 2), default=0)
+    assert partition.largest_odd_multiplicity_part(desc) == max(
+        (v for v, k in table.items() if k % 2), default=0)
 
 
 @given(part_lists)

@@ -207,10 +207,11 @@ def test_refined_pairing_reports_skipped_inputs():
 @pytest.fixture
 def lossy_merge_pairs(monkeypatch):
     # the broken stage of test_broken_stage_raises: the pairing map's merge
-    # step drops every part, so the map's weight invariant fails
-    from eulerparts import bijections
+    # step drops every part, so the map's weight invariant fails.  The
+    # exchange checks run each stage through its public name in verify.
+    from eulerparts import verify
     from eulerparts.partition import Partition
-    monkeypatch.setattr(bijections, "merge_pairs", lambda mu: Partition([]))
+    monkeypatch.setattr(verify, "merge_pairs", lambda mu: Partition([]))
 
 
 def test_exchange_check_reports_a_broken_map_invariant(lossy_merge_pairs):
@@ -240,17 +241,73 @@ def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
                                      "detail": "invariant broken: weight preserved"}
 
 
+# -- the exchange engine: the stage memo ------------------------------------------
+
+def record_calls(monkeypatch, name):
+    # the parts tuple of every input that verify's ``name`` is called on
+    from eulerparts import verify
+    seen, stage = [], getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda p: seen.append(p.parts) or stage(p))
+    return seen
+
+
+def test_the_stage_memo_lives_for_one_check(monkeypatch):
+    # each check starts with an empty memo: a second check runs the fishhook
+    # as often as the first, and a stage patched between two checks is what
+    # the second runs
+    from eulerparts import verify
+    from eulerparts.partition import Partition
+    seen = record_calls(monkeypatch, "sylvester_distinct_to_odd")
+    assert verify_pairing(max_n=4, ms=(1,)).ok()
+    first = len(seen)
+    assert first > 0
+    assert verify_pairing(max_n=4, ms=(1,)).ok()
+    assert len(seen) == 2 * first
+    monkeypatch.setattr(verify, "merge_pairs", lambda mu: Partition([]))
+    assert verify_pairing(max_n=4, ms=(1,)).counterexample == {
+        "m": 1, "n": 2, "input": "1,1", "detail": "invariant broken: weight preserved"}
+
+
+def test_each_fishhook_runs_once_per_distinct_input(monkeypatch):
+    # the pairing check at m = 3 meets, as fishhook inputs, the parts of odd
+    # multiplicity of its sources (every part at most 7 times) and the odd
+    # parts of its images, which are its targets (even parts at most 3
+    # times); both lists come from accelAsc and a multiplicity table
+    import oracles
+    to_odd = record_calls(monkeypatch, "sylvester_distinct_to_odd")
+    to_distinct = record_calls(monkeypatch, "sylvester_odd_to_distinct")
+    assert verify_pairing(max_n=12, ms=(3,)).ok()
+    everything = [parts for n in range(13) for parts in oracles.descending_partitions(n)]
+    halves = {tuple(sorted((v for v, k in oracles.multiplicity_table(parts).items() if k % 2),
+                           reverse=True))
+              for parts in filter(oracles.max_multiplicity_at_most(7), everything)}
+    odd_parts = {tuple(v for v in parts if v % 2)
+                 for parts in filter(oracles.even_multiplicity_at_most(3), everything)}
+    assert sorted(to_odd) == sorted(halves)
+    assert sorted(to_distinct) == sorted(odd_parts)
+    assert len(to_odd) < sum(map(oracles.max_multiplicity_at_most(7), everything))
+
+
 # -- the exchange engine: run order and shared images ----------------------------
+
+def patch_composite(monkeypatch, name, table):
+    # the exchange checks compose the pairing map on parts tuples with
+    # verify's ``_forward`` and ``_backward``, which return the stages
+    # (lam, mu, tau, nu, image); patch ``name`` to send each key of
+    # ``table`` to its value, with the other stages empty
+    from eulerparts import verify
+    compose = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda parts, *stages: (
+        ((),) * 4 + (table[parts],) if parts in table else compose(parts, *stages)))
+
 
 @pytest.fixture
 def broken_inverse(monkeypatch):
     # the inverse sends the images of 2,2 and 5 to the empty partition
-    from eulerparts import verify
-    from eulerparts.bijections import pairing_inverse, pairing_map
+    from eulerparts.bijections import pairing_map
     from eulerparts.partition import Partition
-    bad = {pairing_map(Partition.parse(text))[0] for text in ("2,2", "5")}
-    monkeypatch.setattr(verify, "pairing_inverse",
-                        lambda beta: Partition() if beta in bad else pairing_inverse(beta))
+    bad = {pairing_map(Partition.parse(text))[0].parts for text in ("2,2", "5")}
+    patch_composite(monkeypatch, "_backward", dict.fromkeys(bad, ()))
 
 
 @pytest.mark.parametrize("ms, m, n, text", (
@@ -276,8 +333,8 @@ def test_exchange_catches_a_map_that_misses_the_target(monkeypatch):
     # images miss the rest of it; the round trip fails, with no check that
     # the images exhaust the target
     from eulerparts import verify
-    from eulerparts.partition import Partition
-    monkeypatch.setattr(verify, "pairing_map", lambda a: (Partition([1] * a.weight()), None))
+    monkeypatch.setattr(verify, "_forward",
+                        lambda alpha, *stages: ((),) * 4 + ((1,) * sum(alpha),))
     report = verify_pairing(max_n=6, ms=(0, 1))
     assert report.counterexample == {"m": 0, "n": 3, "input": "2,1", "image": "1,1,1",
                                      "detail": "inverse round trip failed"}
@@ -287,17 +344,12 @@ def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
     # 2,2 and 1,1,1,1 swap images; the inverse agrees, so every round trip
     # holds.  m = 3 maps 2,2 first and admits its image 2,2; m = 1, which
     # reuses that image, must still reject it.
-    from eulerparts import verify
-    from eulerparts.bijections import pairing_inverse, pairing_map
+    from eulerparts.bijections import pairing_map
     from eulerparts.partition import Partition
-    swap = {Partition.parse("2,2"): Partition.parse("1,1,1,1"),
-            Partition.parse("1,1,1,1"): Partition.parse("2,2")}
-    forward = {a: pairing_map(b)[0] for a, b in swap.items()}
-    backward = {beta: a for a, beta in forward.items()}
-    monkeypatch.setattr(verify, "pairing_map",
-                        lambda a: (forward[a], None) if a in forward else pairing_map(a))
-    monkeypatch.setattr(verify, "pairing_inverse",
-                        lambda b: backward.get(b) or pairing_inverse(b))
+    swap = {(2, 2): (1, 1, 1, 1), (1, 1, 1, 1): (2, 2)}
+    forward = {a: pairing_map(Partition(b))[0].parts for a, b in swap.items()}
+    patch_composite(monkeypatch, "_forward", forward)
+    patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
     report = verify_pairing(max_n=6, ms=(3, 1))
     assert report.counterexample == {"m": 1, "n": 4, "input": "2,2", "image": "2,2",
                                      "detail": "image violates the target caps"}
