@@ -19,16 +19,17 @@ From these, two correspondences between multiplicity-bounded families:
 * ``binary_map`` does the same statistic exchange on partitions whose even
   parts appear at most ``2m+1`` times, preserving that family.
 
-Every stage has one body, a private function of the same name with a
-leading underscore, that runs on a descending parts tuple and finds
-multiplicities as runs of equal neighbours; the public functions above wrap
-those bodies in :class:`~eulerparts.partition.Partition` values.  Each stage,
-the two fishhooks included, runs in time linear in the number of parts it
-reads and writes, and sorts only when its output can come out of order:
-``merge_distinct_even``, ``binary_expand``, ``binary_contract`` and the join
-of the two halves.  :func:`_forward` and :func:`_backward` compose the
-stages of the two composite maps on tuples, taking the fishhook and the even
-half's stage as arguments.
+Each stage is one function on parts tuples: its input is a non-increasing
+tuple of positive ints, as :attr:`~eulerparts.partition.Partition.parts`
+holds, and so is its output (the split returns two).  A stage finds
+multiplicities as runs of equal neighbours and raises :class:`DomainError`
+outside its domain.  Each stage, the two fishhooks included, runs in time
+linear in the number of parts it reads and writes, and sorts only when its
+output can come out of order: ``merge_distinct_even``, ``binary_expand``,
+``binary_contract`` and the join of the two halves.  :func:`_forward` and
+:func:`_backward` compose the stages of the two composite maps, taking the
+fishhook and the even half's stage as arguments; the composite maps take
+and return :class:`~eulerparts.partition.Partition` values.
 
 That lets a caller memoise the stages, as the exchange checks in
 ``verify`` do for the life of one check, and stay exact:
@@ -38,7 +39,7 @@ That lets a caller memoise the stages, as the exchange checks in
 * an input on which a stage raises is never stored, so the stage raises
   for every partition whose split meets that input;
 * the split, the join and the composite's own checks (the weight and
-  l_a = l_o) are not stages: they run for every partition.
+  l_a = l_o) are not memoised: they run for every partition.
 
 The families the maps trade between, with their caps as functions of m,
 are :class:`~eulerparts.enumeration.CapFamily` values imported from
@@ -127,14 +128,19 @@ def _all_even(parts: tuple[int, ...]):
 
 # -- splitting off the odd multiplicities ---------------------------------
 
-def _split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The body of :func:`split_distinct_even`, on parts tuples."""
+def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Peel one copy of every odd-multiplicity part.
+
+    Returns ``(lam, mu)``: ``lam`` has the parts of odd multiplicity, once
+    each (so it is distinct), and ``mu`` keeps everything else, so each of
+    its multiplicities is even.
+    """
     lam, mu = _split_runs(alpha)
     return tuple(lam), tuple(mu)
 
 
-def _merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`merge_distinct_even`, on parts tuples."""
+def merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of :func:`split_distinct_even`; validates both halves."""
     for prev, p in zip(lam, lam[1:]):
         if p == prev:
             raise DomainError("part %d repeats in the distinct half" % p)
@@ -144,38 +150,31 @@ def _merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int
     return _descending(list(lam + mu))
 
 
-def split_distinct_even(alpha: Partition) -> tuple[Partition, Partition]:
-    """Peel one copy of every odd-multiplicity part.
-
-    Returns ``(lam, mu)``: ``lam`` has the parts of odd multiplicity, once
-    each (so it is distinct), and ``mu`` keeps everything else, so each of
-    its multiplicities is even.
-    """
-    lam, mu = _split_distinct_even(alpha.parts)
-    return Partition._raw(lam), Partition._raw(mu)
-
-
-def merge_distinct_even(lam: Partition, mu: Partition) -> Partition:
-    """Inverse of :func:`split_distinct_even`; validates both halves."""
-    return Partition._raw(_merge_distinct_even(lam.parts, mu.parts))
-
-
 # -- Sylvester's fishhook bijection ---------------------------------------
 
-def _sylvester_odd_to_distinct(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`sylvester_odd_to_distinct`, on parts tuples."""
-    for p in parts:
+def sylvester_odd_to_distinct(tau: tuple[int, ...]) -> tuple[int, ...]:
+    """Map a partition with all parts odd to one with all parts distinct.
+
+    Rows are written as centred hooks of half-width ``b_k = (tau_k - 1) / 2``.
+    The k-th pair of output parts comes from the k-th fishhook: with
+    ``l_k`` counting the rows from the k-th down that still reach width
+    ``2k - 1`` and ``d_k = max(b_k - k + 1, 0)`` the protruding arm, the
+    parts are ``d_k + l_k`` and ``d_k + l_{k+1}``.  The rows that reach a
+    width are a prefix, shorter for each wider width, so one pointer walks
+    down the rows once for all k.
+    """
+    for p in tau:
         if p % 2 == 0:
             raise DomainError("part %d is even; all parts must be odd" % p)
-    total = len(parts)
+    total = len(tau)
     reach = ell = total  # rows reaching width 2k - 1, and l_k
     out = []
     k = 1
     while True:
-        d = (parts[k - 1] - 1) // 2 - k + 1 if k <= total else 0
+        d = (tau[k - 1] - 1) // 2 - k + 1 if k <= total else 0
         if d < 0:
             d = 0
-        while reach and parts[reach - 1] <= 2 * k:
+        while reach and tau[reach - 1] <= 2 * k:
             reach -= 1
         ell_next = reach - k if reach > k else 0
         first = d + ell
@@ -188,49 +187,11 @@ def _sylvester_odd_to_distinct(parts: tuple[int, ...]) -> tuple[int, ...]:
         ell = ell_next
         k += 1
 
-    _ensure(sum(out) == sum(parts), "weight preserved")
+    _ensure(sum(out) == sum(tau), "weight preserved")
     return tuple(out)
 
 
-def _sylvester_distinct_to_odd(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`sylvester_distinct_to_odd`, on parts tuples."""
-    if len(set(parts)) != len(parts):
-        raise DomainError("parts must be distinct")
-    padded = parts + (0, 0, 0)
-    hooked = []  # odd parts of the rows with an arm, last row first
-    columns = []  # half-widths of rows 1, 2, ... as the columns reach them
-    d = ell = reached = 0
-    for k in range(len(parts) // 2 + 1, 0, -1):
-        if ell:  # ell = l_{k+1}
-            columns += [k] * (ell + k - reached)
-            reached = ell + k
-        d += padded[2 * k - 1] - padded[2 * k]
-        ell += padded[2 * k - 2] - padded[2 * k - 1]
-        if d:
-            hooked.append(2 * (d + k) - 1)
-    hooked.reverse()
-    columns += [0] * (ell - reached)  # ell = l_1, the number of rows
-    out = hooked + [2 * b + 1 for b in columns[len(hooked):]]
-
-    _ensure(sum(out) == sum(parts), "weight preserved")
-    return tuple(out)
-
-
-def sylvester_odd_to_distinct(tau: Partition) -> Partition:
-    """Map a partition with all parts odd to one with all parts distinct.
-
-    Rows are written as centred hooks of half-width ``b_k = (tau_k - 1) / 2``.
-    The k-th pair of output parts comes from the k-th fishhook: with
-    ``l_k`` counting the rows from the k-th down that still reach width
-    ``2k - 1`` and ``d_k = max(b_k - k + 1, 0)`` the protruding arm, the
-    parts are ``d_k + l_k`` and ``d_k + l_{k+1}``.  The rows that reach a
-    width are a prefix, shorter for each wider width, so one pointer walks
-    down the rows once for all k.
-    """
-    return Partition._raw(_sylvester_odd_to_distinct(tau.parts))
-
-
-def sylvester_distinct_to_odd(lam: Partition) -> Partition:
+def sylvester_distinct_to_odd(lam: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse fishhook map: distinct parts back to odd parts.
 
     Reading the input in consecutive pairs recovers the arm lengths
@@ -242,26 +203,53 @@ def sylvester_distinct_to_odd(lam: Partition) -> Partition:
     the columns shortest first, so the half-widths of the rows they reach
     fill in as one run of rows per column.
     """
-    return Partition._raw(_sylvester_distinct_to_odd(lam.parts))
+    if len(set(lam)) != len(lam):
+        raise DomainError("parts must be distinct")
+    padded = lam + (0, 0, 0)
+    hooked = []  # odd parts of the rows with an arm, last row first
+    columns = []  # half-widths of rows 1, 2, ... as the columns reach them
+    d = ell = reached = 0
+    for k in range(len(lam) // 2 + 1, 0, -1):
+        if ell:  # ell = l_{k+1}
+            columns += [k] * (ell + k - reached)
+            reached = ell + k
+        d += padded[2 * k - 1] - padded[2 * k]
+        ell += padded[2 * k - 2] - padded[2 * k - 1]
+        if d:
+            hooked.append(2 * (d + k) - 1)
+    hooked.reverse()
+    columns += [0] * (ell - reached)  # ell = l_1, the number of rows
+    out = hooked + [2 * b + 1 for b in columns[len(hooked):]]
+
+    _ensure(sum(out) == sum(lam), "weight preserved")
+    return tuple(out)
 
 
 # -- doubling and binary steps --------------------------------------------
 
-def _merge_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`merge_pairs`, on parts tuples."""
+def merge_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Replace every two copies of ``t`` by one ``2t``.
+
+    Requires all multiplicities even; the image has only even parts.
+    """
     if not _evenly_paired(mu):
         raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
     return tuple([2 * p for p in mu[::2]])
 
 
-def _split_pairs(nu: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`split_pairs`, on parts tuples."""
+def split_pairs(nu: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of :func:`merge_pairs`: each ``2t`` becomes two copies of ``t``."""
     _all_even(nu)
     return tuple([p // 2 for p in nu for _ in (0, 1)])
 
 
-def _binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`binary_expand`, on parts tuples."""
+def binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Trade each odd part's (even) multiplicity for distinct even parts.
+
+    An odd part ``t`` appearing ``m = sum_j a_j 2^j`` times (``a_j`` binary
+    digits, ``j >= 1``) becomes one part ``2^j t`` for each digit ``a_j = 1``;
+    even parts pass through unchanged.  Requires all multiplicities even.
+    """
     if not _evenly_paired(mu):
         raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
     out = []
@@ -283,47 +271,19 @@ def _binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
     return _descending(out)
 
 
-def _binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
-    """The body of :func:`binary_contract`, on parts tuples."""
-    _all_even(nu)
-    singles, out = _split_runs(nu)
-    for v in singles:
-        low = v & -v
-        out += [v // low] * low
-    return _descending(out)
-
-
-def merge_pairs(mu: Partition) -> Partition:
-    """Replace every two copies of ``t`` by one ``2t``.
-
-    Requires all multiplicities even; the image has only even parts.
-    """
-    return Partition._raw(_merge_pairs(mu.parts))
-
-
-def split_pairs(nu: Partition) -> Partition:
-    """Inverse of :func:`merge_pairs`: each ``2t`` becomes two copies of ``t``."""
-    return Partition._raw(_split_pairs(nu.parts))
-
-
-def binary_expand(mu: Partition) -> Partition:
-    """Trade each odd part's (even) multiplicity for distinct even parts.
-
-    An odd part ``t`` appearing ``m = sum_j a_j 2^j`` times (``a_j`` binary
-    digits, ``j >= 1``) becomes one part ``2^j t`` for each digit ``a_j = 1``;
-    even parts pass through unchanged.  Requires all multiplicities even.
-    """
-    return Partition._raw(_binary_expand(mu.parts))
-
-
-def binary_contract(nu: Partition) -> Partition:
+def binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of :func:`binary_expand`.
 
     For each even part ``v = 2^j t`` (``t`` odd) of odd multiplicity, one
     copy of ``v`` dissolves into ``2^j`` copies of ``t``; even multiplicities
     stay as they are.  Requires all parts even.
     """
-    return Partition._raw(_binary_contract(nu.parts))
+    _all_even(nu)
+    singles, out = _split_runs(nu)
+    for v in singles:
+        low = v & -v
+        out += [v // low] * low
+    return _descending(out)
 
 
 # -- the two bound-trading maps -------------------------------------------
@@ -347,7 +307,7 @@ def _forward(alpha: tuple[int, ...], fishhook, encode) -> tuple[tuple[int, ...],
     half through ``fishhook`` and the even half through ``encode``, and join
     the images.  The weight and l_a = l_o are checked here on every call,
     whatever the two stages are."""
-    lam, mu = _split_distinct_even(alpha)
+    lam, mu = split_distinct_even(alpha)
     tau = fishhook(lam)
     nu = encode(mu)
     beta = _descending(list(tau + nu))
@@ -364,7 +324,7 @@ def _backward(beta: tuple[int, ...], fishhook, decode) -> tuple[tuple[int, ...],
     nu = tuple([p for p in beta if p % 2 == 0])
     lam = fishhook(tau)
     mu = decode(nu)
-    alpha = _merge_distinct_even(lam, mu)
+    alpha = merge_distinct_even(lam, mu)
     _ensure(sum(alpha) == sum(beta), "weight preserved")
     return lam, mu, tau, nu, alpha
 
@@ -384,13 +344,13 @@ def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrac
     checked and the map is the general multiplicity-parity correspondence.
     """
     _check_cap(alpha, m, PAIRING_SOURCE)
-    return _traced(alpha, _forward(alpha.parts, _sylvester_distinct_to_odd, _merge_pairs))
+    return _traced(alpha, _forward(alpha.parts, sylvester_distinct_to_odd, merge_pairs))
 
 
 def pairing_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`pairing_map`, with the intermediate stages."""
     _check_cap(beta, m, PAIRING_TARGET)
-    return _traced(beta, _backward(beta.parts, _sylvester_odd_to_distinct, _split_pairs))
+    return _traced(beta, _backward(beta.parts, sylvester_odd_to_distinct, split_pairs))
 
 
 def pairing_inverse(beta: Partition, m=UNBOUNDED) -> Partition:
@@ -405,13 +365,13 @@ def binary_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace
     capped at ``2m+1``.  Alternating sum maps to odd-part count.
     """
     _check_cap(alpha, m, BINARY_FAMILY)
-    return _traced(alpha, _forward(alpha.parts, _sylvester_distinct_to_odd, _binary_expand))
+    return _traced(alpha, _forward(alpha.parts, sylvester_distinct_to_odd, binary_expand))
 
 
 def binary_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
     """Inverse of :func:`binary_map`, with the intermediate stages."""
     _check_cap(beta, m, BINARY_FAMILY)
-    return _traced(beta, _backward(beta.parts, _sylvester_odd_to_distinct, _binary_contract))
+    return _traced(beta, _backward(beta.parts, sylvester_odd_to_distinct, binary_contract))
 
 
 def binary_inverse(beta: Partition, m=UNBOUNDED) -> Partition:

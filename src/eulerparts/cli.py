@@ -148,9 +148,9 @@ def cmd_map(args) -> int:
     if args.name == "sylvester":
         _reject(args, args.name, ["-m"])
         if args.direction == "fwd":
-            stages = [("τ", p), ("λ", sylvester_odd_to_distinct(p))]
+            stages = [("τ", p), ("λ", Partition._raw(sylvester_odd_to_distinct(p.parts)))]
         else:
-            stages = [("λ", p), ("τ", sylvester_distinct_to_odd(p))]
+            stages = [("λ", p), ("τ", Partition._raw(sylvester_distinct_to_odd(p.parts)))]
     else:
         m = UNBOUNDED if args.m in (None, "inf") else _int("-m", args.m)
         image, trace = EXCHANGE_MAPS[args.name, args.direction](p, m)

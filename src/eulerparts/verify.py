@@ -167,7 +167,7 @@ def _text(parts: tuple[int, ...]) -> str:
     return str(Partition._raw(parts))
 
 
-def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
+def _verify_exchange(report: VerificationReport, forward, backward, runs,
                      max_n: int, stats) -> Counter:
     """Check a bijection for each of ``runs``, (context, source caps, target
     caps) triples, and each n up to ``max_n``: the histograms of ``stats``
@@ -178,17 +178,17 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     run order, then n order, and starts with the run's context.  Returns the
     source histogram summed over the (run, n) pairs checked.
 
-    The check runs on parts tuples.  ``mapper(stage)`` and ``inverse(stage)``
-    build the map and its inverse on tuples, passing each map stage they run
-    through ``stage``, which memoises it for the life of this call: a stage
-    runs once per distinct input the check meets.  That changes no verdict,
-    as the ``bijections`` module argues: the stages are pure functions of
-    their input tuple; an input on which a stage raises is not stored, so it
-    raises again for every partition that meets it; and every per-partition
-    check still runs for every source partition (the split, the join, the
-    map's weight and l_a = l_o checks, the round trip, the statistic and the
-    target caps).  ``stage`` calls the public function of the stage, by its
-    name here, on a miss, so a wrapper or patch on that name sees every run.
+    The check runs on parts tuples: ``forward`` and ``backward`` are the map
+    and its inverse on them.  The runners build both when they run, with
+    each map stage wrapped in ``functools.cache``, so a stage runs once per
+    distinct input the check meets and its memo lives for this one check.
+    That changes no verdict, as the ``bijections`` module argues: the stages
+    are pure functions of their input tuple; ``functools.cache`` stores
+    nothing for a call that raises, so the stage raises again for every
+    partition that meets that input; and every per-partition check still
+    runs for every source partition (the split, the join, the map's weight
+    and l_a = l_o checks, the round trip, the statistic and the target
+    caps).
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -199,20 +199,6 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
     sizes of the two families itself."""
     source_stat, target_stat = stats
     totals: Counter = Counter()
-
-    def stage(fn):
-        # fn, a map of partitions, as a map of parts tuples that runs once
-        # per distinct input for the life of this check
-        memo: dict = {}
-
-        def run(parts):
-            out = memo.get(parts)
-            if out is None:
-                out = memo[parts] = fn(Partition._raw(parts)).parts
-            return out
-        return run
-
-    forward, backward = mapper(stage), inverse(stage)
 
     def image(alpha, key):
         # The image of alpha, and its failure apart from target membership.
@@ -269,13 +255,12 @@ def _verify_exchange(report: VerificationReport, mapper, inverse, runs,
 
 
 def _composite(compose, fishhook, code):
-    """One direction of the pairing or binary map, as the engine builds it:
-    ``compose`` (``_forward`` or ``_backward``) with ``fishhook`` and
-    ``code``, the stage of the even half, each passed through ``stage``."""
-    def build(stage):
-        hook, coded = stage(fishhook), stage(code)
-        return lambda parts: compose(parts, hook, coded)[-1]
-    return build
+    """One direction of the pairing or binary map on parts tuples: ``compose``
+    (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
+    of the even half, each memoised by its own ``functools.cache``.  The
+    runners call this each time they run, so the memos live for one check."""
+    hook, coded = functools.cache(fishhook), functools.cache(code)
+    return lambda parts: compose(parts, hook, coded)[-1]
 
 
 @_timed
@@ -289,8 +274,8 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     """
     report = VerificationReport("sylvester", {"max_n": max_n})
     runs = [({}, PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0))]
-    _verify_exchange(report, lambda stage: stage(sylvester_distinct_to_odd),
-                     lambda stage: stage(sylvester_odd_to_distinct), runs, max_n, _REFINED)
+    _verify_exchange(report, functools.cache(sylvester_distinct_to_odd),
+                     functools.cache(sylvester_odd_to_distinct), runs, max_n, _REFINED)
     return report
 
 
@@ -367,13 +352,18 @@ def verify_andrews(bounds_a: BoundSequence | str | None = None,
                    max_n: int = 30, cutoff: int | None = None) -> VerificationReport:
     """Two cap sequences admit equally many partitions of every n iff their
     size * strict-cap products agree as multisets; check both statements up
-    to ``max_n`` (products up to ``cutoff``, default ``max_n + 1``)."""
+    to ``max_n`` (products up to ``cutoff``, default ``max_n + 1``).
+    Products that agree up to the cutoff imply equal counts only up to it,
+    so a cutoff below ``max_n`` is an error, not a counterexample."""
     if bounds_a is None or bounds_b is None:
         raise ValueError("andrews needs two bound sequences (--a and --b)")
     a = _bounds(bounds_a)
     b = _bounds(bounds_b)
     if cutoff is None:
         cutoff = max_n + 1
+    if cutoff < max_n:
+        raise ValueError("cutoff %d is below max_n %d: products that agree up to "
+                         "the cutoff imply equal counts only up to it" % (cutoff, max_n))
     report = VerificationReport(
         "andrews", {"a": a.spec, "b": b.spec, "max_n": max_n, "cutoff": cutoff})
     prod_a = a.strict_products(cutoff)

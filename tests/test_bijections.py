@@ -42,7 +42,7 @@ even_mult_tables = st.dictionaries(
 
 
 def paired(table):
-    return P([s for s, h in table.items() for _ in range(2 * h)])
+    return P([s for s, h in table.items() for _ in range(2 * h)]).parts
 
 
 # -- the fishhook bijection ------------------------------------------------
@@ -62,20 +62,20 @@ FISHHOOK_PAIRS = (
 
 @pytest.mark.parametrize("odd, distinct", FISHHOOK_PAIRS)
 def test_fishhook_known_pairs(odd, distinct):
-    assert sylvester_odd_to_distinct(P(odd)) == P(distinct)
-    assert sylvester_distinct_to_odd(P(distinct)) == P(odd)
+    assert sylvester_odd_to_distinct(odd) == distinct
+    assert sylvester_distinct_to_odd(distinct) == odd
 
 
 def test_fishhook_is_a_bijection_on_small_weights():
     for n in range(26):
-        odd = list(bounded_partitions(n, parse_bounds("even:0")))
+        odd = [p.parts for p in bounded_partitions(n, parse_bounds("even:0"))]
         distinct = {p.parts for p in bounded_partitions(n, parse_bounds("all:1"))}
         images = set()
         for tau in odd:
             lam = sylvester_odd_to_distinct(tau)
-            assert lam.weight() == n
+            assert sum(lam) == n
             assert sylvester_distinct_to_odd(lam) == tau
-            images.add(lam.parts)
+            images.add(lam)
         assert images == distinct, n
 
 
@@ -85,7 +85,7 @@ def test_fishhook_hook_lengths_and_alternating_sum():
     # of lam counts the odd parts of tau.
     for n in range(1, 21):
         for lam in bounded_partitions(n, parse_bounds("all:1")):
-            tau = sylvester_distinct_to_odd(lam)
+            tau = P(sylvester_distinct_to_odd(lam.parts))
             assert lam.parts[0] == len(tau) + (tau.parts[0] - 1) // 2
             assert lam.alt_sum() == tau.odd_count()
 
@@ -100,52 +100,52 @@ def test_fishhook_matches_the_cell_oracle():
         preimage = {}
         for tau in odd:
             lam = oracles.fishhook_sizes(tau)
-            assert sylvester_odd_to_distinct(P(tau)).parts == lam, tau
+            assert sylvester_odd_to_distinct(tau) == lam, tau
             preimage[lam] = tau
         assert set(preimage) == distinct, n
         for lam, tau in preimage.items():
-            assert sylvester_distinct_to_odd(P(lam)).parts == tau, lam
+            assert sylvester_distinct_to_odd(lam) == tau, lam
 
 
 def test_fishhook_domain_errors():
     with pytest.raises(DomainError, match="even"):
-        sylvester_odd_to_distinct(P([2, 1]))
+        sylvester_odd_to_distinct((2, 1))
     with pytest.raises(DomainError, match="distinct"):
-        sylvester_distinct_to_odd(P([3, 3]))
+        sylvester_distinct_to_odd((3, 3))
 
 
 # -- multiplicity halves ---------------------------------------------------
 
 def test_split_distinct_even_rule():
-    lam, mu = split_distinct_even(P([7, 7, 7, 4, 4, 2, 2, 2, 1]))
-    assert lam == P([7, 2, 1])
-    assert mu == P([7, 7, 4, 4, 2, 2])
-    assert split_distinct_even(P([])) == (P([]), P([]))
+    lam, mu = split_distinct_even((7, 7, 7, 4, 4, 2, 2, 2, 1))
+    assert lam == (7, 2, 1)
+    assert mu == (7, 7, 4, 4, 2, 2)
+    assert split_distinct_even(()) == ((), ())
 
 
 @given(part_lists)
 def test_split_then_merge_round_trip(parts):
-    alpha = P(parts)
+    alpha = P(parts).parts
     lam, mu = split_distinct_even(alpha)
-    assert len(set(lam.parts)) == len(lam)
-    assert all(m % 2 == 0 for m in mu.multiplicities().values())
+    assert len(set(lam)) == len(lam)
+    assert all(m % 2 == 0 for m in P(mu).multiplicities().values())
     assert merge_distinct_even(lam, mu) == alpha
 
 
 def test_merge_distinct_even_rejects_bad_halves():
     with pytest.raises(DomainError, match="repeats"):
-        merge_distinct_even(P([3, 3]), P([]))
+        merge_distinct_even((3, 3), ())
     with pytest.raises(DomainError, match="odd multiplicity"):
-        merge_distinct_even(P([]), P([2, 2, 2]))
+        merge_distinct_even((), (2, 2, 2))
 
 
 def test_merge_and_split_pairs():
-    assert merge_pairs(P([7, 7, 4, 4, 4, 4, 2, 2, 2, 2])) == P([14, 8, 8, 4, 4])
-    assert split_pairs(P([14, 8, 8, 4, 4])) == P([7, 7, 4, 4, 4, 4, 2, 2, 2, 2])
+    assert merge_pairs((7, 7, 4, 4, 4, 4, 2, 2, 2, 2)) == (14, 8, 8, 4, 4)
+    assert split_pairs((14, 8, 8, 4, 4)) == (7, 7, 4, 4, 4, 4, 2, 2, 2, 2)
     with pytest.raises(DomainError, match="odd multiplicity"):
-        merge_pairs(P([3]))
+        merge_pairs((3,))
     with pytest.raises(DomainError, match="odd"):
-        split_pairs(P([3, 2]))
+        split_pairs((3, 2))
 
 
 @given(even_mult_tables)
@@ -156,31 +156,31 @@ def test_merge_pairs_round_trip(table):
 
 def test_binary_expand_examples():
     # odd part 3 six times: 6 = 2 + 4, so parts 6 and 12
-    assert binary_expand(P([3] * 6)) == P([12, 6])
-    assert binary_expand(P([5] * 6)) == P([20, 10])
+    assert binary_expand((3,) * 6) == (12, 6)
+    assert binary_expand((5,) * 6) == (20, 10)
     # even parts pass through untouched
-    assert binary_expand(P([6, 6, 3, 3, 1, 1])) == P([6, 6, 6, 2])
-    assert binary_contract(P([6, 6, 6, 2])) == P([6, 6, 3, 3, 1, 1])
+    assert binary_expand((6, 6, 3, 3, 1, 1)) == (6, 6, 6, 2)
+    assert binary_contract((6, 6, 6, 2)) == (6, 6, 3, 3, 1, 1)
     with pytest.raises(DomainError, match="odd multiplicity"):
-        binary_expand(P([3, 3, 3]))
+        binary_expand((3, 3, 3))
     with pytest.raises(DomainError, match="odd"):
-        binary_contract(P([4, 3]))
+        binary_contract((4, 3))
 
 
 @given(even_mult_tables)
 def test_binary_expand_round_trip(table):
     mu = paired(table)
     nu = binary_expand(mu)
-    assert all(v % 2 == 0 for v in nu.parts)
-    assert nu.weight() == mu.weight()
+    assert all(v % 2 == 0 for v in nu)
+    assert sum(nu) == sum(mu)
     assert binary_contract(nu) == mu
 
 
 @given(st.lists(st.integers(min_value=1, max_value=15), max_size=10))
 def test_binary_contract_round_trip(halves):
-    nu = P([2 * v for v in halves])
+    nu = P([2 * v for v in halves]).parts
     mu = binary_contract(nu)
-    assert all(m % 2 == 0 for m in mu.multiplicities().values())
+    assert all(m % 2 == 0 for m in P(mu).multiplicities().values())
     assert binary_expand(mu) == nu
 
 
@@ -245,8 +245,8 @@ def test_bad_m_is_rejected_before_the_map_runs(monkeypatch):
     def ran(p):
         raise AssertionError("the map ran")
 
-    monkeypatch.setattr(bijections, "_sylvester_distinct_to_odd", ran)
-    monkeypatch.setattr(bijections, "_sylvester_odd_to_distinct", ran)
+    monkeypatch.setattr(bijections, "sylvester_distinct_to_odd", ran)
+    monkeypatch.setattr(bijections, "sylvester_odd_to_distinct", ran)
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got 1.5$"):
         pairing_map(P.parse("2,1"), m=1.5)
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got True$"):
@@ -316,6 +316,31 @@ def test_binary_round_trip_unbounded(parts):
     assert binary_map(binary_inverse(alpha))[0] == alpha
 
 
+# -- the maps compose the public stages ----------------------------------
+
+@given(part_lists)
+def test_traces_are_the_public_stages_composed(parts):
+    # each trace, both ways, is the public tuple stages composed by hand, so
+    # the maps and the exchange checks share one implementation per stage;
+    # the parts are read once as a source and once as a target
+    p = P(parts)
+    lam, mu = split_distinct_even(p.parts)
+    tau = sylvester_distinct_to_odd(lam)
+    odd = tuple(v for v in p.parts if v % 2 == 1)
+    even = tuple(v for v in p.parts if v % 2 == 0)
+    back_lam = sylvester_odd_to_distinct(odd)
+    for map_trace, inverse_trace, encode, decode in (
+            (pairing_map, pairing_inverse_trace, merge_pairs, split_pairs),
+            (binary_map, binary_inverse_trace, binary_expand, binary_contract)):
+        nu = encode(mu)
+        image = tuple(sorted(tau + nu, reverse=True))
+        assert tuple(q.parts for q in map_trace(p)[1]) == (p.parts, lam, mu, tau, nu, image)
+        back_mu = decode(even)
+        source = merge_distinct_even(back_lam, back_mu)
+        assert tuple(q.parts for q in inverse_trace(p)[1]) == (
+            p.parts, back_lam, back_mu, odd, even, source)
+
+
 # -- the refined statistic ------------------------------------------------
 
 def test_refined_statistics_worked_example():
@@ -346,8 +371,8 @@ def test_refined_statistics_hold_generally(parts):
 # -- invariant checks -------------------------------------------------------
 
 def test_broken_stage_raises(monkeypatch):
-    # the maps compose the stage bodies, which run on parts tuples
-    monkeypatch.setattr(bijections, "_merge_pairs", lambda mu: ())
+    # the maps compose the stages, which run on parts tuples
+    monkeypatch.setattr(bijections, "merge_pairs", lambda mu: ())
     with pytest.raises(AssertionError, match="weight preserved"):
         pairing_map(P([2, 2]))
 

@@ -152,6 +152,22 @@ def test_andrews_equivalent_with_custom_cutoff():
     assert report.params["cutoff"] == 13
 
 
+def test_andrews_rejects_a_cutoff_below_max_n(capsys):
+    # all:3 and all:2 have no strict caps, so their products agree up to 2,
+    # yet they count the partitions of 3 differently: agreeing products
+    # prove nothing beyond the cutoff
+    message = ("cutoff 2 is below max_n 10: products that agree up to "
+               "the cutoff imply equal counts only up to it")
+    with pytest.raises(ValueError, match="^%s$" % message):
+        verify_andrews("all:3", "all:2", max_n=10, cutoff=2)
+    from eulerparts.cli import main
+    assert main(["verify", "andrews", "--a", "all:3", "--b", "all:2",
+                 "--max-n", "10", "--cutoff", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert verify_andrews("all:3", "all:2", max_n=10, cutoff=10).counterexample == {
+        "n": 3, "count_a": 3, "count_b": 2}
+
+
 def test_restricted_product_passes_for_residue_zero():
     report = verify_boulet_restricted(0, 2, "2:1", trunc=12)
     assert report.ok()
@@ -181,8 +197,8 @@ def test_refined_source_caps_are_bound_dsl(monkeypatch):
     seen = []
     engine = verify._verify_exchange
     monkeypatch.setattr(verify, "_verify_exchange",
-                        lambda report, mapper, inverse, runs, *rest:
-                        seen.extend(runs) or engine(report, mapper, inverse, runs, *rest))
+                        lambda report, forward, backward, runs, *rest:
+                        seen.extend(runs) or engine(report, forward, backward, runs, *rest))
     assert verify_pairing_refined(max_n=3, phi_specs=("1", "i", " 2 * i + 1 ")).ok()
     assert [context["phi"] for context, _, _ in seen] == ["1", "i", " 2 * i + 1 "]
     for _, src, dst in seen:
@@ -208,10 +224,9 @@ def test_refined_pairing_reports_skipped_inputs():
 def lossy_merge_pairs(monkeypatch):
     # the broken stage of test_broken_stage_raises: the pairing map's merge
     # step drops every part, so the map's weight invariant fails.  The
-    # exchange checks run each stage through its public name in verify.
+    # exchange checks read each stage by its name in verify when they start.
     from eulerparts import verify
-    from eulerparts.partition import Partition
-    monkeypatch.setattr(verify, "merge_pairs", lambda mu: Partition([]))
+    monkeypatch.setattr(verify, "merge_pairs", lambda mu: ())
 
 
 def test_exchange_check_reports_a_broken_map_invariant(lossy_merge_pairs):
@@ -244,10 +259,10 @@ def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
 # -- the exchange engine: the stage memo ------------------------------------------
 
 def record_calls(monkeypatch, name):
-    # the parts tuple of every input that verify's ``name`` is called on
+    # every parts tuple that verify's stage ``name`` is called on
     from eulerparts import verify
     seen, stage = [], getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda p: seen.append(p.parts) or stage(p))
+    monkeypatch.setattr(verify, name, lambda parts: seen.append(parts) or stage(parts))
     return seen
 
 
@@ -256,14 +271,13 @@ def test_the_stage_memo_lives_for_one_check(monkeypatch):
     # as often as the first, and a stage patched between two checks is what
     # the second runs
     from eulerparts import verify
-    from eulerparts.partition import Partition
     seen = record_calls(monkeypatch, "sylvester_distinct_to_odd")
     assert verify_pairing(max_n=4, ms=(1,)).ok()
     first = len(seen)
     assert first > 0
     assert verify_pairing(max_n=4, ms=(1,)).ok()
     assert len(seen) == 2 * first
-    monkeypatch.setattr(verify, "merge_pairs", lambda mu: Partition([]))
+    monkeypatch.setattr(verify, "merge_pairs", lambda mu: ())
     assert verify_pairing(max_n=4, ms=(1,)).counterexample == {
         "m": 1, "n": 2, "input": "1,1", "detail": "invariant broken: weight preserved"}
 
@@ -370,10 +384,9 @@ def test_exchange_lists_a_shared_family_once(monkeypatch, runner, walks):
 def test_sylvester_check_reports_an_even_image_part(monkeypatch):
     # the image 2,2 lies outside the inverse's domain; the caps report it
     from eulerparts import verify
-    from eulerparts.partition import Partition
     fishhook = verify.sylvester_distinct_to_odd
     monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
-                        lambda lam: Partition([2, 2]) if lam.parts == (4,) else fishhook(lam))
+                        lambda lam: (2, 2) if lam == (4,) else fishhook(lam))
     report = verify_sylvester(max_n=6)
     assert report.counterexample == {"n": 4, "input": "4", "image": "2,2",
                                      "detail": "image violates the target caps"}
@@ -383,14 +396,13 @@ def test_sylvester_check_reports_a_statistic_not_carried_over(monkeypatch):
     # 5 and 4,1 swap images and the inverse agrees, so only the statistics
     # (first part 5, l_a 5 against hook 4, l_o 3) show the fault
     from eulerparts import verify
-    from eulerparts.partition import Partition
-    swap = {(5,): Partition([3, 1, 1]), (4, 1): Partition([1] * 5)}
-    back = {image.parts: Partition(parts) for parts, image in swap.items()}
+    swap = {(5,): (3, 1, 1), (4, 1): (1,) * 5}
+    back = {image: parts for parts, image in swap.items()}
     fishhook, inverse = verify.sylvester_distinct_to_odd, verify.sylvester_odd_to_distinct
     monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
-                        lambda lam: swap.get(lam.parts) or fishhook(lam))
+                        lambda lam: swap.get(lam) or fishhook(lam))
     monkeypatch.setattr(verify, "sylvester_odd_to_distinct",
-                        lambda tau: back.get(tau.parts) or inverse(tau))
+                        lambda tau: back.get(tau) or inverse(tau))
     report = verify_sylvester(max_n=6)
     assert report.counterexample == {"n": 5, "input": "5", "image": "3,1,1",
                                      "detail": "statistic not carried over"}
