@@ -224,7 +224,7 @@ def _text_list(flag: str, text: str) -> tuple[str, ...]:
 # conversion may reject the value) and its help text.
 VERIFY_FLAGS = (
     ("--max-n", "max_n", int, _non_negative, None),
-    ("--trunc", "trunc", int, None, None),
+    ("--trunc", "trunc", int, _non_negative, None),
     ("--cutoff", "cutoff", int, _non_negative, None),
     ("--m", "ms", str, _int_list, "comma-separated cap parameters, e.g. 0,1,2"),
     ("--i", "i", int, None, None),

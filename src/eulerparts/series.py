@@ -19,22 +19,23 @@ weights (``rows``, ``halves``, ``la``, ``lo``) and their products
 ``binary_gf``) are substitutions of the four-parameter ones: each variable
 a, b, c, d is sent to a monomial of degree 1 in the new variables.
 
-The two sides of each series identity are computed independently.
+The two sides of each series identity are computed independently, and
+share only the layout of their terms (``_Layout``): one dict per degree,
+each term keyed by one integer that packs its exponents but the one the
+degree fixes, unpacked to exponent tuples once, at the end.
 ``enumerated_series`` lists no partition: a coefficient DP over part
 sizes, largest first, tracks whether an even or an odd number of rows is
 filled so far, which decides whether the next copies of a size land in
 (a, b) rows or (c, d) rows.  The products multiply out their factors and
-never see a partition: ``product_series`` keeps one dict of terms per
-degree, keys each term by one integer that packs its exponents, and applies
-each factor as one sweep from the top degree down; a denominator is divided
-out by repeated squaring, 1/(1 - Y) = prod_t (1 + Y^(2^t)).  The keys are
-unpacked to exponent tuples once, at the end.
+never see a partition: ``product_series`` applies each numerator as one
+sweep from the top degree down, and divides out each denominator as one
+sweep from the bottom up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, UNBOUNDED, BoundSequence,
@@ -168,13 +169,15 @@ def series_equal(s1: Series, s2: Series) -> SeriesComparison:
     """Compare coefficientwise; on mismatch report the first differing
     monomial in (total degree, exponents) order."""
     s1._compatible(s2)
-    keys = set(s1.terms) | set(s2.terms)
-    for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        a = s1.terms.get(exps, 0)
-        b = s2.terms.get(exps, 0)
-        if a != b:
-            return SeriesComparison(False, exps, a, b)
-    return SeriesComparison(True)
+    t1, t2 = s1.terms, s2.terms
+    if t1 == t2:
+        return SeriesComparison(True)
+    differ = [e for e, c in t1.items() if t2.get(e, 0) != c]
+    differ += [e for e, c in t2.items() if c and e not in t1]
+    if not differ:  # the dicts differ only in stored zero coefficients
+        return SeriesComparison(True)
+    exps = min(differ, key=lambda e: (sum(e), e))
+    return SeriesComparison(False, exps, t1.get(exps, 0), t2.get(exps, 0))
 
 
 # -- partition weights ------------------------------------------------------
@@ -237,6 +240,63 @@ WEIGHTS = {w.name: w for w in
            (FOUR_PARAM, ROW_TOTALS, HALF_CELLS, ALT_BY_WEIGHT, ODD_BY_WEIGHT)}
 
 
+# -- the builders' layout ---------------------------------------------------
+
+class _Layout:
+    """The packed, degree-bucketed layout of the series builders.
+
+    A builder keeps its terms in one dict per degree 0..trunc, and keys
+    each term by one integer.  The bucket index fixes one variable: the
+    ``degree_index`` one, or under the total degree the last one, which is
+    then the degree less the sum of the others.  The key packs the other
+    variables.  ``monomials`` bound the terms: every term must be a product
+    of them whose degrees sum to at most ``trunc``.  So variable i lies in
+    [lo_i, hi_i], with lo_i the floor of trunc * min(0, e_i/d) and hi_i the
+    ceiling of trunc * max(0, e_i/d) over the monomials X^e of degree d.
+    The key holds each exponent, less lo_i, as a digit of base
+    hi_i - lo_i + 1, so multiplying by X^e adds ``delta(e)`` to the key and
+    d to the degree.  The keys are unpacked to exponent tuples once, at the
+    end.  ``series`` gives the variables, ``trunc`` and the truncation
+    metric.
+    """
+
+    __slots__ = ("fixed", "total", "digits", "origin")
+
+    def __init__(self, monomials: Sequence[Sequence[int]], series: Series):
+        width, trunc = len(series.names), series.trunc
+        self.total = series.degree_index is None
+        self.fixed = width - 1 if self.total else series.degree_index
+        bounded = [(exps, series.degree(exps)) for exps in monomials]
+        # (variable, place, base, lo): the place is the product of the
+        # bases below
+        self.digits = []
+        place = 1
+        for i in range(width):
+            if i == self.fixed:
+                continue
+            lo = min([0] + [trunc * exps[i] // d for exps, d in bounded])
+            base = max([0] + [-(-trunc * exps[i] // d) for exps, d in bounded]) - lo + 1
+            self.digits.append((i, place, base, lo))
+            place *= base
+        self.origin = -sum(place * lo for _, place, _, lo in self.digits)
+
+    def delta(self, exps: Sequence[int]) -> int:
+        """The packed exponents of X^exps, the key step of multiplying by it."""
+        return sum(place * exps[i] for i, place, _, _ in self.digits)
+
+    def unpack(self, buckets: list[dict]) -> dict[tuple, int]:
+        """The exponent tuples of the bucketed terms, with their coefficients."""
+        digits = [(place, base, lo) for _, place, base, lo in self.digits]
+        fixed, total = self.fixed, self.total
+        terms = {}
+        for g, bucket in enumerate(buckets):
+            for key, c in bucket.items():
+                exps = [key // place % base + lo for place, base, lo in digits]
+                exps.insert(fixed, g - sum(exps) if total else g)
+                terms[tuple(exps)] = c
+        return terms
+
+
 def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
                       bounds: BoundSequence | None = None,
                       filt: CongruenceFilter | None = None,
@@ -245,8 +305,8 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
 
     No partition is listed.  A coefficient DP takes the admissible part
     sizes largest first, because a part's row is its rank: row 1 holds the
-    largest part.  It keeps one term dict for an even and one for an odd
-    number of rows so far.  Taking ``c`` copies of a size from parity ``p``
+    largest part.  It keeps the terms for an even and for an odd number of
+    rows so far apart.  Taking ``c`` copies of a size from parity ``p``
     fills ``c`` rows alternately with the size's odd-row monomial (a, b) and
     even-row monomial (c, d), starting with the one for ``p``, and moves the
     term to parity ``p ^ (c & 1)``.
@@ -254,60 +314,82 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
     The DP runs in the weight's own variables, since its substitution is a
     monomial map, and truncates by their degree, which equals the
     partition's weight; so the result is the exact truncation of the full
-    generating function.  The caps and the filter's sizes are read once per
-    call, from the size table :func:`bounded_partitions` walks too
-    (``_size_caps``); ``filt``'s even length reads only the even dict.
+    generating function.  The terms sit in one dict per degree and parity,
+    packed by ``_Layout`` from the weight's four images: every term is a sum
+    of at most ``trunc`` of them.  Each step "c copies of the size from
+    parity p" is one precomputed integer, added to the key, and c * size is
+    added to the degree.  A size is applied in place, walking the degrees g
+    from trunc - size down to 0 and both parities at each g, so every
+    bucket is read before a copy of this size lands in it.  The caps and the
+    filter's sizes are read once per call, from the size table
+    :func:`bounded_partitions` walks too (``_size_caps``); ``filt``'s even
+    length keeps only the even parity.
     """
     out = Series.zero(weight.names, trunc, weight.degree_index)
-    degree = sum if out.degree_index is None else itemgetter(out.degree_index)
-    zero = (0,) * len(out.names)
-    states = ({zero: 1}, {})
+    layout = _Layout([weight.images[v] for v in ABCD], out)
+    states = ([{} for _ in range(trunc + 1)], [{} for _ in range(trunc + 1)])
+    states[0][0][layout.origin] = 1
     for size, cap in reversed(_size_caps(trunc, bounds, filt)):
-        rows = (weight.cells(size, 0), weight.cells(0, size))
-        # steps[p][c]: the monomial of c copies placed from parity p
-        steps = []
+        rows = (layout.delta(weight.cells(size, 0)), layout.delta(weight.cells(0, size)))
+        # steps[p][c - 1]: the target parity's buckets, the degree and the
+        # packed monomial of c copies placed from parity p
+        steps = ([], [])
         for p in (0, 1):
-            step = [zero]
-            for c in range(cap):
-                step.append(tuple(map(add, step[-1], rows[(p + c) % 2])))
-            steps.append(step)
-        new = (dict(states[0]), dict(states[1]))
-        for p, state in enumerate(states):
-            step = steps[p]
-            for exps, coeff in state.items():
-                for c in range(1, min(cap, (trunc - degree(exps)) // size) + 1):
-                    key = tuple(map(add, exps, step[c]))
-                    target = new[p ^ (c & 1)]
-                    target[key] = target.get(key, 0) + coeff
-        states = new
+            delta = 0
+            for c in range(1, cap + 1):
+                delta += rows[(p + c - 1) % 2]
+                steps[p].append((states[p ^ (c & 1)], c * size, delta))
+        for g in range(trunc - size, -1, -1):
+            room = (trunc - g) // size
+            for p in (0, 1):
+                source = states[p][g]
+                if not source:
+                    continue
+                for target, d, delta in steps[p][:room]:
+                    target = target[g + d]
+                    for key, coeff in source.items():
+                        key += delta
+                        target[key] = target.get(key, 0) + coeff
 
-    terms = states[0]
+    buckets = states[0]
     if not (filt and filt.even_length):
-        for exps, coeff in states[1].items():
-            terms[exps] = terms.get(exps, 0) + coeff
+        for even, odd in zip(buckets, states[1]):
+            for key, coeff in odd.items():
+                even[key] = even.get(key, 0) + coeff
     if not include_empty:  # only the empty partition has degree 0
-        if terms[zero] == 1:
-            del terms[zero]
+        if buckets[0][layout.origin] == 1:
+            del buckets[0][layout.origin]
         else:
-            terms[zero] -= 1
-    out.terms = terms
+            buckets[0][layout.origin] -= 1
+    out.terms = layout.unpack(buckets)
     return out
 
 
 # -- products ---------------------------------------------------------------
 
-def _apply_factor(buckets: list[dict], sign: int, d: int, delta: int) -> None:
-    """Multiply the bucketed terms in place by ``(1 + sign * X^e)``, where
-    ``d`` is the degree of X^e and ``delta`` its packed exponents.
+def _apply_factor(buckets: list[dict], sign: int, d: int, delta: int,
+                  denominator: bool) -> None:
+    """Multiply the bucketed terms in place by ``(1 + sign * X^e)``, or
+    divide them by it if ``denominator``, where ``d`` is the degree of X^e
+    and ``delta`` its packed exponents.
 
-    new[g + d][k + delta] = old[g + d][k + delta] + sign * old[g][k].  The
-    degrees g are walked from trunc - d down to 0, so every bucket is read
-    before any term of this factor lands in it, and the buckets above
-    trunc - d, which the factor cannot change, are never visited.
+    Either way each bucket g takes X^e times bucket g - d, in one sweep.  A
+    product is new[g][k + delta] = old[g][k + delta] + sign * old[g - d][k],
+    so g is walked from trunc down to d: every bucket is read before any
+    term of this factor lands in it.  A quotient h of f satisfies
+    h + sign * X^e h = f, so h[g][k + delta] = f[g][k + delta]
+    - sign * h[g - d][k], and g is walked from d up to trunc: bucket g - d
+    already holds the quotient when bucket g reads it.  The buckets below
+    d, which the factor cannot change, are never visited.
     """
-    for g in range(len(buckets) - 1 - d, -1, -1):
-        target = buckets[g + d]
-        for k, c in buckets[g].items():
+    top = len(buckets) - 1
+    if denominator:
+        sign, degrees = -sign, range(d, top + 1)
+    else:
+        degrees = range(top, d - 1, -1)
+    for g in degrees:
+        target = buckets[g]
+        for k, c in buckets[g - d].items():
             key = k + delta
             c = target.get(key, 0) + sign * c
             if c:
@@ -326,19 +408,9 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
     positive truncation degree, which gives a denominator the unit constant
     term its division needs.  A factor of degree above ``trunc`` is 1 at
     this truncation and is skipped; the others are applied in the order
-    given.  A numerator is one sweep (``_apply_factor``).  A denominator of
-    degree d is divided out by repeated squaring, Euler's
-    1/(1 - Y) = prod_t (1 + Y^(2^t)): it is the sweeps (1 - sign * X^e),
-    (1 + X^2e), (1 + X^4e), ... while 2^t * d <= trunc.
-
-    The terms are kept in one dict per degree 0..trunc, each keyed by one
-    integer.  Every term is a product of kept factor monomials whose
-    degrees d sum to at most ``trunc``, so its exponent of variable i lies
-    in [lo_i, hi_i], with lo_i the floor of trunc * min(0, e_i/d) and hi_i
-    the ceiling of trunc * max(0, e_i/d) over the kept factors.  The key
-    packs each exponent, less lo_i, into a digit of base hi_i - lo_i + 1,
-    so multiplying by X^e adds one integer to the key and d to the degree.
-    The keys are unpacked to exponent tuples once, at the end.
+    given, each as one sweep (``_apply_factor``) over the terms of
+    ``_Layout`` bounded by the kept factors: a numerator from the top degree
+    down, a denominator from the bottom up.
     """
     acc = Series.one(names, trunc, degree_index)
     width = len(acc.names)
@@ -355,30 +427,12 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
         if d <= trunc:
             kept.append((sign, exps, d, denominator))
 
-    # Variable i's digit has base hi_i - lo_i + 1 and its place is the
-    # product of the bases below it.
-    lows, places, bases = [], [], []
-    place = 1
-    for i in range(width):
-        lo = min([0] + [trunc * exps[i] // d for _, exps, d, _ in kept])
-        base = max([0] + [-(-trunc * exps[i] // d) for _, exps, d, _ in kept]) - lo + 1
-        lows.append(lo)
-        places.append(place)
-        bases.append(base)
-        place *= base
+    layout = _Layout([exps for _, exps, _, _ in kept], acc)
     buckets = [{} for _ in range(trunc + 1)]
-    buckets[0][-sum(map(mul, lows, places))] = 1
+    buckets[0][layout.origin] = 1
     for sign, exps, d, denominator in kept:
-        delta = sum(map(mul, exps, places))
-        # 1 / (1 + sign X^e) = (1 - sign X^e) (1 + X^2e) (1 + X^4e) ...
-        _apply_factor(buckets, -sign if denominator else sign, d, delta)
-        while denominator and 2 * d <= trunc:
-            d, delta = 2 * d, 2 * delta
-            _apply_factor(buckets, 1, d, delta)
-
-    digits = list(zip(places, bases, lows))
-    acc.terms = {tuple(key // place % base + lo for place, base, lo in digits): c
-                 for bucket in buckets for key, c in bucket.items()}
+        _apply_factor(buckets, sign, d, layout.delta(exps), denominator)
+    acc.terms = layout.unpack(buckets)
     return acc
 
 

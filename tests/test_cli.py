@@ -291,6 +291,15 @@ def test_series_accepts_every_flag_its_builder_reads(capsys, name):
         assert (code, err) == (0, "") and out
 
 
+@pytest.mark.parametrize("name", tuple(SERIES))
+def test_series_rejects_a_negative_degree(capsys, name):
+    # rejected before a builder lays out its range(N + 1) degree buckets
+    given = {**{f: FLAG_VALUE[f] for f in SERIES[name][0]}, **READ_VALUES.get(name, {})}
+    argv = [x for flag, value in given.items() for x in (flag, value)]
+    code, out, err = run(capsys, "series", name, "-N", "-1", *argv)
+    assert (code, out, err) == (2, "", "error: truncation degree must be >= 0\n")
+
+
 def test_stray_flags_name_every_one(capsys):
     code, out, err = run(capsys, "series", "boulet", "--bounds", "all:0", "-m", "2", "-N", "2")
     assert (code, out, err) == (2, "", "error: flags ['--bounds', '-m'] do not apply to 'boulet'\n")
@@ -376,9 +385,9 @@ def test_verify_andrews_needs_both_caps(capsys):
     assert err.startswith("error: andrews needs two bound sequences")
 
 
-@pytest.mark.parametrize("theorem", ("pairing", "all"))
+@pytest.mark.parametrize("theorem", ("pairing", "boulet", "all"))
 def test_verify_rejects_negative_max_n(capsys, theorem):
-    for flag in ("--max-n", "--cutoff"):
+    for flag in ("--max-n", "--trunc", "--cutoff"):
         code, out, err = run(capsys, "verify", theorem, flag, "-3")
         assert (code, out) == (2, "")
         assert err == "error: %s must be >= 0\n" % flag

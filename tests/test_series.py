@@ -161,6 +161,22 @@ def test_series_equal_reports_first_difference():
     assert series_equal(s1, s1).exponents is None
 
 
+@given(st.data())
+def test_series_equal_matches_a_sorted_scan(data):
+    (s1,) = data.draw(series_tuples(1))
+    exps = st.tuples(st.integers(-4 if s1.degree_index else 0, 7), st.integers(0, 7))
+    if s1.terms:
+        exps = st.one_of(exps, st.sampled_from(sorted(s1.terms)))
+    # plant changed, added and removed (coefficient 0) terms
+    planted = data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=3))
+    s2 = Series(s1.names, s1.trunc, {**s1.terms, **planted}, s1.degree_index)
+    for left, right in ((s1, s2), (s2, s1)):
+        keys = sorted(set(left.terms) | set(right.terms), key=lambda e: (sum(e), e))
+        first = [SeriesComparison(False, e, left.coefficient(e), right.coefficient(e))
+                 for e in keys if left.coefficient(e) != right.coefficient(e)]
+        assert series_equal(left, right) == (first[0] if first else SeriesComparison(True))
+
+
 # -- weights ----------------------------------------------------------------
 
 def weight_of(p, weight):
@@ -317,6 +333,41 @@ def test_distinct_parts_product():
             n, lambda size: 1), n
 
 
+@st.composite
+def layout_cases(draw):
+    """A ``_Layout``'s bounding monomials, its series and terms inside its
+    bounds: products of the monomials whose degrees sum to at most trunc.
+    Under the total degree the last variable is recovered from the degree;
+    under a degree index that variable is fixed and may sit anywhere."""
+    width = draw(st.integers(1, 4))
+    index = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    series_ = Series.zero(tuple("abcd"[:width]), draw(st.integers(0, 9)), index)
+    exps = st.tuples(*[st.integers(-3, 3)] * width).filter(lambda e: series_.degree(e) >= 1)
+    monomials = draw(st.lists(exps, min_size=1, max_size=4))
+    terms = {}
+    for picks in draw(st.lists(st.lists(st.sampled_from(monomials), max_size=9), max_size=12)):
+        term, degree = (0,) * width, 0
+        for m in picks:
+            degree += series_.degree(m)
+            if degree > series_.trunc:
+                break
+            term = tuple(map(sum, zip(term, m)))
+        terms[term] = draw(st.integers(-9, 9).filter(bool))
+    return monomials, series_, terms
+
+
+@given(layout_cases())
+def test_layout_round_trip(case):
+    monomials, series_, terms = case
+    layout = series._Layout(monomials, series_)
+    buckets = [{} for _ in range(series_.trunc + 1)]
+    for exps, c in terms.items():
+        key = layout.origin + layout.delta(exps)
+        assert key >= 0 and key not in buckets[series_.degree(exps)]
+        buckets[series_.degree(exps)][key] = c
+    assert layout.unpack(buckets) == terms
+
+
 def test_product_series_validation():
     with pytest.raises(ValueError, match="sign"):
         product_series([(2, (0, 1), False)], XQ, 5, degree_index=1)
@@ -456,10 +507,11 @@ DEGREE_D_FACTORS = {
 @pytest.mark.parametrize("d", (1, 2, 3, 5))
 @pytest.mark.parametrize("kind", DEGREE_D_FACTORS)
 def test_sweep_squaring_boundaries(kind, d, sign):
-    # 1 / (1 + sign X^e) is the sweeps (1 - sign X^e) (1 + X^2e) (1 + X^4e) ...
-    # while 2^t d <= trunc.  At trunc = 2^k d - 1, 2^k d and 2^k d + 1 the
-    # sweep of degree 2^k d is skipped, reaches only the top degree, or
-    # reaches the top two; alone and after a numerator of degree 1.
+    # 1 / (1 + sign X^e) is one sweep up the degrees, h[g] = f[g] - sign X^e
+    # h[g - d] for g = d .. trunc.  At trunc = 2^k d - 1, 2^k d and
+    # 2^k d + 1 the chain d, 2d, 3d, ... from the constant term ends one
+    # below, on, or one above the top degree, which the sweep must reach
+    # and not pass; alone and after a numerator of degree 1.
     names, index, exps_of, other = DEGREE_D_FACTORS[kind]
     den = (sign, [exps_of(d)], True)
     for k in range(5):
