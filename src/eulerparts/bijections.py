@@ -19,17 +19,17 @@ From these, two correspondences between multiplicity-bounded families:
 * ``binary_map`` does the same statistic exchange on partitions whose even
   parts appear at most ``2m+1`` times, preserving that family.
 
-Each stage is one function on parts tuples: its input is a non-increasing
-tuple of positive ints, as :attr:`~eulerparts.partition.Partition.parts`
-holds, and so is its output (the split returns two).  A stage finds
+Each stage and each composite map is one function on parts tuples: its
+input is a non-increasing tuple of positive ints, as ``bounded_partitions``
+yields, and so is its output (the split returns two).  The composite maps
+check that their input is one; the stages do not.  A stage finds
 multiplicities as runs of equal neighbours and raises :class:`DomainError`
 outside its domain.  Each stage, the two fishhooks included, runs in time
 linear in the number of parts it reads and writes, and sorts only when its
 output can come out of order: ``merge_distinct_even``, ``binary_expand``,
 ``binary_contract`` and the join of the two halves.  :func:`_forward` and
 :func:`_backward` compose the stages of the two composite maps, taking the
-fishhook and the even half's stage as arguments; the composite maps take
-and return :class:`~eulerparts.partition.Partition` values.
+fishhook and the even half's stage as arguments.
 
 That lets a caller memoise the stages, as the exchange checks in
 ``verify`` do for the life of one check, and stay exact:
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, CapFamily)
-from .partition import Partition, alt_sum, multiplicities, odd_count
+from .partition import alt_sum, multiplicities, odd_count
 
 
 class DomainError(ValueError):
@@ -73,12 +73,12 @@ class BijectionTrace(NamedTuple):
     direction the map was run in.
     """
 
-    source: Partition
-    lambda_part: Partition
-    mu_part: Partition
-    tau_part: Partition
-    nu_part: Partition
-    image: Partition
+    source: tuple[int, ...]
+    lambda_part: tuple[int, ...]
+    mu_part: tuple[int, ...]
+    tau_part: tuple[int, ...]
+    nu_part: tuple[int, ...]
+    image: tuple[int, ...]
 
 
 # -- run lengths on a descending parts tuple --------------------------------
@@ -288,13 +288,19 @@ def binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
 
 # -- the two bound-trading maps -------------------------------------------
 
-def _check_cap(p: Partition, m, family: CapFamily):
-    """Unless ``m`` is ``UNBOUNDED``, check that ``p`` is in ``family`` at ``m``
-    (which :meth:`CapFamily.bounds` validates)."""
+def _check_domain(parts: tuple[int, ...], m, family: CapFamily):
+    """Check that ``parts`` is a parts tuple and, unless ``m`` is
+    ``UNBOUNDED``, that it is in ``family`` at ``m`` (which
+    :meth:`CapFamily.bounds` validates)."""
+    if not (isinstance(parts, tuple)
+            and all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts)
+            and all(p >= q for p, q in zip(parts, parts[1:]))):
+        raise ValueError("a partition is a non-increasing tuple of positive ints, got %r"
+                         % (parts,))
     if m is UNBOUNDED:
         return
     bounds = family.bounds(m)
-    for size, mult in multiplicities(p.parts).items():
+    for size, mult in multiplicities(parts).items():
         b = bounds.bound(size)
         if b is not UNBOUNDED and mult > b:
             raise DomainError("part %d appears %d times, above the cap of %d (%s)"
@@ -329,13 +335,10 @@ def _backward(beta: tuple[int, ...], fishhook, decode) -> tuple[tuple[int, ...],
     return lam, mu, tau, nu, alpha
 
 
-def _traced(source: Partition, stages) -> tuple[Partition, BijectionTrace]:
-    """The image and the trace of a composite map from its stage tuples."""
-    lam, mu, tau, nu, image = map(Partition._raw, stages)
-    return image, BijectionTrace(source, lam, mu, tau, nu, image)
+_ImageAndTrace = tuple[tuple[int, ...], BijectionTrace]  # what a composite map returns
 
 
-def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
+def pairing_map(alpha: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
     """Send a partition with every multiplicity at most ``2m+1`` to one whose
     even parts appear at most ``m`` times.
 
@@ -343,36 +346,40 @@ def pairing_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrac
     image, and the weight is preserved.  With ``m = UNBOUNDED`` no caps are
     checked and the map is the general multiplicity-parity correspondence.
     """
-    _check_cap(alpha, m, PAIRING_SOURCE)
-    return _traced(alpha, _forward(alpha.parts, sylvester_distinct_to_odd, merge_pairs))
+    _check_domain(alpha, m, PAIRING_SOURCE)
+    trace = BijectionTrace(alpha, *_forward(alpha, sylvester_distinct_to_odd, merge_pairs))
+    return trace.image, trace
 
 
-def pairing_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
+def pairing_inverse_trace(beta: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
     """Inverse of :func:`pairing_map`, with the intermediate stages."""
-    _check_cap(beta, m, PAIRING_TARGET)
-    return _traced(beta, _backward(beta.parts, sylvester_odd_to_distinct, split_pairs))
+    _check_domain(beta, m, PAIRING_TARGET)
+    trace = BijectionTrace(beta, *_backward(beta, sylvester_odd_to_distinct, split_pairs))
+    return trace.image, trace
 
 
-def pairing_inverse(beta: Partition, m=UNBOUNDED) -> Partition:
+def pairing_inverse(beta: tuple[int, ...], m=UNBOUNDED) -> tuple[int, ...]:
     return pairing_inverse_trace(beta, m)[0]
 
 
-def binary_map(alpha: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
+def binary_map(alpha: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
     """Statistic exchange within the family "even parts at most ``2m+1`` times".
 
     Works like :func:`pairing_map` but the even-multiplicity half goes
     through :func:`binary_expand`, so the image again has its even parts
     capped at ``2m+1``.  Alternating sum maps to odd-part count.
     """
-    _check_cap(alpha, m, BINARY_FAMILY)
-    return _traced(alpha, _forward(alpha.parts, sylvester_distinct_to_odd, binary_expand))
+    _check_domain(alpha, m, BINARY_FAMILY)
+    trace = BijectionTrace(alpha, *_forward(alpha, sylvester_distinct_to_odd, binary_expand))
+    return trace.image, trace
 
 
-def binary_inverse_trace(beta: Partition, m=UNBOUNDED) -> tuple[Partition, BijectionTrace]:
+def binary_inverse_trace(beta: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
     """Inverse of :func:`binary_map`, with the intermediate stages."""
-    _check_cap(beta, m, BINARY_FAMILY)
-    return _traced(beta, _backward(beta.parts, sylvester_odd_to_distinct, binary_contract))
+    _check_domain(beta, m, BINARY_FAMILY)
+    trace = BijectionTrace(beta, *_backward(beta, sylvester_odd_to_distinct, binary_contract))
+    return trace.image, trace
 
 
-def binary_inverse(beta: Partition, m=UNBOUNDED) -> Partition:
+def binary_inverse(beta: tuple[int, ...], m=UNBOUNDED) -> tuple[int, ...]:
     return binary_inverse_trace(beta, m)[0]

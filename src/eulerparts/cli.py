@@ -24,14 +24,14 @@ from .bijections import (binary_inverse_trace, binary_map,
                          sylvester_distinct_to_odd, sylvester_odd_to_distinct)
 from .enumeration import (UNBOUNDED, bounded_partitions, count_by_statistic,
                           count_total, parse_bounds, parse_filter)
-from .partition import Partition
+from .partition import Partition, alt_sum, exponent_form, odd_count, plain_form
 from .series import (WEIGHTS, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
                      partition_gf, restricted_boulet_product,
                      row_totals_product)
 from .verify import REGISTRY, run_checks, runs_for
 
-STATS = {"la": Partition.alt_sum, "lo": Partition.odd_count}
+STATS = {"la": alt_sum, "lo": odd_count}
 
 CSV_CHUNK = 256  # CSV rows formatted per write
 
@@ -118,9 +118,9 @@ def cmd_enumerate(args) -> int:
     def family():  # the text and CSV views stream it; JSON lists it
         return bounded_partitions(args.n, bounds, filt)
 
-    _print(args, lambda: [list(p.parts) for p in family()],
-           ["parts"], lambda: ([" ".join(map(str, p.parts))] for p in family()),
-           lambda: map(str, family()))
+    _print(args, lambda: [list(p) for p in family()],
+           ["parts"], lambda: ([" ".join(map(str, p))] for p in family()),
+           lambda: map(plain_form, family()))
     return 0
 
 
@@ -144,13 +144,13 @@ EXCHANGE_MAPS = {("pairing", "fwd"): pairing_map, ("pairing", "inv"): pairing_in
 
 
 def cmd_map(args) -> int:
-    p = Partition.parse(args.partition)
+    p = Partition.parse(args.partition).parts
     if args.name == "sylvester":
         _reject(args, args.name, ["-m"])
         if args.direction == "fwd":
-            stages = [("τ", p), ("λ", Partition._raw(sylvester_odd_to_distinct(p.parts)))]
+            stages = [("τ", p), ("λ", sylvester_odd_to_distinct(p))]
         else:
-            stages = [("λ", p), ("τ", Partition._raw(sylvester_distinct_to_odd(p.parts)))]
+            stages = [("λ", p), ("τ", sylvester_distinct_to_odd(p))]
     else:
         m = UNBOUNDED if args.m in (None, "inf") else _int("-m", args.m)
         image, trace = EXCHANGE_MAPS[args.name, args.direction](p, m)
@@ -158,10 +158,10 @@ def cmd_map(args) -> int:
         stages = [(first, p), ("λ", trace.lambda_part), ("μ", trace.mu_part),
                   ("τ", trace.tau_part), ("ν", trace.nu_part), (last, image)]
     _print(args, lambda: {"map": args.name, "direction": args.direction,
-                          "stages": [{"label": lab, "parts": list(q.parts)}
+                          "stages": [{"label": lab, "parts": list(q)}
                                      for lab, q in stages]},
-           ["stage", "parts"], lambda: ([lab, " ".join(map(str, q.parts))] for lab, q in stages),
-           lambda: ("%s: %s" % stage for stage in stages))
+           ["stage", "parts"], lambda: ([lab, " ".join(map(str, q))] for lab, q in stages),
+           lambda: ("%s: %s" % (lab, plain_form(q)) for lab, q in stages))
     return 0
 
 
@@ -258,11 +258,11 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     stat = STATS[args.stat]
-    rows: dict[int, list[Partition]] = {}
+    rows: dict[int, list[tuple[int, ...]]] = {}
     for p in bounded_partitions(args.n, _bounds_arg(args), _filter_arg(args)):
         rows.setdefault(stat(p), []).append(p)
     # every format prints each partition in exponent form
-    forms = {k: [p.exponent_form() for p in sorted(v)] for k, v in sorted(rows.items())}
+    forms = {k: [exponent_form(p) for p in sorted(v)] for k, v in sorted(rows.items())}
     counts = {k: len(v) for k, v in forms.items()}
     total = sum(counts.values())
     _print(args, lambda: {"n": args.n, "stat": args.stat, "total": total,

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .partition import Partition
-
 
 class _UnboundedType:
     """Singleton marking a part size with no multiplicity cap."""
@@ -378,15 +376,15 @@ def _leaves(n: int, bounds: BoundSequence | None,
 
 
 def bounded_partitions(n: int, bounds: BoundSequence | None = None,
-                       filt: CongruenceFilter | None = None) -> Iterator[Partition]:
-    """Yield all partitions of ``n`` within the caps, lazily, in descending
-    lexicographic order (largest first part first, ties broken by the next
-    part, and so on).  The order is deterministic.
+                       filt: CongruenceFilter | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the parts tuple of every partition of ``n`` within the caps,
+    lazily, in descending lexicographic order (largest first part first,
+    ties broken by the next part, and so on).  The order is deterministic.
 
     The caps are read once, when this is called (:func:`_leaves`).  ``n = 0``
     yields exactly the empty partition whatever the caps are.
     """
-    return map(Partition._raw, map(tuple, _leaves(n, bounds, filt)))
+    return map(tuple, _leaves(n, bounds, filt))
 
 
 def count_total(n: int, bounds: BoundSequence | None = None,
@@ -396,13 +394,13 @@ def count_total(n: int, bounds: BoundSequence | None = None,
     return sum(1 for _ in _leaves(n, bounds, filt))
 
 
-def histogram(partitions: Iterable[Partition],
-              stat: Callable[[Partition], int]) -> dict[int, int]:
+def histogram(partitions: Iterable[tuple[int, ...]],
+              stat: Callable[[tuple[int, ...]], int]) -> dict[int, int]:
     """Histogram of ``stat`` over ``partitions``, keyed ascending."""
     return dict(sorted(Counter(map(stat, partitions)).items()))
 
 
-def count_by_statistic(n: int, stat: Callable[[Partition], int],
+def count_by_statistic(n: int, stat: Callable[[tuple[int, ...]], int],
                        bounds: BoundSequence | None = None,
                        filt: CongruenceFilter | None = None) -> dict[int, int]:
     """Histogram of ``stat`` over the enumerated partitions, keyed ascending."""

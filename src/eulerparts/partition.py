@@ -1,14 +1,16 @@
-"""Integer partitions and the statistics used throughout the package.
+"""Integer partitions: parts tuples, their statistics and their text.
 
-A partition is stored canonically as a non-increasing tuple of positive
-parts; the empty tuple is the (unique) partition of 0.  Each statistic is
-defined once, as a function of that parts tuple; the :class:`Partition`
-methods and the exchange checks, which run on tuples, both call it.
+A partition is a non-increasing tuple of positive parts; the empty tuple is
+the (unique) partition of 0.  The whole library passes partitions as these
+parts tuples.  Each statistic is one function of the tuple, and so are the
+two ways to print it, :func:`plain_form` and :func:`exponent_form`.
+:class:`Partition` is the validated text codec the command line reads its
+input through.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 EMPTY_TEXT = "∅"  # how the empty partition prints: "∅"
 
@@ -16,9 +18,9 @@ MAX_TEXT_WEIGHT = 100_000  # the heaviest partition ``Partition.parse`` accepts
 
 
 class Partition:
-    """An integer partition, kept in non-increasing order.
+    """A validated partition read from text or a list of parts; ``parts``
+    holds its parts tuple.
 
-    Instances are treated as immutable: all operations return new objects.
     Input order does not matter; ``Partition([2, 7, 1])`` stores ``(7, 2, 1)``.
     """
 
@@ -30,13 +32,6 @@ class Partition:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError("parts must be positive integers, got %r" % (v,))
         self.parts = tuple(vals)
-
-    @classmethod
-    def _raw(cls, sorted_parts: tuple[int, ...]) -> "Partition":
-        # Internal fast path: caller guarantees a validated, sorted tuple.
-        p = object.__new__(cls)
-        p.parts = sorted_parts
-        return p
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -75,67 +70,41 @@ class Partition:
             parts.extend([size] * mult)
         return cls(parts)
 
-    # -- basic container behaviour ------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self) -> int:
         return hash(self.parts)
 
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
     def __repr__(self) -> str:
         return "Partition(%s)" % (list(self.parts),)
 
     def __str__(self) -> str:
-        if not self.parts:
-            return EMPTY_TEXT
-        return ",".join(str(p) for p in self.parts)
+        return plain_form(self.parts)
 
-    # -- statistics ----------------------------------------------------
-
-    def weight(self) -> int:
-        """The number being partitioned: the sum of all parts."""
-        return sum(self.parts)
-
-    def alt_sum(self) -> int:
-        """Alternating sum of the parts: :func:`alt_sum`."""
-        return alt_sum(self.parts)
-
-    def odd_count(self) -> int:
-        """How many parts are odd: :func:`odd_count`."""
-        return odd_count(self.parts)
+    def exponent_form(self) -> str:
+        """:func:`exponent_form` of the parts."""
+        return exponent_form(self.parts)
 
     def multiplicities(self) -> dict[int, int]:
         """Sizes to multiplicities, largest first: :func:`multiplicities`."""
         return multiplicities(self.parts)
 
-    def largest_odd_part(self) -> int:
-        """The largest odd part or 0: :func:`largest_odd_part`."""
-        return largest_odd_part(self.parts)
 
-    def largest_odd_multiplicity_part(self) -> int:
-        """The largest part of odd multiplicity or 0: :func:`largest_odd_multiplicity_part`."""
-        return largest_odd_multiplicity_part(self.parts)
+# -- text of a non-increasing parts tuple ------------------------------------
 
-    # -- rendering -----------------------------------------------------
+def plain_form(parts: tuple[int, ...]) -> str:
+    """The parts joined by commas, e.g. ``7,2,1``; "∅" when there are none."""
+    return ",".join(map(str, parts)) if parts else EMPTY_TEXT
 
-    def exponent_form(self) -> str:
-        """Render with multiplicities as exponents, e.g. ``(2^2,1^3)``."""
-        if not self.parts:
-            return EMPTY_TEXT
-        chunks = []
-        for size, mult in self.multiplicities().items():
-            chunks.append(str(size) if mult == 1 else "%d^%d" % (size, mult))
-        return "(%s)" % ",".join(chunks)
+
+def exponent_form(parts: tuple[int, ...]) -> str:
+    """Multiplicities written as exponents, e.g. ``(2^2,1^3)``; "∅" when
+    there are no parts."""
+    if not parts:
+        return EMPTY_TEXT
+    return "(%s)" % ",".join(str(size) if mult == 1 else "%d^%d" % (size, mult)
+                             for size, mult in multiplicities(parts).items())
 
 
 # -- statistics of a non-increasing parts tuple ------------------------------

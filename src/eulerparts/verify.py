@@ -31,8 +31,8 @@ from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_by_statistic, count_total,
                           histogram, parse_bounds, parse_phi)
-from .partition import (Partition, alt_sum, largest_odd_multiplicity_part,
-                        largest_odd_part, odd_count)
+from .partition import (alt_sum, largest_odd_multiplicity_part,
+                        largest_odd_part, odd_count, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, WeightVariant, binary_gf, boulet_product,
                      enumerated_series, half_cells_product, pairing_gf,
@@ -136,8 +136,8 @@ def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
     report = VerificationReport("bessenrodt", {"max_n": max_n})
     distinct, odds = PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)
     for n in range(max_n + 1):
-        left = count_by_statistic(n, Partition.alt_sum, distinct)
-        right = count_by_statistic(n, Partition.odd_count, odds)
+        left = count_by_statistic(n, alt_sum, distinct)
+        right = count_by_statistic(n, odd_count, odds)
         if left != right:
             report.fail(n=n, by_alt_sum=left, by_length=right)
             break
@@ -161,10 +161,6 @@ _REFINED = (lambda a: (alt_sum(a), largest_odd_multiplicity_part(a)), _odd_hook)
 def _json_keys(hist: dict) -> dict:
     """``hist`` with each tuple key written as text, so that it serialises."""
     return {str(k) if isinstance(k, tuple) else k: v for k, v in hist.items()}
-
-
-def _text(parts: tuple[int, ...]) -> str:
-    return str(Partition._raw(parts))
 
 
 def _verify_exchange(report: VerificationReport, forward, backward, runs,
@@ -204,7 +200,9 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         # The image of alpha, and its failure apart from target membership.
         try:
             beta = forward(alpha)
-        except AssertionError as exc:  # an invariant a map checks itself
+        except (AssertionError, DomainError) as exc:
+            # An invariant a map checks itself, or a stage that rejects a
+            # half of a source partition.
             return None, {"detail": str(exc)}
         try:
             detail = ("inverse round trip failed" if backward(beta) != alpha else
@@ -214,13 +212,13 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
             # Also an image outside the inverse's domain: the inverse runs
             # before a run checks its caps, which are reported first.
             return beta, {"detail": str(exc)}
-        return beta, detail and {"image": _text(beta), "detail": detail}
+        return beta, detail and {"image": plain_form(beta), "detail": detail}
 
     def check(n, src, dst, images):
         # The first failure of one run at n, or None.  A run whose target
         # caps are its source caps lists its family once.
-        source = [p.parts for p in bounded_partitions(n, src)]
-        target_list = source if dst is src else [p.parts for p in bounded_partitions(n, dst)]
+        source = list(bounded_partitions(n, src))
+        target_list = source if dst is src else list(bounded_partitions(n, dst))
         target = set(target_list)
         keys = list(map(source_stat, source))
         left = histogram(keys, lambda key: key)
@@ -234,9 +232,9 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
                 entry = images[alpha] = image(alpha, key)
             beta, failure = entry
             if beta is not None and beta not in target:
-                failure = {"image": _text(beta), "detail": "image violates the target caps"}
+                failure = {"image": plain_form(beta), "detail": "image violates the target caps"}
             if failure:
-                return {"input": _text(alpha), **failure}
+                return {"input": plain_form(alpha), **failure}
         return None
 
     failed, first = len(runs), None  # the earliest run that failed, and how

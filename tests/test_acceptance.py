@@ -17,7 +17,7 @@ from conftest import ACCEPTANCE_LINES
 
 from eulerparts.bijections import pairing_inverse_trace, pairing_map
 from eulerparts.enumeration import bounded_partitions, parse_bounds
-from eulerparts.partition import Partition
+from eulerparts.partition import alt_sum, exponent_form, odd_count
 from eulerparts.verify import (
     verify_andrews,
     verify_bessenrodt,
@@ -57,7 +57,7 @@ def table_rows(n, stat, bounds):
     rows = {}
     for p in bounded_partitions(n, parse_bounds(bounds)):
         rows.setdefault(stat(p), []).append(p)
-    return {k: [q.exponent_form() for q in sorted(v)]
+    return {k: [exponent_form(q) for q in sorted(v)]
             for k, v in sorted(rows.items())}
 
 
@@ -88,8 +88,8 @@ ROWS_EVEN1_BY_ALT = {
 def test_criterion_1_reference_table_all_parts_capped():
     with criterion(1, 1, "n=7, every part at most 3 times: reference table "
                          "and distributions"):
-        by_alt = table_rows(7, Partition.alt_sum, "all:3")
-        by_odd = table_rows(7, Partition.odd_count, "even:1")
+        by_alt = table_rows(7, alt_sum, "all:3")
+        by_odd = table_rows(7, odd_count, "even:1")
         assert by_alt == ROWS_CAP3_BY_ALT
         assert by_odd == ROWS_EVEN1_BY_ODD
         assert {k: len(v) for k, v in by_alt.items()} == DISTRIBUTION_AT_SEVEN
@@ -99,8 +99,8 @@ def test_criterion_1_reference_table_all_parts_capped():
 def test_criterion_2_reference_table_even_parts_capped():
     with criterion(2, 1, "n=7, even parts at most once: reference table "
                          "and distributions"):
-        by_alt = table_rows(7, Partition.alt_sum, "even:1")
-        by_odd = table_rows(7, Partition.odd_count, "even:1")
+        by_alt = table_rows(7, alt_sum, "even:1")
+        by_odd = table_rows(7, odd_count, "even:1")
         assert by_alt == ROWS_EVEN1_BY_ALT
         assert by_odd == ROWS_EVEN1_BY_ODD
         assert {k: len(v) for k, v in by_alt.items()} == DISTRIBUTION_AT_SEVEN
@@ -110,13 +110,13 @@ def test_criterion_2_reference_table_even_parts_capped():
 def test_criterion_3_worked_example_trace():
     with criterion(3, 1, "worked pairing example at m=2, all stages and the "
                          "inverse"):
-        alpha = Partition.parse("7,7,7,4,4,4,4,2,2,2,2,2,1")
+        alpha = (7, 7, 7, 4, 4, 4, 4, 2, 2, 2, 2, 2, 1)
         beta, trace = pairing_map(alpha, m=2)
-        assert trace.lambda_part == Partition.parse("7,2,1")
-        assert trace.mu_part == Partition.parse("7,7,4,4,4,4,2,2,2,2")
-        assert trace.tau_part == Partition.parse("3,3,1,1,1,1")
-        assert trace.nu_part == Partition.parse("14,8,8,4,4")
-        assert beta == Partition.parse("14,8,8,4,4,3,3,1,1,1,1")
+        assert trace.lambda_part == (7, 2, 1)
+        assert trace.mu_part == (7, 7, 4, 4, 4, 4, 2, 2, 2, 2)
+        assert trace.tau_part == (3, 3, 1, 1, 1, 1)
+        assert trace.nu_part == (14, 8, 8, 4, 4)
+        assert beta == (14, 8, 8, 4, 4, 3, 3, 1, 1, 1, 1)
         back, _ = pairing_inverse_trace(beta, m=2)
         assert back == alpha
 

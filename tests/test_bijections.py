@@ -24,12 +24,15 @@ from eulerparts.bijections import (
     sylvester_odd_to_distinct,
 )
 from eulerparts.enumeration import bounded_partitions, parse_bounds
-from eulerparts.partition import Partition
+from eulerparts.partition import (alt_sum, largest_odd_multiplicity_part,
+                                  largest_odd_part, multiplicities, odd_count)
 
 import oracles
 
 
-P = Partition
+def desc(parts):
+    """``parts`` as a parts tuple: sorted non-increasing."""
+    return tuple(sorted(parts, reverse=True))
 
 part_lists = st.lists(st.integers(min_value=1, max_value=30), max_size=14)
 
@@ -42,7 +45,7 @@ even_mult_tables = st.dictionaries(
 
 
 def paired(table):
-    return P([s for s, h in table.items() for _ in range(2 * h)]).parts
+    return desc([s for s, h in table.items() for _ in range(2 * h)])
 
 
 # -- the fishhook bijection ------------------------------------------------
@@ -68,8 +71,8 @@ def test_fishhook_known_pairs(odd, distinct):
 
 def test_fishhook_is_a_bijection_on_small_weights():
     for n in range(26):
-        odd = [p.parts for p in bounded_partitions(n, parse_bounds("even:0"))]
-        distinct = {p.parts for p in bounded_partitions(n, parse_bounds("all:1"))}
+        odd = list(bounded_partitions(n, parse_bounds("even:0")))
+        distinct = set(bounded_partitions(n, parse_bounds("all:1")))
         images = set()
         for tau in odd:
             lam = sylvester_odd_to_distinct(tau)
@@ -85,9 +88,9 @@ def test_fishhook_hook_lengths_and_alternating_sum():
     # of lam counts the odd parts of tau.
     for n in range(1, 21):
         for lam in bounded_partitions(n, parse_bounds("all:1")):
-            tau = P(sylvester_distinct_to_odd(lam.parts))
-            assert lam.parts[0] == len(tau) + (tau.parts[0] - 1) // 2
-            assert lam.alt_sum() == tau.odd_count()
+            tau = sylvester_distinct_to_odd(lam)
+            assert lam[0] == len(tau) + (tau[0] - 1) // 2
+            assert alt_sum(lam) == odd_count(tau)
 
 
 def test_fishhook_matches_the_cell_oracle():
@@ -125,10 +128,10 @@ def test_split_distinct_even_rule():
 
 @given(part_lists)
 def test_split_then_merge_round_trip(parts):
-    alpha = P(parts).parts
+    alpha = desc(parts)
     lam, mu = split_distinct_even(alpha)
     assert len(set(lam)) == len(lam)
-    assert all(m % 2 == 0 for m in P(mu).multiplicities().values())
+    assert all(m % 2 == 0 for m in multiplicities(mu).values())
     assert merge_distinct_even(lam, mu) == alpha
 
 
@@ -178,22 +181,22 @@ def test_binary_expand_round_trip(table):
 
 @given(st.lists(st.integers(min_value=1, max_value=15), max_size=10))
 def test_binary_contract_round_trip(halves):
-    nu = P([2 * v for v in halves]).parts
+    nu = desc([2 * v for v in halves])
     mu = binary_contract(nu)
-    assert all(m % 2 == 0 for m in P(mu).multiplicities().values())
+    assert all(m % 2 == 0 for m in multiplicities(mu).values())
     assert binary_expand(mu) == nu
 
 
 # -- the pairing map -------------------------------------------------------
 
 def test_pairing_map_worked_example():
-    alpha = P.parse("7,7,7,4,4,4,4,2,2,2,2,2,1")
+    alpha = (7, 7, 7, 4, 4, 4, 4, 2, 2, 2, 2, 2, 1)
     beta, trace = pairing_map(alpha, m=2)
-    assert trace.lambda_part == P([7, 2, 1])
-    assert trace.mu_part == P([7, 7, 4, 4, 4, 4, 2, 2, 2, 2])
-    assert trace.tau_part == P([3, 3, 1, 1, 1, 1])
-    assert trace.nu_part == P([14, 8, 8, 4, 4])
-    assert beta == P([14, 8, 8, 4, 4, 3, 3, 1, 1, 1, 1])
+    assert trace.lambda_part == (7, 2, 1)
+    assert trace.mu_part == (7, 7, 4, 4, 4, 4, 2, 2, 2, 2)
+    assert trace.tau_part == (3, 3, 1, 1, 1, 1)
+    assert trace.nu_part == (14, 8, 8, 4, 4)
+    assert beta == (14, 8, 8, 4, 4, 3, 3, 1, 1, 1, 1)
     assert trace.source == alpha and trace.image == beta
 
     back, inv_trace = pairing_inverse_trace(beta, m=2)
@@ -203,40 +206,47 @@ def test_pairing_map_worked_example():
 
 
 def test_pairing_map_empty():
-    beta, trace = pairing_map(P([]), m=0)
-    assert beta == P([])
-    assert trace == BijectionTrace(P([]), P([]), P([]), P([]), P([]), P([]))
+    beta, trace = pairing_map((), m=0)
+    assert beta == ()
+    assert trace == BijectionTrace((), (), (), (), (), ())
 
 
 @pytest.mark.parametrize("m", (0, 1, 2))
 def test_pairing_map_is_a_statistic_preserving_bijection(m):
     for n in range(17):
         domain = list(bounded_partitions(n, parse_bounds("all:%d" % (2 * m + 1))))
-        target = {p.parts for p in bounded_partitions(n, parse_bounds("even:%d" % m))}
+        target = set(bounded_partitions(n, parse_bounds("even:%d" % m)))
         images = set()
         for alpha in domain:
             beta, _ = pairing_map(alpha, m)
-            assert beta.weight() == n
-            assert alpha.alt_sum() == beta.odd_count()
-            assert beta.parts in target
+            assert sum(beta) == n
+            assert alt_sum(alpha) == odd_count(beta)
+            assert beta in target
             assert pairing_inverse(beta, m) == alpha
-            images.add(beta.parts)
+            images.add(beta)
         assert images == target, (n, m)
 
 
 def test_pairing_map_caps():
     with pytest.raises(DomainError, match="at most 2m\\+1"):
-        pairing_map(P([1, 1, 1, 1]), m=1)
+        pairing_map((1, 1, 1, 1), m=1)
     with pytest.raises(DomainError, match="at most m"):
-        pairing_inverse(P([2, 2]), m=1)
+        pairing_inverse((2, 2), m=1)
     # unbounded skips the cap check entirely
-    assert pairing_map(P([1, 1, 1, 1]))[0] == P([2, 2])
+    assert pairing_map((1, 1, 1, 1))[0] == (2, 2)
 
 
 @pytest.mark.parametrize("bad", (-1, 1.5, True))
 def test_pairing_map_rejects_bad_m(bad):
     with pytest.raises(ValueError):
-        pairing_map(P([1]), bad)
+        pairing_map((1,), bad)
+
+
+@pytest.mark.parametrize("run", (pairing_map, pairing_inverse, binary_map, binary_inverse))
+@pytest.mark.parametrize("bad", ([2, 1], (1, 2), (2, 0), (2, 1.0), (True,)))
+def test_maps_reject_what_is_not_a_parts_tuple(run, bad):
+    with pytest.raises(ValueError, match="^a partition is a non-increasing tuple"):
+        run(bad, 1)
 
 
 def test_bad_m_is_rejected_before_the_map_runs(monkeypatch):
@@ -248,23 +258,23 @@ def test_bad_m_is_rejected_before_the_map_runs(monkeypatch):
     monkeypatch.setattr(bijections, "sylvester_distinct_to_odd", ran)
     monkeypatch.setattr(bijections, "sylvester_odd_to_distinct", ran)
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got 1.5$"):
-        pairing_map(P.parse("2,1"), m=1.5)
+        pairing_map((2, 1), m=1.5)
     with pytest.raises(ValueError, match="^m must be a non-negative integer, got True$"):
-        binary_inverse(P.parse("3"), m=True)
+        binary_inverse((3,), m=True)
 
 
 @given(part_lists)
 def test_pairing_round_trip_unbounded(parts):
-    alpha = P(parts)
+    alpha = desc(parts)
     beta, _ = pairing_map(alpha)
-    assert beta.weight() == alpha.weight()
-    assert alpha.alt_sum() == beta.odd_count()
+    assert sum(beta) == sum(alpha)
+    assert alt_sum(alpha) == odd_count(beta)
     assert pairing_inverse(beta) == alpha
 
 
 @given(part_lists)
 def test_pairing_inverse_round_trip_unbounded(parts):
-    beta = P(parts)
+    beta = desc(parts)
     alpha = pairing_inverse(beta)
     assert pairing_map(alpha)[0] == beta
 
@@ -272,13 +282,13 @@ def test_pairing_inverse_round_trip_unbounded(parts):
 # -- the binary-decomposition map -----------------------------------------
 
 def test_binary_map_small_example():
-    beta, trace = binary_map(P([3, 3, 2, 1, 1]), m=0)
-    assert trace.lambda_part == P([2])
-    assert trace.mu_part == P([3, 3, 1, 1])
-    assert trace.tau_part == P([1, 1])
-    assert trace.nu_part == P([6, 2])
-    assert beta == P([6, 2, 1, 1])
-    assert binary_inverse(beta, m=0) == P([3, 3, 2, 1, 1])
+    beta, trace = binary_map((3, 3, 2, 1, 1), m=0)
+    assert trace.lambda_part == (2,)
+    assert trace.mu_part == (3, 3, 1, 1)
+    assert trace.tau_part == (1, 1)
+    assert trace.nu_part == (6, 2)
+    assert beta == (6, 2, 1, 1)
+    assert binary_inverse(beta, m=0) == (3, 3, 2, 1, 1)
 
 
 @pytest.mark.parametrize("m", (0, 1, 2))
@@ -286,32 +296,32 @@ def test_binary_map_preserves_the_even_cap_family(m):
     spec = parse_bounds("even:%d" % (2 * m + 1))
     for n in range(17):
         family = list(bounded_partitions(n, spec))
-        family_set = {p.parts for p in family}
+        family_set = set(family)
         images = set()
         for alpha in family:
             beta, _ = binary_map(alpha, m)
-            assert beta.weight() == n
-            assert alpha.alt_sum() == beta.odd_count()
-            assert beta.parts in family_set
+            assert sum(beta) == n
+            assert alt_sum(alpha) == odd_count(beta)
+            assert beta in family_set
             assert binary_inverse(beta, m) == alpha
-            images.add(beta.parts)
+            images.add(beta)
         assert images == family_set, (n, m)
 
 
 def test_binary_map_caps():
     with pytest.raises(DomainError, match="even parts"):
-        binary_map(P([2, 2]), m=0)
+        binary_map((2, 2), m=0)
     with pytest.raises(DomainError, match="even parts"):
-        binary_inverse(P([2, 2]), m=0)
+        binary_inverse((2, 2), m=0)
     # odd parts are never capped
-    assert binary_map(P([1] * 9), m=0)[0] == P([8, 1])
+    assert binary_map((1,) * 9, m=0)[0] == (8, 1)
 
 
 @given(part_lists)
 def test_binary_round_trip_unbounded(parts):
-    alpha = P(parts)
+    alpha = desc(parts)
     beta, _ = binary_map(alpha)
-    assert alpha.alt_sum() == beta.odd_count()
+    assert alt_sum(alpha) == odd_count(beta)
     assert binary_inverse(beta) == alpha
     assert binary_map(binary_inverse(alpha))[0] == alpha
 
@@ -323,22 +333,21 @@ def test_traces_are_the_public_stages_composed(parts):
     # each trace, both ways, is the public tuple stages composed by hand, so
     # the maps and the exchange checks share one implementation per stage;
     # the parts are read once as a source and once as a target
-    p = P(parts)
-    lam, mu = split_distinct_even(p.parts)
+    p = desc(parts)
+    lam, mu = split_distinct_even(p)
     tau = sylvester_distinct_to_odd(lam)
-    odd = tuple(v for v in p.parts if v % 2 == 1)
-    even = tuple(v for v in p.parts if v % 2 == 0)
+    odd = tuple(v for v in p if v % 2 == 1)
+    even = tuple(v for v in p if v % 2 == 0)
     back_lam = sylvester_odd_to_distinct(odd)
     for map_trace, inverse_trace, encode, decode in (
             (pairing_map, pairing_inverse_trace, merge_pairs, split_pairs),
             (binary_map, binary_inverse_trace, binary_expand, binary_contract)):
         nu = encode(mu)
         image = tuple(sorted(tau + nu, reverse=True))
-        assert tuple(q.parts for q in map_trace(p)[1]) == (p.parts, lam, mu, tau, nu, image)
+        assert map_trace(p)[1] == (p, lam, mu, tau, nu, image)
         back_mu = decode(even)
         source = merge_distinct_even(back_lam, back_mu)
-        assert tuple(q.parts for q in inverse_trace(p)[1]) == (
-            p.parts, back_lam, back_mu, odd, even, source)
+        assert inverse_trace(p)[1] == (p, back_lam, back_mu, odd, even, source)
 
 
 # -- the refined statistic ------------------------------------------------
@@ -346,26 +355,26 @@ def test_traces_are_the_public_stages_composed(parts):
 def test_refined_statistics_worked_example():
     # Largest part with odd multiplicity on the source side; on the image
     # side the odd-part count plus (largest odd part - 1)/2 recovers it.
-    alpha = P.parse("7,7,7,4,4,4,4,2,2,2,2,2,1")
-    assert alpha.largest_odd_multiplicity_part() == 7
-    assert alpha.alt_sum() == 6
+    alpha = (7, 7, 7, 4, 4, 4, 4, 2, 2, 2, 2, 2, 1)
+    assert largest_odd_multiplicity_part(alpha) == 7
+    assert alt_sum(alpha) == 6
     beta, _ = pairing_map(alpha, m=2)
-    assert beta.odd_count() == 6
-    assert beta.largest_odd_part() == 3
-    assert beta.odd_count() + (beta.largest_odd_part() - 1) // 2 == 7
+    assert odd_count(beta) == 6
+    assert largest_odd_part(beta) == 3
+    assert odd_count(beta) + (largest_odd_part(beta) - 1) // 2 == 7
 
 
 @settings(max_examples=60)
 @given(part_lists)
 def test_refined_statistics_hold_generally(parts):
-    alpha = P(parts)
-    q = alpha.largest_odd_multiplicity_part()
+    alpha = desc(parts)
+    q = largest_odd_multiplicity_part(alpha)
     if q == 0:
         return  # outside the refinement
     beta, _ = pairing_map(alpha)
-    p = beta.largest_odd_part()
+    p = largest_odd_part(beta)
     assert p % 2 == 1
-    assert beta.odd_count() + (p - 1) // 2 == q
+    assert odd_count(beta) + (p - 1) // 2 == q
 
 
 # -- invariant checks -------------------------------------------------------
@@ -374,7 +383,7 @@ def test_broken_stage_raises(monkeypatch):
     # the maps compose the stages, which run on parts tuples
     monkeypatch.setattr(bijections, "merge_pairs", lambda mu: ())
     with pytest.raises(AssertionError, match="weight preserved"):
-        pairing_map(P([2, 2]))
+        pairing_map((2, 2))
 
 
 def test_broken_stage_raises_under_python_O():

@@ -19,7 +19,8 @@ from eulerparts.enumeration import (
     parse_filter,
     parse_phi,
 )
-from eulerparts.partition import Partition
+from eulerparts import enumeration
+from eulerparts.partition import alt_sum, multiplicities, odd_count
 from eulerparts.series import FOUR_PARAM, enumerated_series
 
 import oracles
@@ -35,34 +36,35 @@ def test_unbounded_counts_match_pentagonal_recurrence():
 
 def test_unbounded_matches_independent_generator():
     for n in range(13):
-        ours = {p.parts for p in bounded_partitions(n)}
+        ours = set(bounded_partitions(n))
         assert ours == set(oracles.descending_partitions(n))
 
 
 def test_order_is_descending_lexicographic():
-    got = [p.parts for p in bounded_partitions(6)]
+    got = list(bounded_partitions(6))
     assert got == sorted(got, reverse=True)
     assert got[0] == (6,)
     assert got[-1] == (1, 1, 1, 1, 1, 1)
     # repeat runs are identical
-    assert got == [p.parts for p in bounded_partitions(6)]
+    assert got == list(bounded_partitions(6))
 
 
-def _count_builds(monkeypatch, limit):
-    """The parts of every partition the walk builds from now on.  Building
+def _count_yields(monkeypatch, limit):
+    """The parts of every partition the walk yields from now on.  Yielding
     one past ``limit`` fails at once, so an eager walk stops instead of
     listing a family of millions."""
-    built = []
-    raw = Partition._raw
+    yielded = []
+    walk = enumeration._walk
 
-    def counted(parts):
-        built.append(parts)
-        if len(built) > limit:
-            raise AssertionError("built more partitions than were taken")
-        return raw(parts)
+    def counted(*args):
+        for parts in walk(*args):
+            yielded.append(tuple(parts))
+            if len(yielded) > limit:
+                raise AssertionError("yielded more partitions than were taken")
+            yield parts
 
-    monkeypatch.setattr(Partition, "_raw", counted)
-    return built
+    monkeypatch.setattr(enumeration, "_walk", counted)
+    return yielded
 
 
 def _peak_bytes(take):
@@ -75,25 +77,25 @@ def _peak_bytes(take):
 
 
 def test_first_partition_comes_without_listing_the_family(monkeypatch):
-    built = _count_builds(monkeypatch, 1)
+    yielded = _count_yields(monkeypatch, 1)
     first, peak = _peak_bytes(lambda: next(iter(bounded_partitions(200))))
-    assert first == Partition([200])
-    assert built == [(200,)]
+    assert first == (200,)
+    assert yielded == [(200,)]
     assert peak < 100_000
 
 
 def test_a_prefix_of_the_walk_is_the_start_of_the_order(monkeypatch):
-    built = _count_builds(monkeypatch, 5)
+    yielded = _count_yields(monkeypatch, 5)
     head, peak = _peak_bytes(lambda: list(itertools.islice(
         bounded_partitions(70, parse_bounds("all:inf")), 5)))
-    assert [p.parts for p in head] == [(70,), (69, 1), (68, 2), (68, 1, 1), (67, 3)]
-    assert len(built) == 5
+    assert head == [(70,), (69, 1), (68, 2), (68, 1, 1), (67, 3)]
+    assert len(yielded) == 5
     assert peak < 100_000
 
 
 def test_zero_and_negative():
-    assert [p.parts for p in bounded_partitions(0)] == [()]
-    assert [p.parts for p in bounded_partitions(0, parse_bounds("all:0"))] == [()]
+    assert list(bounded_partitions(0)) == [()]
+    assert list(bounded_partitions(0, parse_bounds("all:0"))) == [()]
     with pytest.raises(ValueError):
         list(bounded_partitions(-1))
 
@@ -130,7 +132,7 @@ def test_enumerated_partitions_obey_caps(spec):
     bounds = parse_bounds(spec)
     for n in range(11):
         for p in bounded_partitions(n, bounds):
-            assert oracles.within_caps(p.parts, bounds), (spec, p)
+            assert oracles.within_caps(p, bounds), (spec, p)
 
 
 def test_euler_distinct_equals_odd():
@@ -145,12 +147,12 @@ def test_euler_distinct_equals_odd():
 def test_count_by_statistic_matches_brute_force():
     bounds = parse_bounds("all:3")
     for n in range(11):
-        got = count_by_statistic(n, Partition.alt_sum, bounds)
+        got = count_by_statistic(n, alt_sum, bounds)
         want = oracles.brute_distribution(
             n, oracles.alternating_sum, oracles.max_multiplicity_at_most(3)
         )
         assert got == want, n
-        got = count_by_statistic(n, Partition.odd_count, parse_bounds("even:1"))
+        got = count_by_statistic(n, odd_count, parse_bounds("even:1"))
         want = oracles.brute_distribution(
             n, oracles.odd_part_count, oracles.even_multiplicity_at_most(1)
         )
@@ -158,17 +160,17 @@ def test_count_by_statistic_matches_brute_force():
 
 
 def test_histogram_keys_ascending():
-    hist = count_by_statistic(9, Partition.alt_sum)
+    hist = count_by_statistic(9, alt_sum)
     assert list(hist) == sorted(hist)
 
 
 def test_seven_by_alternating_sum_with_cap_three():
-    hist = count_by_statistic(7, Partition.alt_sum, parse_bounds("all:3"))
+    hist = count_by_statistic(7, alt_sum, parse_bounds("all:3"))
     assert hist == {1: 5, 3: 4, 5: 2, 7: 1}
 
 
 def test_seven_by_odd_count_with_even_cap_one():
-    hist = count_by_statistic(7, Partition.odd_count, parse_bounds("even:1"))
+    hist = count_by_statistic(7, odd_count, parse_bounds("even:1"))
     assert hist == {1: 5, 3: 4, 5: 2, 7: 1}
 
 
@@ -279,7 +281,7 @@ def test_phi_bounds_in_enumeration():
     bounds = parse_bounds("phi:i")
     for n in range(12):
         for p in bounded_partitions(n, bounds):
-            for size, mult in p.multiplicities().items():
+            for size, mult in multiplicities(p).items():
                 assert mult <= size
 
 
@@ -312,7 +314,7 @@ def test_parse_filter_rejects(bad):
 def test_filter_restricts_part_sizes():
     f = CongruenceFilter(3, 2)
     for n in range(14):
-        got = {p.parts for p in bounded_partitions(n, None, f)}
+        got = set(bounded_partitions(n, None, f))
         want = {
             parts
             for parts in oracles.descending_partitions(n)
@@ -324,7 +326,7 @@ def test_filter_restricts_part_sizes():
 def test_filter_even_length_and_first_once():
     f = CongruenceFilter(2, 1, even_length=True, first_part_once=True)
     for n in range(12):
-        got = {p.parts for p in bounded_partitions(n, None, f)}
+        got = set(bounded_partitions(n, None, f))
         want = {
             parts
             for parts in oracles.descending_partitions(n)
@@ -334,7 +336,7 @@ def test_filter_even_length_and_first_once():
         }
         assert got == want, n
         for p in bounded_partitions(n, None, f):
-            assert oracles.passes_filter(p.parts, f)
+            assert oracles.passes_filter(p, f)
 
 
 def test_filter_admits_rejects():
@@ -377,7 +379,7 @@ def test_bounded_partitions_sequence_matches_accel_asc(cap_spec, cap_of, filter_
                        if keep(parts) and all(cap_of(s) is None or c <= cap_of(s)
                                               for s, c in Counter(parts).items())),
                       reverse=True)
-        got = [p.parts for p in bounded_partitions(n, bounds, filt)]
+        got = list(bounded_partitions(n, bounds, filt))
         assert got == want, (cap_spec, filter_spec, n)
 
 

@@ -49,7 +49,7 @@ def test_parse_rejects(bad):
 def test_parse_accepts_text_at_the_limit():
     # anything heavier is rejected from the running weight, before the
     # shorthand is expanded
-    assert len(Partition.parse("1^%d" % MAX_TEXT_WEIGHT)) == MAX_TEXT_WEIGHT
+    assert len(Partition.parse("1^%d" % MAX_TEXT_WEIGHT).parts) == MAX_TEXT_WEIGHT
     assert Partition.parse("%d" % MAX_TEXT_WEIGHT).parts == (MAX_TEXT_WEIGHT,)
 
 
@@ -61,6 +61,11 @@ def test_text_round_trip():
     assert p.exponent_form() == "(7,2,1)"
     assert Partition([2, 2, 1, 1, 1]).exponent_form() == "(2^2,1^3)"
     assert Partition([]).exponent_form() == EMPTY_TEXT
+    # the text of a parts tuple, which the library passes around
+    assert partition.plain_form((7, 2, 1)) == "7,2,1"
+    assert partition.plain_form(()) == EMPTY_TEXT
+    assert partition.exponent_form((2, 2, 1, 1, 1)) == "(2^2,1^3)"
+    assert partition.exponent_form(()) == EMPTY_TEXT
 
 
 @given(part_lists)
@@ -72,52 +77,52 @@ def test_parse_inverts_str(parts):
 
 def test_container_protocol():
     p = Partition([3, 1, 1])
-    assert len(p) == 3
-    assert list(p) == [3, 1, 1]
+    assert len(p.parts) == 3
+    assert list(p.parts) == [3, 1, 1]
     assert p == Partition([1, 3, 1])
     assert p != Partition([3, 2])
+    assert p != (3, 1, 1)
     assert hash(p) == hash(Partition([1, 1, 3]))
-    assert Partition([2, 1]) < Partition([3])
-    assert sorted([Partition([3]), Partition([2, 1])]) == [
-        Partition([2, 1]),
-        Partition([3]),
-    ]
+    # parts tuples order as the text listings sort them
+    assert (2, 1) < (3,)
+    assert sorted([(3,), (2, 1)]) == [(2, 1), (3,)]
 
 
 # Statistics on a worked example: 7,4,4,3 has alternating sum
 # 7-4+4-3 = 4, two odd parts, conjugate 4,4,4,3,1,1,1.
 def test_statistics_worked_example():
-    p = Partition([7, 4, 4, 3])
-    assert p.weight() == 18
-    assert p.alt_sum() == 4
-    assert p.odd_count() == 2
-    assert oracles.conjugate(p.parts) == (4, 4, 4, 3, 1, 1, 1)
-    assert p.multiplicities() == {7: 1, 4: 2, 3: 1}
-    assert p.largest_odd_part() == 7
-    assert p.largest_odd_multiplicity_part() == 7
+    p = (7, 4, 4, 3)
+    assert sum(p) == 18
+    assert partition.alt_sum(p) == 4
+    assert partition.odd_count(p) == 2
+    assert oracles.conjugate(p) == (4, 4, 4, 3, 1, 1, 1)
+    assert partition.multiplicities(p) == {7: 1, 4: 2, 3: 1}
+    assert Partition(p).multiplicities() == {7: 1, 4: 2, 3: 1}
+    assert partition.largest_odd_part(p) == 7
+    assert partition.largest_odd_multiplicity_part(p) == 7
 
 
 def test_statistics_edge_cases():
-    empty = Partition([])
-    assert empty.weight() == 0
-    assert empty.alt_sum() == 0
-    assert empty.odd_count() == 0
-    assert oracles.conjugate(empty.parts) == ()
-    assert empty.largest_odd_part() == 0
-    assert empty.largest_odd_multiplicity_part() == 0
-    evens = Partition([4, 2, 2])
-    assert evens.largest_odd_part() == 0
-    assert evens.largest_odd_multiplicity_part() == 4
-    assert Partition([4, 4, 2]).largest_odd_multiplicity_part() == 2
-    assert Partition([4, 4, 2, 2]).largest_odd_multiplicity_part() == 0
+    empty = ()
+    assert sum(empty) == 0
+    assert partition.alt_sum(empty) == 0
+    assert partition.odd_count(empty) == 0
+    assert oracles.conjugate(empty) == ()
+    assert partition.largest_odd_part(empty) == 0
+    assert partition.largest_odd_multiplicity_part(empty) == 0
+    evens = (4, 2, 2)
+    assert partition.largest_odd_part(evens) == 0
+    assert partition.largest_odd_multiplicity_part(evens) == 4
+    assert partition.largest_odd_multiplicity_part((4, 4, 2)) == 2
+    assert partition.largest_odd_multiplicity_part((4, 4, 2, 2)) == 0
 
 
 @given(part_lists)
 def test_statistics_match_oracle(parts):
     p = Partition(parts)
-    assert p.weight() == sum(parts)
-    assert p.alt_sum() == oracles.alternating_sum(p.parts)
-    assert p.odd_count() == oracles.odd_part_count(p.parts)
+    assert sum(p.parts) == sum(parts)
+    assert partition.alt_sum(p.parts) == oracles.alternating_sum(p.parts)
+    assert partition.odd_count(p.parts) == oracles.odd_part_count(p.parts)
     assert p.multiplicities() == dict(oracles.multiplicity_table(parts))
 
 
@@ -137,10 +142,10 @@ def test_tuple_statistics_match_oracle(parts):
 
 @given(part_lists)
 def test_conjugate_involution(parts):
-    p = Partition(parts)
-    q = oracles.conjugate(p.parts)
-    assert oracles.conjugate(q) == p.parts
-    assert sum(q) == p.weight()
+    p = Partition(parts).parts
+    q = oracles.conjugate(p)
+    assert oracles.conjugate(q) == p
+    assert sum(q) == sum(p)
     if parts:
         assert len(q) == max(parts)
         assert q[0] == len(p)
@@ -150,9 +155,9 @@ def test_conjugate_involution(parts):
 def test_alt_sum_counts_odd_columns(parts):
     # Classical: the alternating sum equals the number of odd parts of the
     # conjugate (columns of odd height).
-    p = Partition(parts)
-    assert p.alt_sum() == oracles.odd_part_count(oracles.conjugate(p.parts))
-    assert p.alt_sum() >= 0
+    p = Partition(parts).parts
+    assert partition.alt_sum(p) == oracles.odd_part_count(oracles.conjugate(p))
+    assert partition.alt_sum(p) >= 0
 
 
 def test_multiplicities_ordered_descending():

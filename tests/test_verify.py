@@ -256,6 +256,33 @@ def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
                                      "detail": "invariant broken: weight preserved"}
 
 
+@pytest.fixture
+def fishhook_backwards(monkeypatch):
+    # the pairing map's fishhook runs the wrong way: it rejects the even part
+    # of the distinct half of 2 with a DomainError
+    from eulerparts import verify
+    monkeypatch.setattr(verify, "sylvester_distinct_to_odd", verify.sylvester_odd_to_distinct)
+
+
+def test_exchange_check_reports_a_stage_that_rejects_a_source_half(fishhook_backwards):
+    report = verify_pairing(max_n=6)
+    assert report.counterexample == {"m": 0, "n": 2, "input": "2",
+                                     "detail": "part 2 is even; all parts must be odd"}
+
+
+def test_verify_cli_reports_a_stage_that_rejects_a_source_half(fishhook_backwards, capsys):
+    from eulerparts.cli import main
+    assert main(["verify", "pairing", "--max-n", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL pairing") and "'input': '2'" in out
+    assert err == ""
+    # every run still reports, the ones the broken stage does not reach pass
+    assert main(["verify", "all"]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\nFAIL pairing ") == 1 and "PASS bessenrodt" in out
+    assert err == ""
+
+
 # -- the exchange engine: the stage memo ------------------------------------------
 
 def record_calls(monkeypatch, name):
@@ -319,8 +346,7 @@ def patch_composite(monkeypatch, name, table):
 def broken_inverse(monkeypatch):
     # the inverse sends the images of 2,2 and 5 to the empty partition
     from eulerparts.bijections import pairing_map
-    from eulerparts.partition import Partition
-    bad = {pairing_map(Partition.parse(text))[0].parts for text in ("2,2", "5")}
+    bad = {pairing_map(alpha)[0] for alpha in ((2, 2), (5,))}
     patch_composite(monkeypatch, "_backward", dict.fromkeys(bad, ()))
 
 
@@ -359,9 +385,8 @@ def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
     # holds.  m = 3 maps 2,2 first and admits its image 2,2; m = 1, which
     # reuses that image, must still reject it.
     from eulerparts.bijections import pairing_map
-    from eulerparts.partition import Partition
     swap = {(2, 2): (1, 1, 1, 1), (1, 1, 1, 1): (2, 2)}
-    forward = {a: pairing_map(Partition(b))[0].parts for a, b in swap.items()}
+    forward = {a: pairing_map(b)[0] for a, b in swap.items()}
     patch_composite(monkeypatch, "_forward", forward)
     patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
     report = verify_pairing(max_n=6, ms=(3, 1))
@@ -406,6 +431,19 @@ def test_sylvester_check_reports_a_statistic_not_carried_over(monkeypatch):
     report = verify_sylvester(max_n=6)
     assert report.counterexample == {"n": 5, "input": "5", "image": "3,1,1",
                                      "detail": "statistic not carried over"}
+
+
+def test_the_checks_build_no_partition(monkeypatch):
+    # the checks run on parts tuples end to end; Partition is only the
+    # command line's text codec
+    from eulerparts.partition import Partition
+
+    def refuse(self, parts=()):
+        raise AssertionError("a check built a Partition")
+
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    for name in ("sylvester", "pairing", "binary", "pairing-refined", "bessenrodt"):
+        assert REGISTRY[name].runner().ok(), name
 
 
 def test_verify_cli_reports_a_broken_map_invariant(lossy_merge_pairs, capsys):
