@@ -21,8 +21,8 @@ From these, two correspondences between multiplicity-bounded families:
 
 Each stage and each composite map is one function on parts tuples: its
 input is a non-increasing tuple of positive ints, as ``bounded_partitions``
-yields, and so is its output (the split returns two).  The composite maps
-check that their input is one; the stages do not.  A stage finds
+yields, and so is its output (the split returns two).  The public composite
+maps check that their input is one; the stages do not.  A stage finds
 multiplicities as runs of equal neighbours and raises :class:`DomainError`
 outside its domain.  Each stage, the two fishhooks included, runs in time
 linear in the number of parts it reads and writes, and sorts only when its
@@ -38,8 +38,13 @@ That lets a caller memoise the stages, as the exchange checks in
   the image it would compute again;
 * an input on which a stage raises is never stored, so the stage raises
   for every partition whose split meets that input;
-* the split, the join and the composite's own checks (the weight and
-  l_a = l_o) are not memoised: they run for every partition.
+* the split, the join and the composites' weight check are not memoised:
+  they run for every partition.
+
+l_a = l_o is not checked by :func:`_forward` but by the public maps
+:func:`pairing_map` and :func:`binary_map`; an exchange check compares
+exactly that equality as its statistic, so it too runs once for every
+partition.
 
 The families the maps trade between, with their caps as functions of m,
 are :class:`~eulerparts.enumeration.CapFamily` values imported from
@@ -113,12 +118,6 @@ def _first_odd_multiplicity(parts: tuple[int, ...]) -> tuple[int, int]:
     return next((size, mult) for size, mult in multiplicities(parts).items() if mult % 2 == 1)
 
 
-def _descending(parts: list[int]) -> tuple[int, ...]:
-    """``parts``, which are positive but in any order, as a parts tuple."""
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
 def _all_even(parts: tuple[int, ...]):
     """Raise unless every part is even."""
     for p in parts:
@@ -141,13 +140,14 @@ def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
 
 def merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of :func:`split_distinct_even`; validates both halves."""
-    for prev, p in zip(lam, lam[1:]):
-        if p == prev:
-            raise DomainError("part %d repeats in the distinct half" % p)
-    if not _evenly_paired(mu):
+    if len(set(lam)) != len(lam):  # a part repeats: name it
+        for prev, p in zip(lam, lam[1:]):
+            if p == prev:
+                raise DomainError("part %d repeats in the distinct half" % p)
+    if mu[::2] != mu[1::2]:
         raise DomainError("part %d has odd multiplicity %d in the even half"
                           % _first_odd_multiplicity(mu))
-    return _descending(list(lam + mu))
+    return tuple(sorted(lam + mu, reverse=True))
 
 
 # -- Sylvester's fishhook bijection ---------------------------------------
@@ -268,7 +268,7 @@ def binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
                 half >>= 1
                 j += 1
         prev, half = size, 1
-    return _descending(out)
+    return tuple(sorted(out, reverse=True))
 
 
 def binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
@@ -283,7 +283,7 @@ def binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
     for v in singles:
         low = v & -v
         out += [v // low] * low
-    return _descending(out)
+    return tuple(sorted(out, reverse=True))
 
 
 # -- the two bound-trading maps -------------------------------------------
@@ -311,14 +311,14 @@ def _forward(alpha: tuple[int, ...], fishhook, encode) -> tuple[tuple[int, ...],
     """The stages ``(lam, mu, tau, nu, beta)`` of a composite map on the
     parts tuple ``alpha``: split it by multiplicity parity, send the distinct
     half through ``fishhook`` and the even half through ``encode``, and join
-    the images.  The weight and l_a = l_o are checked here on every call,
-    whatever the two stages are."""
+    the images.  The weight is checked here on every call, whatever the two
+    stages are; l_a = l_o is left to the caller (:func:`_mapped` for
+    the public maps, or an exchange check's statistic comparison)."""
     lam, mu = split_distinct_even(alpha)
     tau = fishhook(lam)
     nu = encode(mu)
-    beta = _descending(list(tau + nu))
+    beta = tuple(sorted(tau + nu, reverse=True))
     _ensure(sum(beta) == sum(alpha), "weight preserved")
-    _ensure(alt_sum(alpha) == odd_count(beta), "l_a of the input = l_o of the image")
     return lam, mu, tau, nu, beta
 
 
@@ -326,8 +326,8 @@ def _backward(beta: tuple[int, ...], fishhook, decode) -> tuple[tuple[int, ...],
     """Inverse of :func:`_forward`, with the stages in the same order
     ``(lam, mu, tau, nu, alpha)``: odd parts go back through ``fishhook``,
     even parts through ``decode``, and the halves are joined."""
-    tau = tuple([p for p in beta if p % 2 == 1])
-    nu = tuple([p for p in beta if p % 2 == 0])
+    tau = tuple([p for p in beta if p & 1])
+    nu = tuple([p for p in beta if not p & 1])
     lam = fishhook(tau)
     mu = decode(nu)
     alpha = merge_distinct_even(lam, mu)
@@ -338,17 +338,26 @@ def _backward(beta: tuple[int, ...], fishhook, decode) -> tuple[tuple[int, ...],
 _ImageAndTrace = tuple[tuple[int, ...], BijectionTrace]  # what a composite map returns
 
 
+def _mapped(alpha: tuple[int, ...], m, family, encode) -> _ImageAndTrace:
+    """A public composite map: check that ``alpha`` is in ``family`` at
+    ``m``, run :func:`_forward` with ``encode`` as the even half's stage,
+    and check that l_a of the input = l_o of the image."""
+    _check_domain(alpha, m, family)
+    trace = BijectionTrace(alpha, *_forward(alpha, sylvester_distinct_to_odd, encode))
+    _ensure(alt_sum(alpha) == odd_count(trace.image), "l_a of the input = l_o of the image")
+    return trace.image, trace
+
+
 def pairing_map(alpha: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
     """Send a partition with every multiplicity at most ``2m+1`` to one whose
     even parts appear at most ``m`` times.
 
     The alternating sum of the input equals the number of odd parts of the
-    image, and the weight is preserved.  With ``m = UNBOUNDED`` no caps are
-    checked and the map is the general multiplicity-parity correspondence.
+    image, and the weight is preserved; both are checked on every call.
+    With ``m = UNBOUNDED`` no caps are checked and the map is the general
+    multiplicity-parity correspondence.
     """
-    _check_domain(alpha, m, PAIRING_SOURCE)
-    trace = BijectionTrace(alpha, *_forward(alpha, sylvester_distinct_to_odd, merge_pairs))
-    return trace.image, trace
+    return _mapped(alpha, m, PAIRING_SOURCE, merge_pairs)
 
 
 def pairing_inverse_trace(beta: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
@@ -367,11 +376,10 @@ def binary_map(alpha: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
 
     Works like :func:`pairing_map` but the even-multiplicity half goes
     through :func:`binary_expand`, so the image again has its even parts
-    capped at ``2m+1``.  Alternating sum maps to odd-part count.
+    capped at ``2m+1``.  Alternating sum maps to odd-part count, which
+    is checked on every call.
     """
-    _check_domain(alpha, m, BINARY_FAMILY)
-    trace = BijectionTrace(alpha, *_forward(alpha, sylvester_distinct_to_odd, binary_expand))
-    return trace.image, trace
+    return _mapped(alpha, m, BINARY_FAMILY, binary_expand)
 
 
 def binary_inverse_trace(beta: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:

@@ -119,7 +119,7 @@ def alt_sum(parts: tuple[int, ...]) -> int:
 
 def odd_count(parts: tuple[int, ...]) -> int:
     """How many parts are odd (counted with multiplicity)."""
-    return len([p for p in parts if p % 2 == 1])
+    return len([p for p in parts if p & 1])
 
 
 def multiplicities(parts: tuple[int, ...]) -> dict[int, int]:

@@ -4,11 +4,12 @@ Every checker computes both sides of an identity over an explicit grid and
 returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The four bijection checks share
 one engine, :func:`_verify_exchange`, which runs on parts tuples, runs each
-map stage once per distinct input in a check, and maps each partition once
-per n however many m or phi runs admit it; a check over several m or phi
-reports its first failure in the order they were given, then by n.  The registry at
-the end plans and runs the grid of the ``verify`` command: :func:`runs_for`
-picks the runs and :func:`run_checks` runs them.
+map stage once per distinct input in a check, takes each statistic of a
+partition once, and maps each partition once per n however many m or phi
+runs admit it; a check over several m or phi reports its first failure in
+the order they were given, then by n.  The registry at the end plans and
+runs the grid of the ``verify`` command: :func:`runs_for` picks the runs
+and :func:`run_checks` runs them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .bijections import (DomainError, _backward, _forward, binary_contract,
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_by_statistic, count_total,
-                          histogram, parse_bounds, parse_phi)
+                          parse_bounds, parse_phi)
 from .partition import (alt_sum, largest_odd_multiplicity_part,
                         largest_odd_part, odd_count, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
@@ -159,8 +160,9 @@ _REFINED = (lambda a: (alt_sum(a), largest_odd_multiplicity_part(a)), _odd_hook)
 
 
 def _json_keys(hist: dict) -> dict:
-    """``hist`` with each tuple key written as text, so that it serialises."""
-    return {str(k) if isinstance(k, tuple) else k: v for k, v in hist.items()}
+    """``hist`` keyed ascending, with each tuple key written as text, so
+    that it serialises."""
+    return {str(k) if isinstance(k, tuple) else k: v for k, v in sorted(hist.items())}
 
 
 def _verify_exchange(report: VerificationReport, forward, backward, runs,
@@ -174,6 +176,13 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     run order, then n order, and starts with the run's context.  Returns the
     source histogram summed over the (run, n) pairs checked.
 
+    Each statistic of a partition is taken once per run and n.  The source
+    statistic of each source partition gives both the left-hand histogram
+    and the key its image must carry.  The target family is listed as a
+    dict from each target partition to its statistic: it gives the
+    right-hand histogram, answers target membership, and gives an image's
+    statistic, which is computed apart only for an image outside it.
+
     The check runs on parts tuples: ``forward`` and ``backward`` are the map
     and its inverse on them.  The runners build both when they run, with
     each map stage wrapped in ``functools.cache``, so a stage runs once per
@@ -183,8 +192,9 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     nothing for a call that raises, so the stage raises again for every
     partition that meets that input; and every per-partition check still
     runs for every source partition (the split, the join, the map's weight
-    and l_a = l_o checks, the round trip, the statistic and the target
-    caps).
+    check, the round trip, the statistic and the target caps).  The map
+    does not check l_a = l_o itself: the statistic comparison is that
+    check, or holds it as its first coordinate.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -196,7 +206,7 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     source_stat, target_stat = stats
     totals: Counter = Counter()
 
-    def image(alpha, key):
+    def image(alpha, key, target):
         # The image of alpha, and its failure apart from target membership.
         try:
             beta = forward(alpha)
@@ -205,9 +215,13 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
             # half of a source partition.
             return None, {"detail": str(exc)}
         try:
-            detail = ("inverse round trip failed" if backward(beta) != alpha else
-                      "statistic not carried over" if target_stat(beta) != key else
-                      None)
+            if backward(beta) != alpha:
+                detail = "inverse round trip failed"
+            else:
+                stat = target.get(beta)  # no statistic is None
+                if stat is None:
+                    stat = target_stat(beta)
+                detail = "statistic not carried over" if stat != key else None
         except (AssertionError, DomainError) as exc:
             # Also an image outside the inverse's domain: the inverse runs
             # before a run checks its caps, which are reported first.
@@ -218,18 +232,17 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         # The first failure of one run at n, or None.  A run whose target
         # caps are its source caps lists its family once.
         source = list(bounded_partitions(n, src))
-        target_list = source if dst is src else list(bounded_partitions(n, dst))
-        target = set(target_list)
+        target = {beta: target_stat(beta)
+                  for beta in (source if dst is src else bounded_partitions(n, dst))}
         keys = list(map(source_stat, source))
-        left = histogram(keys, lambda key: key)
-        right = histogram(target_list, target_stat)
+        left, right = Counter(keys), Counter(target.values())
         totals.update(left)
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
         for alpha, key in zip(source, keys):
             entry = images.get(alpha)
             if entry is None:
-                entry = images[alpha] = image(alpha, key)
+                entry = images[alpha] = image(alpha, key, target)
             beta, failure = entry
             if beta is not None and beta not in target:
                 failure = {"image": plain_form(beta), "detail": "image violates the target caps"}

@@ -386,6 +386,19 @@ def test_broken_stage_raises(monkeypatch):
         pairing_map((2, 2))
 
 
+@pytest.mark.parametrize("name, public_map, m", (
+    ("merge_pairs", pairing_map, 1),
+    ("binary_expand", binary_map, 0),
+))
+def test_public_maps_check_l_a_equals_l_o(monkeypatch, name, public_map, m):
+    # the even half's stage as the identity keeps the weight but not the
+    # parity: 1,1 maps to itself, l_a 0 against l_o 2
+    monkeypatch.setattr(bijections, name, lambda mu: mu)
+    with pytest.raises(AssertionError) as raised:
+        public_map((1, 1), m=m)
+    assert str(raised.value) == "invariant broken: l_a of the input = l_o of the image"
+
+
 def test_broken_stage_raises_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from eulerparts.enumeration import count_total, parse_bounds
+from eulerparts.enumeration import (PAIRING_SOURCE, PAIRING_TARGET, count_total,
+                                   parse_bounds)
 from eulerparts.verify import (
     REGISTRY,
     VerificationReport,
@@ -256,6 +257,17 @@ def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
                                      "detail": "invariant broken: weight preserved"}
 
 
+def test_exchange_check_catches_a_stage_that_breaks_l_a_equals_l_o(monkeypatch):
+    # merge_pairs as the identity keeps the weight but not the parity: 1,1
+    # maps to itself, whose inverse is 2.  The map leaves l_a = l_o to the
+    # check, whose round trip comes first.
+    from eulerparts import verify
+    monkeypatch.setattr(verify, "merge_pairs", lambda mu: mu)
+    report = verify_pairing(max_n=4, ms=(1,))
+    assert report.counterexample == {"m": 1, "n": 2, "input": "1,1", "image": "1,1",
+                                     "detail": "inverse round trip failed"}
+
+
 @pytest.fixture
 def fishhook_backwards(monkeypatch):
     # the pairing map's fishhook runs the wrong way: it rejects the even part
@@ -354,6 +366,8 @@ def broken_inverse(monkeypatch):
     ((0, 1), 0, 5, "5"),  # m = 1 fails first by n, but m = 0 comes first
     ((1, 0), 1, 4, "2,2"),
     ((2, 1), 2, 4, "2,2"),
+    ((1,), 1, 4, "2,2"),  # each run alone fails as it does beside another
+    ((0,), 0, 5, "5"),
 ))
 def test_exchange_reports_the_first_failure_in_run_order(broken_inverse, ms, m, n, text):
     report = verify_pairing(max_n=8, ms=ms)
@@ -392,6 +406,34 @@ def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
     report = verify_pairing(max_n=6, ms=(3, 1))
     assert report.counterexample == {"m": 1, "n": 4, "input": "2,2", "image": "2,2",
                                      "detail": "image violates the target caps"}
+
+
+@pytest.mark.parametrize("ms", ((1,), (1, 2)))
+def test_exchange_reports_a_statistic_not_carried_over(monkeypatch, ms):
+    # 3,1 (l_a 2) and 2,2 (l_a 0) swap images, 3,1 and 4 (l_o 2 and 0); the
+    # inverse agrees and both images lie in the target, so only the
+    # statistic, read from the target's table, shows the fault
+    patch_composite(monkeypatch, "_forward", {(3, 1): (4,), (2, 2): (3, 1)})
+    patch_composite(monkeypatch, "_backward", {(4,): (3, 1), (3, 1): (2, 2)})
+    report = verify_pairing(max_n=6, ms=ms)
+    assert report.counterexample == {"m": 1, "n": 4, "input": "3,1", "image": "4",
+                                     "detail": "statistic not carried over"}
+
+
+@pytest.mark.parametrize("ms", ((2,), (0, 2)))
+def test_exchange_takes_each_statistic_once(monkeypatch, ms):
+    # per run and n: the source statistic once per source partition and the
+    # target statistic once per target partition, the images' included,
+    # since every image lies in the target
+    from eulerparts import verify
+    calls = []
+    monkeypatch.setattr(verify, "_EXCHANGED", tuple(
+        (lambda parts, stat=stat: calls.append(stat.__name__) or stat(parts))
+        for stat in verify._EXCHANGED))
+    assert verify_pairing(max_n=10, ms=ms).ok()
+    for stat, family in (("alt_sum", PAIRING_SOURCE), ("odd_count", PAIRING_TARGET)):
+        assert calls.count(stat) == sum(count_total(n, family.bounds(m))
+                                        for m in ms for n in range(11))
 
 
 @pytest.mark.parametrize("runner, walks", ((verify_pairing, 2), (verify_binary, 1)))
