@@ -290,19 +290,19 @@ def binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
 
 def _check_domain(parts: tuple[int, ...], m, family: CapFamily):
     """Check that ``parts`` is a parts tuple and, unless ``m`` is
-    ``UNBOUNDED``, that it is in ``family`` at ``m`` (which
-    :meth:`CapFamily.bounds` validates)."""
+    ``UNBOUNDED`` (or a float equal to it), that it is in ``family`` at
+    ``m`` (which :meth:`CapFamily.bounds` validates)."""
     if not (isinstance(parts, tuple)
             and all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts)
             and all(p >= q for p, q in zip(parts, parts[1:]))):
         raise ValueError("a partition is a non-increasing tuple of positive ints, got %r"
                          % (parts,))
-    if m is UNBOUNDED:
+    if m == UNBOUNDED:
         return
     bounds = family.bounds(m)
     for size, mult in multiplicities(parts).items():
         b = bounds.bound(size)
-        if b is not UNBOUNDED and mult > b:
+        if mult > b:
             raise DomainError("part %d appears %d times, above the cap of %d (%s)"
                               % (size, mult, b, family.what))
 
@@ -354,8 +354,8 @@ def pairing_map(alpha: tuple[int, ...], m=UNBOUNDED) -> _ImageAndTrace:
 
     The alternating sum of the input equals the number of odd parts of the
     image, and the weight is preserved; both are checked on every call.
-    With ``m = UNBOUNDED`` no caps are checked and the map is the general
-    multiplicity-parity correspondence.
+    With ``m = UNBOUNDED`` (the default, ``math.inf``) no caps are checked
+    and the map is the general multiplicity-parity correspondence.
     """
     return _mapped(alpha, m, PAIRING_SOURCE, merge_pairs)
 

@@ -17,34 +17,21 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
-class _UnboundedType:
-    """Singleton marking a part size with no multiplicity cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _UnboundedType()
+# "No cap": a number, so that cap arithmetic needs no branch for it.
+UNBOUNDED = inf
 
 
 class BoundSequence:
     """Per-size multiplicity caps: part ``i`` may appear at most ``bound(i)`` times.
 
-    Caps are inclusive; 0 forbids the size entirely and ``UNBOUNDED`` lifts
-    the cap.  ``spec``, kept for reports, is the DSL text when
-    :func:`parse_bounds` built the caps, and otherwise the name given by
-    whoever built them.
+    Caps are inclusive non-negative ints, 0 forbids the size, and
+    ``UNBOUNDED`` (``math.inf``, or a float equal to it) lifts the cap.
+    ``spec``, kept for reports, is the DSL text when :func:`parse_bounds`
+    built the caps, and otherwise the name given by whoever built them.
     """
 
     __slots__ = ("_fn", "spec")
@@ -60,9 +47,7 @@ class BoundSequence:
         if size < 1:
             raise ValueError("part sizes start at 1, got %d" % size)
         b = self._fn(size)
-        if b is UNBOUNDED:
-            return b
-        if not isinstance(b, int) or b < 0:
+        if b != UNBOUNDED and (not isinstance(b, int) or b < 0):
             raise ValueError("bound for part %d must be a non-negative integer, got %r" % (size, b))
         return b
 
@@ -70,13 +55,12 @@ class BoundSequence:
         """Sorted multiset of ``size * (bound + 1)`` values up to ``cutoff``.
 
         ``bound + 1`` is the strict (excluded) multiplicity, so these are the
-        products that decide whether two bound sequences are equivalent.
+        products that decide whether two bound sequences are equivalent.  An
+        uncapped size has an infinite product, so it never makes the list.
         """
         out = []
         for size in range(1, cutoff + 1):
             b = self.bound(size)
-            if b is UNBOUNDED:
-                continue
             prod = size * (b + 1)
             if prod <= cutoff:
                 out.append(prod)
@@ -298,7 +282,7 @@ def _size_caps(n: int, bounds: BoundSequence | None,
     table = []
     for size in range(filt.residue or filt.modulus, n + 1, filt.modulus):
         b = UNBOUNDED if bounds is None else bounds.bound(size)
-        cap = min(n // size, n if b is UNBOUNDED else b, 1 if size == once_size else n)
+        cap = min(n // size, b, 1 if size == once_size else n)
         if cap:
             table.append((size, cap))
     return table

@@ -449,12 +449,10 @@ def _bound_factor_list(bounds: BoundSequence, trunc: int,
     out = []
     for size in range(1, trunc + 1):
         b = bounds.bound(size)
+        if b == UNBOUNDED:
+            continue
         if size % k != i:
-            if b is not UNBOUNDED:
-                raise ValueError("cap on part %d, which lies outside the progression" % size)
-            continue
-        if b is UNBOUNDED:
-            continue
+            raise ValueError("cap on part %d, which lies outside the progression" % size)
         strict = b + 1
         odd_row, even_row = weight.cells(size, 0), weight.cells(0, size)
         if odd_row == even_row:

@@ -184,17 +184,18 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     statistic, which is computed apart only for an image outside it.
 
     The check runs on parts tuples: ``forward`` and ``backward`` are the map
-    and its inverse on them.  The runners build both when they run, with
-    each map stage wrapped in ``functools.cache``, so a stage runs once per
-    distinct input the check meets and its memo lives for this one check.
-    That changes no verdict, as the ``bijections`` module argues: the stages
-    are pure functions of their input tuple; ``functools.cache`` stores
-    nothing for a call that raises, so the stage raises again for every
-    partition that meets that input; and every per-partition check still
-    runs for every source partition (the split, the join, the map's weight
-    check, the round trip, the statistic and the target caps).  The map
-    does not check l_a = l_o itself: the statistic comparison is that
-    check, or holds it as its first coordinate.
+    and its inverse on them.  The composite checks build both when they run
+    (:func:`_composite`), with each stage in a ``functools.cache``, so a
+    stage runs once per distinct input the check meets and its memo lives
+    for this one check; ``sylvester`` meets each input once and runs the
+    fishhooks bare.  A memo changes no verdict, as the ``bijections`` module
+    argues: the stages are pure functions of their input tuple;
+    ``functools.cache`` stores nothing for a call that raises, so the stage
+    raises again for every partition that meets that input; and every
+    per-partition check still runs for every source partition (the split,
+    the join, the map's weight check, the round trip, the statistic and the
+    target caps).  The map does not check l_a = l_o itself: the statistic
+    comparison is that check, or holds it as its first coordinate.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -285,8 +286,8 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     """
     report = VerificationReport("sylvester", {"max_n": max_n})
     runs = [({}, PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0))]
-    _verify_exchange(report, functools.cache(sylvester_distinct_to_odd),
-                     functools.cache(sylvester_odd_to_distinct), runs, max_n, _REFINED)
+    _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct,
+                     runs, max_n, _REFINED)
     return report
 
 

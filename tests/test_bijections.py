@@ -234,6 +234,9 @@ def test_pairing_map_caps():
         pairing_inverse((2, 2), m=1)
     # unbounded skips the cap check entirely
     assert pairing_map((1, 1, 1, 1))[0] == (2, 2)
+    # and so does any float infinity, not only the UNBOUNDED object
+    for alpha in ((1, 1, 1, 1), (3, 3, 3, 3), (5, 4, 4, 4, 2, 2, 1), ()):
+        assert pairing_map(alpha, m=float("inf")) == pairing_map(alpha)
 
 
 @pytest.mark.parametrize("bad", (-1, 1.5, True))

@@ -21,7 +21,8 @@ from eulerparts.enumeration import (
 )
 from eulerparts import enumeration
 from eulerparts.partition import alt_sum, multiplicities, odd_count
-from eulerparts.series import FOUR_PARAM, enumerated_series
+from eulerparts.series import (FOUR_PARAM, ROW_TOTALS, enumerated_series, half_cells_product,
+                               row_totals_product)
 
 import oracles
 
@@ -404,6 +405,26 @@ def test_invalid_cap_names_the_same_size_in_both_paths():
         list(bounded_partitions(8, bad))
     with pytest.raises(ValueError, match=message):
         enumerated_series(8, FOUR_PARAM, bad)
+
+
+# -- a float infinity is no cap ---------------------------------------------
+
+# "2:1" written as a cap function whose other caps are float("inf"), a float
+# equal to UNBOUNDED but not the same object
+INF_CAPS = BoundSequence(lambda s: 1 if s == 2 else float("inf"), "custom")
+
+
+@pytest.mark.parametrize("read", (
+    lambda bounds: [list(bounded_partitions(n, bounds)) for n in range(13)],
+    lambda bounds: [count_total(n, bounds) for n in range(13)],
+    lambda bounds: enumerated_series(12, ROW_TOTALS, bounds),
+    lambda bounds: bounds.strict_products(30),
+    lambda bounds: row_totals_product(bounds, 12),
+    lambda bounds: half_cells_product(bounds, 12),
+), ids=("bounded_partitions", "count_total", "enumerated_series", "strict_products",
+        "row_totals_product", "half_cells_product"))
+def test_a_float_infinity_is_no_cap(read):
+    assert read(INF_CAPS) == read(parse_bounds("2:1"))
 
 
 # -- randomized agreement -------------------------------------------------
