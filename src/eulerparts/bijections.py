@@ -113,9 +113,16 @@ def _evenly_paired(parts: tuple[int, ...]) -> bool:
     return parts[::2] == parts[1::2]
 
 
-def _first_odd_multiplicity(parts: tuple[int, ...]) -> tuple[int, int]:
-    """The largest part of odd multiplicity and that multiplicity."""
-    return next((size, mult) for size, mult in multiplicities(parts).items() if mult % 2 == 1)
+def _unpaired(parts: tuple[int, ...], where: str = "") -> DomainError:
+    """The error for ``parts`` that do not pair off as neighbours: the
+    largest part of odd multiplicity, or, when every multiplicity is even,
+    the first part that follows a smaller one.  Non-increasing parts with
+    even multiplicities do pair off, so one of the two is there."""
+    for size, mult in multiplicities(parts).items():
+        if mult % 2 == 1:
+            return DomainError("part %d has odd multiplicity %d%s" % (size, mult, where))
+    p, q = next((p, q) for p, q in zip(parts, parts[1:]) if q > p)
+    return DomainError("part %d follows the smaller part %d%s" % (q, p, where))
 
 
 def _all_even(parts: tuple[int, ...]):
@@ -140,13 +147,11 @@ def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
 
 def merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
     """Inverse of :func:`split_distinct_even`; validates both halves."""
-    if len(set(lam)) != len(lam):  # a part repeats: name it
-        for prev, p in zip(lam, lam[1:]):
-            if p == prev:
-                raise DomainError("part %d repeats in the distinct half" % p)
+    if len(set(lam)) != len(lam):  # a part repeats, maybe not as a neighbour: name it
+        raise DomainError("part %d repeats in the distinct half"
+                          % next(p for i, p in enumerate(lam) if p in lam[:i]))
     if mu[::2] != mu[1::2]:
-        raise DomainError("part %d has odd multiplicity %d in the even half"
-                          % _first_odd_multiplicity(mu))
+        raise _unpaired(mu, " in the even half")
     return tuple(sorted(lam + mu, reverse=True))
 
 
@@ -233,7 +238,7 @@ def merge_pairs(mu: tuple[int, ...]) -> tuple[int, ...]:
     Requires all multiplicities even; the image has only even parts.
     """
     if not _evenly_paired(mu):
-        raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
+        raise _unpaired(mu)
     return tuple([2 * p for p in mu[::2]])
 
 
@@ -251,7 +256,7 @@ def binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
     even parts pass through unchanged.  Requires all multiplicities even.
     """
     if not _evenly_paired(mu):
-        raise DomainError("part %d has odd multiplicity %d" % _first_odd_multiplicity(mu))
+        raise _unpaired(mu)
     out = []
     prev = half = 0  # a part of mu, and half its multiplicity so far
     for size in mu[::2] + (0,):

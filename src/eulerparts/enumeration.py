@@ -246,12 +246,15 @@ def parse_filter(text: str) -> CongruenceFilter:
 
 class CapFamily(NamedTuple):
     """A family cut out by multiplicity caps: ``spec`` writes its caps at
-    ``m`` in the bound DSL, and ``what`` names them in a map's DomainError.
-    The exchange maps trade between these families; the maps do not depend
-    on m, only the caps do."""
+    ``m`` in the bound DSL, ``what`` names them in a map's DomainError, and
+    ``level`` gives a partition's level, the least m whose caps admit it,
+    so that a partition is in the family at m exactly when its level is at
+    most m.  The exchange maps trade between these families; the maps do
+    not depend on m, only the caps do."""
 
     spec: Callable[[int], str]
     what: str
+    level: Callable[[tuple[int, ...]], int]
 
     def bounds(self, m: int) -> BoundSequence:
         """The family's caps at ``m``, a non-negative integer."""
@@ -263,9 +266,30 @@ class CapFamily(NamedTuple):
         return parse_bounds(self.spec(m))
 
 
-PAIRING_SOURCE = CapFamily(lambda m: "all:%d" % (2 * m + 1), "every part, at most 2m+1 times")
-PAIRING_TARGET = CapFamily(lambda m: "even:%d" % m, "even parts, at most m times")
-BINARY_FAMILY = CapFamily(lambda m: "even:%d" % (2 * m + 1), "even parts, at most 2m+1 times")
+def _largest_multiplicity(parts: Iterable[int]) -> int:
+    """The largest multiplicity among non-increasing ``parts``: their longest
+    run of equal parts, 0 when there are none."""
+    best = run = prev = 0
+    for p in parts:
+        run = run + 1 if p == prev else 1
+        if run > best:
+            best = run
+        prev = p
+    return best
+
+
+def _even_parts(parts: tuple[int, ...]) -> list[int]:
+    return [p for p in parts if not p & 1]
+
+
+# Each level is the least m whose caps admit the largest multiplicity the
+# caps read: M <= 2m+1 from m = M // 2 on, and M <= m from m = M on.
+PAIRING_SOURCE = CapFamily(lambda m: "all:%d" % (2 * m + 1), "every part, at most 2m+1 times",
+                           lambda parts: _largest_multiplicity(parts) // 2)
+PAIRING_TARGET = CapFamily(lambda m: "even:%d" % m, "even parts, at most m times",
+                           lambda parts: _largest_multiplicity(_even_parts(parts)))
+BINARY_FAMILY = CapFamily(lambda m: "even:%d" % (2 * m + 1), "even parts, at most 2m+1 times",
+                          lambda parts: _largest_multiplicity(_even_parts(parts)) // 2)
 
 
 # -- enumeration ---------------------------------------------------------

@@ -7,9 +7,10 @@ one engine, :func:`_verify_exchange`, which runs on parts tuples, runs each
 map stage once per distinct input in a check, takes each statistic of a
 partition once, and maps each partition once per n however many m or phi
 runs admit it; a check over several m or phi reports its first failure in
-the order they were given, then by n.  The registry at the end plans and
-runs the grid of the ``verify`` command: :func:`runs_for` picks the runs
-and :func:`run_checks` runs them.
+the order they were given, then by n.  By default ``pairing`` and
+``binary`` make one run that covers every m (:func:`_verify_composite`).
+The registry at the end plans and runs the grid of the ``verify`` command:
+:func:`runs_for` picks the runs and :func:`run_checks` runs them.
 """
 
 from __future__ import annotations
@@ -302,26 +303,51 @@ def _m_runs(ms, source, target) -> list:
     return runs
 
 
+def _verify_composite(theorem: str, max_n: int, ms, families, encode,
+                      decode) -> VerificationReport:
+    """Check the composite map whose even-half stages are ``encode`` and
+    ``decode`` from the first of ``families`` onto the second: one run per m
+    of ``ms``, or, when ``ms`` is None, one run that covers every m.
+
+    The every-m run lists all partitions of n, under one uncapped caps
+    object on both sides, and compares (l_a, source level) against (l_o,
+    target level) (:attr:`CapFamily.level`).  Its checks make the map a
+    bijection of the partitions of n onto themselves: equal histograms, the
+    round trip, and every image a partition of n.  The statistic comparison
+    makes it keep the level.  A family at m is its partitions of level at
+    most m, so for every m, m = inf included, the map sends the source
+    family at m onto the target family at m, with l_a -> l_o."""
+    source, target = families
+    if ms is None:
+        la, lo = _EXCHANGED
+        uncapped = parse_bounds("all:inf")
+        grid, runs = "every", [({"m": "every"}, uncapped, uncapped)]
+        stats = (lambda a: (la(a), source.level(a)), lambda b: (lo(b), target.level(b)))
+    else:
+        grid, runs, stats = list(ms), _m_runs(ms, source, target), _EXCHANGED
+    report = VerificationReport(theorem, {"max_n": max_n, "m": grid})
+    _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, encode),
+                     _composite(_backward, sylvester_odd_to_distinct, decode),
+                     runs, max_n, stats)
+    return report
+
+
 @_timed
-def verify_pairing(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
+def verify_pairing(max_n: int = 22, ms=None) -> VerificationReport:
     """The pairing map is a statistic-exchanging bijection from "every part
-    at most 2m+1 times" onto "even parts at most m times"."""
-    report = VerificationReport("pairing", {"max_n": max_n, "m": list(ms)})
-    _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, merge_pairs),
-                     _composite(_backward, sylvester_odd_to_distinct, split_pairs),
-                     _m_runs(ms, PAIRING_SOURCE, PAIRING_TARGET), max_n, _EXCHANGED)
-    return report
+    at most 2m+1 times" onto "even parts at most m times", for each m of
+    ``ms`` or, by default, for every m at once (:func:`_verify_composite`)."""
+    return _verify_composite("pairing", max_n, ms, (PAIRING_SOURCE, PAIRING_TARGET),
+                             merge_pairs, split_pairs)
 
 
 @_timed
-def verify_binary(max_n: int = 22, ms=(0, 1, 2, 3)) -> VerificationReport:
+def verify_binary(max_n: int = 22, ms=None) -> VerificationReport:
     """The binary map exchanges the statistics within the family "even parts
-    at most 2m+1 times"."""
-    report = VerificationReport("binary", {"max_n": max_n, "m": list(ms)})
-    _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, binary_expand),
-                     _composite(_backward, sylvester_odd_to_distinct, binary_contract),
-                     _m_runs(ms, BINARY_FAMILY, BINARY_FAMILY), max_n, _EXCHANGED)
-    return report
+    at most 2m+1 times", for each m of ``ms`` or, by default, for every m
+    at once (:func:`_verify_composite`)."""
+    return _verify_composite("binary", max_n, ms, (BINARY_FAMILY, BINARY_FAMILY),
+                             binary_expand, binary_contract)
 
 
 @_timed

@@ -142,6 +142,24 @@ def test_merge_distinct_even_rejects_bad_halves():
         merge_distinct_even((), (2, 2, 2))
 
 
+def test_merge_distinct_even_names_a_repeat_that_is_not_adjacent():
+    with pytest.raises(DomainError, match="part 3 repeats in the distinct half"):
+        merge_distinct_even((3, 1, 3), ())
+
+
+@pytest.mark.parametrize("merge, half, where", (
+    (lambda mu: merge_distinct_even((1,), mu), (1, 2, 2, 1), " in the even half"),
+    (merge_pairs, (1, 2, 2, 1), ""),
+    (binary_expand, (1, 2, 2, 1), ""),
+))
+def test_an_out_of_order_half_with_even_multiplicities_is_a_domain_error(merge, half, where):
+    # every multiplicity is even, so no part has an odd one to name; the
+    # error names the first part that follows a smaller one
+    p, q = next((p, q) for p, q in zip(half, half[1:]) if q > p)
+    with pytest.raises(DomainError, match="^part %d follows the smaller part %d%s$" % (q, p, where)):
+        merge(half)
+
+
 def test_merge_and_split_pairs():
     assert merge_pairs((7, 7, 4, 4, 4, 4, 2, 2, 2, 2)) == (14, 8, 8, 4, 4)
     assert split_pairs((14, 8, 8, 4, 4)) == (7, 7, 4, 4, 4, 4, 2, 2, 2, 2)

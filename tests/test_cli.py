@@ -354,6 +354,17 @@ def test_verify_explicit_flags_select_one_run(capsys):
     assert doc["params"] == {"bounds": "all:3", "trunc": 10}
 
 
+def test_verify_pairing_covers_every_m_unless_m_is_given(capsys):
+    code, out, _ = run(capsys, "verify", "pairing", "--max-n", "6", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"max_n": 6, "m": "every"}
+    assert '"m": "every"' in out
+    code, out, _ = run(capsys, "verify", "pairing", "--max-n", "6", "--m", "0,1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"max_n": 6, "m": [0, 1]}
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "euler")
     assert code == 2

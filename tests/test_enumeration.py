@@ -427,6 +427,18 @@ def test_a_float_infinity_is_no_cap(read):
     assert read(INF_CAPS) == read(parse_bounds("2:1"))
 
 
+# -- the levels of the exchange families -----------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((PAIRING_SOURCE, PAIRING_TARGET, BINARY_FAMILY)),
+       st.integers(min_value=0, max_value=18), st.integers(min_value=0, max_value=6))
+def test_level_is_the_least_m_whose_caps_admit_the_partition(family, n, m):
+    # the closed forms against the family's DSL caps, on accelAsc's partitions
+    bounds = family.bounds(m)
+    for alpha in oracles.descending_partitions(n):
+        assert (family.level(alpha) <= m) == oracles.within_caps(alpha, bounds), alpha
+
+
 # -- randomized agreement -------------------------------------------------
 
 @settings(max_examples=40, deadline=None)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from eulerparts.enumeration import (PAIRING_SOURCE, PAIRING_TARGET, count_total,
-                                   parse_bounds)
+from eulerparts.enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
+                                   count_total, parse_bounds)
+from eulerparts.partition import alt_sum, plain_form
 from eulerparts.verify import (
     REGISTRY,
     VerificationReport,
@@ -278,7 +279,7 @@ def fishhook_backwards(monkeypatch):
 
 def test_exchange_check_reports_a_stage_that_rejects_a_source_half(fishhook_backwards):
     report = verify_pairing(max_n=6)
-    assert report.counterexample == {"m": 0, "n": 2, "input": "2",
+    assert report.counterexample == {"m": "every", "n": 2, "input": "2",
                                      "detail": "part 2 is even; all parts must be odd"}
 
 
@@ -408,6 +409,35 @@ def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
                                      "detail": "image violates the target caps"}
 
 
+@pytest.fixture(params=(
+    ("pairing", PAIRING_SOURCE, (2,) + (1,) * 9, (1,) * 11),
+    ("binary", BINARY_FAMILY, (2,) * 8 + (1,) * 4, (2,) * 10),
+))
+def swapped_levels(request, monkeypatch):
+    # two sources of one n with equal l_a and levels 4 and 5 swap images,
+    # and the inverse agrees: every image is a partition of n and carries
+    # l_o = l_a, but each has the other source's level.  Returns the
+    # check, n, the source the check meets first and the swapped images.
+    from eulerparts import bijections
+    name, family, low, high = request.param
+    assert (family.level(low), family.level(high)) == (4, 5)
+    assert sum(low) == sum(high) and alt_sum(low) == alt_sum(high)
+    image = {"pairing": bijections.pairing_map, "binary": bijections.binary_map}[name]
+    forward = {low: image(high)[0], high: image(low)[0]}
+    patch_composite(monkeypatch, "_forward", forward)
+    patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
+    return REGISTRY[name].runner, sum(low), max(low, high), forward
+
+
+def test_the_every_m_run_catches_a_map_that_moves_a_level(swapped_levels):
+    runner, n, first, forward = swapped_levels
+    assert runner(max_n=n).counterexample == {
+        "m": "every", "n": n, "input": plain_form(first), "image": plain_form(forward[first]),
+        "detail": "statistic not carried over"}
+    # no family at m <= 3 holds a source or an image of level 4 or 5
+    assert runner(max_n=n, ms=(0, 1, 2, 3)).ok()
+
+
 @pytest.mark.parametrize("ms", ((1,), (1, 2)))
 def test_exchange_reports_a_statistic_not_carried_over(monkeypatch, ms):
     # 3,1 (l_a 2) and 2,2 (l_a 0) swap images, 3,1 and 4 (l_o 2 and 0); the
@@ -436,16 +466,20 @@ def test_exchange_takes_each_statistic_once(monkeypatch, ms):
                                         for m in ms for n in range(11))
 
 
-@pytest.mark.parametrize("runner, walks", ((verify_pairing, 2), (verify_binary, 1)))
-def test_exchange_lists_a_shared_family_once(monkeypatch, runner, walks):
-    # binary's source and target are one family, listed once per (m, n)
+@pytest.mark.parametrize("runner, ms, walks", (
+    (verify_pairing, (0, 1), 2 * 2), (verify_binary, (0, 1), 2),
+    (verify_pairing, None, 1), (verify_binary, None, 1),
+))
+def test_exchange_lists_a_shared_family_once(monkeypatch, runner, ms, walks):
+    # binary's source and target are one family, listed once per (m, n); the
+    # every-m run lists one uncapped family per n for either check
     from eulerparts import verify
     sizes = []
     walk = verify.bounded_partitions
     monkeypatch.setattr(verify, "bounded_partitions",
                         lambda n, bounds: sizes.append(n) or walk(n, bounds))
-    assert runner(max_n=5, ms=(0, 1)).ok()
-    assert len(sizes) == walks * 2 * 6
+    assert runner(max_n=5, ms=ms).ok()
+    assert len(sizes) == walks * 6
 
 
 def test_sylvester_check_reports_an_even_image_part(monkeypatch):
