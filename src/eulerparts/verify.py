@@ -3,12 +3,13 @@
 Every checker computes both sides of an identity over an explicit grid and
 returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The four bijection checks share
-one engine, :func:`_verify_exchange`, which runs on parts tuples, runs each
-map stage once per distinct input in a check, takes each statistic of a
-partition once, and maps each partition once per n however many m or phi
-runs admit it; a check over several m or phi reports its first failure in
-the order they were given, then by n.  By default ``pairing`` and
-``binary`` make one run that covers every m (:func:`_verify_composite`).
+one engine, :func:`_verify_exchange`, which runs on parts tuples, checks
+one run at a time, takes each statistic of a partition once per run and n,
+and keeps no memo; the composite checks memoise each map stage, so a stage
+runs once per distinct input in a check however many m or phi runs meet it.
+A check over several m or phi reports its first failure in the order they
+were given, then by n.  By default ``pairing`` and ``binary`` make one run
+that covers every m (:func:`_verify_composite`).
 The registry at the end plans and runs the grid of the ``verify`` command:
 :func:`runs_for` picks the runs and :func:`run_checks` runs them.
 """
@@ -169,34 +170,28 @@ def _json_keys(hist: dict) -> dict:
 def _verify_exchange(report: VerificationReport, forward, backward, runs,
                      max_n: int, stats) -> Counter:
     """Check a bijection for each of ``runs``, (context, source caps, target
-    caps) triples, and each n up to ``max_n``: the histograms of ``stats``
-    over the two families agree; each source partition's image is in the
-    target family, the inverse undoes it and the statistic is carried over.
-    n is the outer loop, so a partition several runs admit is mapped,
-    inverted and compared once per n.  The counterexample is the first in
-    run order, then n order, and starts with the run's context.  Returns the
-    source histogram summed over the (run, n) pairs checked.
+    caps) triples, in order, and each n up to ``max_n``: the histograms of
+    ``stats`` over the two families agree; each source partition's image is
+    in the target family, the inverse undoes it and the statistic is carried
+    over.  It stops at the first failure, so the counterexample is the first
+    in run order, then n order, and starts with the run's context.  Returns
+    the source histogram summed over the (run, n) pairs checked: each n of
+    the runs before the failing one, and of the failing run up to its n.
 
     Each statistic of a partition is taken once per run and n.  The source
     statistic of each source partition gives both the left-hand histogram
     and the key its image must carry.  The target family is listed as a
     dict from each target partition to its statistic: it gives the
     right-hand histogram, answers target membership, and gives an image's
-    statistic, which is computed apart only for an image outside it.
+    statistic.  The caps are tested first, so an image outside them never
+    reaches the inverse, and an image that passes them has its statistic in
+    the dict.
 
     The check runs on parts tuples: ``forward`` and ``backward`` are the map
-    and its inverse on them.  The composite checks build both when they run
-    (:func:`_composite`), with each stage in a ``functools.cache``, so a
-    stage runs once per distinct input the check meets and its memo lives
-    for this one check; ``sylvester`` meets each input once and runs the
-    fishhooks bare.  A memo changes no verdict, as the ``bijections`` module
-    argues: the stages are pure functions of their input tuple;
-    ``functools.cache`` stores nothing for a call that raises, so the stage
-    raises again for every partition that meets that input; and every
-    per-partition check still runs for every source partition (the split,
-    the join, the map's weight check, the round trip, the statistic and the
-    target caps).  The map does not check l_a = l_o itself: the statistic
-    comparison is that check, or holds it as its first coordinate.
+    and its inverse on them.  It keeps no memo, so a partition that two runs
+    admit is mapped in each; the composite maps memoise their stages
+    (:func:`_composite`).  The map does not check l_a = l_o itself: the
+    statistic comparison is that check, or holds it as its first coordinate.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -208,29 +203,7 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     source_stat, target_stat = stats
     totals: Counter = Counter()
 
-    def image(alpha, key, target):
-        # The image of alpha, and its failure apart from target membership.
-        try:
-            beta = forward(alpha)
-        except (AssertionError, DomainError) as exc:
-            # An invariant a map checks itself, or a stage that rejects a
-            # half of a source partition.
-            return None, {"detail": str(exc)}
-        try:
-            if backward(beta) != alpha:
-                detail = "inverse round trip failed"
-            else:
-                stat = target.get(beta)  # no statistic is None
-                if stat is None:
-                    stat = target_stat(beta)
-                detail = "statistic not carried over" if stat != key else None
-        except (AssertionError, DomainError) as exc:
-            # Also an image outside the inverse's domain: the inverse runs
-            # before a run checks its caps, which are reported first.
-            return beta, {"detail": str(exc)}
-        return beta, detail and {"image": plain_form(beta), "detail": detail}
-
-    def check(n, src, dst, images):
+    def check(n, src, dst):
         # The first failure of one run at n, or None.  A run whose target
         # caps are its source caps lists its family once.
         source = list(bounded_partitions(n, src))
@@ -242,36 +215,47 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
         for alpha, key in zip(source, keys):
-            entry = images.get(alpha)
-            if entry is None:
-                entry = images[alpha] = image(alpha, key, target)
-            beta, failure = entry
-            if beta is not None and beta not in target:
-                failure = {"image": plain_form(beta), "detail": "image violates the target caps"}
-            if failure:
-                return {"input": plain_form(alpha), **failure}
+            try:
+                beta = forward(alpha)
+                if beta not in target:
+                    detail = "image violates the target caps"
+                elif backward(beta) != alpha:
+                    detail = "inverse round trip failed"
+                elif target[beta] != key:
+                    detail = "statistic not carried over"
+                else:
+                    continue
+            except (AssertionError, DomainError) as exc:
+                # An invariant a map checks itself, or a stage that rejects a
+                # half of a source partition or of an image.
+                return {"input": plain_form(alpha), "detail": str(exc)}
+            return {"input": plain_form(alpha), "image": plain_form(beta), "detail": detail}
         return None
 
-    failed, first = len(runs), None  # the earliest run that failed, and how
-    for n in range(max_n + 1):
-        images: dict = {}
-        for index, (context, src, dst) in enumerate(runs[:failed]):
-            failure = check(n, src, dst, images)
+    for context, src, dst in runs:
+        for n in range(max_n + 1):
+            failure = check(n, src, dst)
             if failure:
-                failed, first = index, {**context, "n": n, **failure}
-                break
-        if failed == 0:
-            break
-    if first:
-        report.fail(**first)
+                report.fail(**context, n=n, **failure)
+                return totals
     return totals
 
 
 def _composite(compose, fishhook, code):
     """One direction of the pairing or binary map on parts tuples: ``compose``
     (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
-    of the even half, each memoised by its own ``functools.cache``.  The
-    runners call this each time they run, so the memos live for one check."""
+    of the even half, each memoised by its own ``functools.cache``: the only
+    memos of an exchange check.  The runners call this each time they run,
+    so a stage runs once per distinct input the check meets, whichever runs
+    meet it, and its memo lives for one check; ``sylvester`` meets each
+    input once and runs the fishhooks bare.
+
+    A memo changes no verdict, as the ``bijections`` module argues: the
+    stages are pure functions of their input tuple; ``functools.cache``
+    stores nothing for a call that raises, so the stage raises again for
+    every partition that meets that input; and every per-partition check
+    still runs for every source partition (the split, the join, the map's
+    weight check, the target caps, the round trip and the statistic)."""
     hook, coded = functools.cache(fishhook), functools.cache(code)
     return lambda parts: compose(parts, hook, coded)[-1]
 
@@ -290,6 +274,16 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct,
                      runs, max_n, _REFINED)
     return report
+
+
+def _grid(values, name: str) -> tuple:
+    """``values``, an m or phi grid, as a tuple, read once, so that a
+    one-shot iterator is checked as well as reported; an empty grid would
+    pass having checked nothing, so it is an error."""
+    grid = tuple(values)
+    if not grid:
+        raise ValueError("the %s grid is empty: there is nothing to check" % name)
+    return grid
 
 
 def _m_runs(ms, source, target) -> list:
@@ -324,6 +318,7 @@ def _verify_composite(theorem: str, max_n: int, ms, families, encode,
         grid, runs = "every", [({"m": "every"}, uncapped, uncapped)]
         stats = (lambda a: (la(a), source.level(a)), lambda b: (lo(b), target.level(b)))
     else:
+        ms = _grid(ms, "m")
         grid, runs, stats = list(ms), _m_runs(ms, source, target), _EXCHANGED
     report = VerificationReport(theorem, {"max_n": max_n, "m": grid})
     _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, encode),
@@ -360,6 +355,7 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
     - 1)/2).  Inputs with no odd multiplicity (both statistics 0) fall
     outside the refinement; they are still mapped, and counted as skipped.
     """
+    phi_specs = _grid(phi_specs, "phi")
     report = VerificationReport("pairing-refined",
                                 {"max_n": max_n, "phi": list(phi_specs)})
     runs = []
@@ -506,8 +502,10 @@ def verify_halves_product(bounds: BoundSequence | str = "even:1",
     return _verify_collapse("halves-product", HALF_CELLS, half_cells_product, bounds, trunc)
 
 
-def _verify_gf_triple(report: VerificationReport, ms, trunc: int,
-                      families, closed) -> VerificationReport:
+def _verify_gf_triple(theorem: str, ms, trunc: int, families,
+                      closed) -> VerificationReport:
+    ms = _grid(ms, "m")
+    report = VerificationReport(theorem, {"m": list(ms), "trunc": trunc})
     for context, left, right in _m_runs(ms, *families):
         by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left)
         by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right)
@@ -524,18 +522,16 @@ def verify_pairing_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
     """Three-way identity: partitions with every part at most 2m+1 times by
     (alternating sum, weight) = partitions with even parts at most m times
     by (odd-part count, weight) = the closed-form product."""
-    return _verify_gf_triple(
-        VerificationReport("pairing-gf", {"m": list(ms), "trunc": trunc}), ms, trunc,
-        (PAIRING_SOURCE, PAIRING_TARGET), pairing_gf)
+    return _verify_gf_triple("pairing-gf", ms, trunc, (PAIRING_SOURCE, PAIRING_TARGET),
+                             pairing_gf)
 
 
 @_timed
 def verify_binary_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
     """Three-way identity for the family "even parts at most 2m+1 times":
     by (alternating sum, weight) = by (odd-part count, weight) = closed form."""
-    return _verify_gf_triple(
-        VerificationReport("binary-gf", {"m": list(ms), "trunc": trunc}), ms, trunc,
-        (BINARY_FAMILY, BINARY_FAMILY), binary_gf)
+    return _verify_gf_triple("binary-gf", ms, trunc, (BINARY_FAMILY, BINARY_FAMILY),
+                             binary_gf)
 
 
 # -- registry ------------------------------------------------------------------

@@ -246,6 +246,36 @@ def test_refined_check_reports_a_broken_map_invariant(lossy_merge_pairs):
                                      "detail": "invariant broken: weight preserved"}
 
 
+# -- grids -----------------------------------------------------------------------
+
+def test_a_one_shot_grid_is_checked_as_well_as_reported(lossy_merge_pairs, monkeypatch):
+    # each runner reads its grid once, so an iterator is checked, not only
+    # listed in the params
+    from eulerparts import verify
+    report = verify_pairing(max_n=4, ms=iter((1, 2)))
+    assert report.params["m"] == [1, 2]
+    assert report.counterexample == verify_pairing(max_n=4, ms=(1, 2)).counterexample
+    report = verify_pairing_refined(max_n=4, phi_specs=iter(("1",)))
+    assert report.params["phi"] == ["1"] and report.status == "fail"
+    closed = []
+    monkeypatch.setattr(verify, "pairing_gf",
+                        lambda m, trunc, gf=verify.pairing_gf: closed.append(m) or gf(m, trunc))
+    report = verify_pairing_gf(ms=iter((0, 1)), trunc=8)
+    assert report.ok() and report.params["m"] == [0, 1]
+    assert closed == [0, 1]
+
+
+@pytest.mark.parametrize("runner, grid", (
+    (verify_pairing, {"ms": ()}), (verify_binary, {"ms": ()}),
+    (verify_pairing_gf, {"ms": ()}), (verify_binary_gf, {"ms": ()}),
+    (verify_pairing_refined, {"phi_specs": ()}), (verify_pairing, {"ms": iter(())}),
+))
+def test_an_empty_grid_is_an_error(runner, grid):
+    # a grid with no point would pass having checked nothing
+    with pytest.raises(ValueError, match="grid is empty"):
+        runner(**grid)
+
+
 def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
     from eulerparts import verify
 
@@ -342,7 +372,7 @@ def test_each_fishhook_runs_once_per_distinct_input(monkeypatch):
     assert len(to_odd) < sum(map(oracles.max_multiplicity_at_most(7), everything))
 
 
-# -- the exchange engine: run order and shared images ----------------------------
+# -- the exchange engine: run order and check order ------------------------------
 
 def patch_composite(monkeypatch, name, table):
     # the exchange checks compose the pairing map on parts tuples with
@@ -381,6 +411,9 @@ def test_refined_check_inverts_every_image(broken_inverse):
     report = verify_pairing_refined(max_n=8, phi_specs=("1", "i"))
     assert report.counterexample == {"phi": "1", "n": 4, "input": "2,2", "image": "4",
                                      "detail": "inverse round trip failed"}
+    # phi = i never runs: the skipped inputs are those phi = 1 checked up to
+    # its failure, the empty partition, 1,1 and 2,2
+    assert report.skipped == 3
 
 
 def test_exchange_catches_a_map_that_misses_the_target(monkeypatch):
@@ -397,8 +430,8 @@ def test_exchange_catches_a_map_that_misses_the_target(monkeypatch):
 
 def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
     # 2,2 and 1,1,1,1 swap images; the inverse agrees, so every round trip
-    # holds.  m = 3 maps 2,2 first and admits its image 2,2; m = 1, which
-    # reuses that image, must still reject it.
+    # holds.  m = 3 admits the image 2,2 of 2,2; m = 1, run after it on the
+    # same partitions, must still reject it.
     from eulerparts.bijections import pairing_map
     swap = {(2, 2): (1, 1, 1, 1), (1, 1, 1, 1): (2, 2)}
     forward = {a: pairing_map(b)[0] for a, b in swap.items()}
@@ -483,14 +516,17 @@ def test_exchange_lists_a_shared_family_once(monkeypatch, runner, ms, walks):
 
 
 def test_sylvester_check_reports_an_even_image_part(monkeypatch):
-    # the image 2,2 lies outside the inverse's domain; the caps report it
+    # the image 2,2 lies outside the inverse's domain; the caps report it,
+    # and the inverse never sees it
     from eulerparts import verify
     fishhook = verify.sylvester_distinct_to_odd
     monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
                         lambda lam: (2, 2) if lam == (4,) else fishhook(lam))
+    inverted = record_calls(monkeypatch, "sylvester_odd_to_distinct")
     report = verify_sylvester(max_n=6)
     assert report.counterexample == {"n": 4, "input": "4", "image": "2,2",
                                      "detail": "image violates the target caps"}
+    assert inverted and (2, 2) not in inverted
 
 
 def test_sylvester_check_reports_a_statistic_not_carried_over(monkeypatch):
