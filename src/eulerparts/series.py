@@ -299,8 +299,7 @@ class _Layout:
 
 def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
                       bounds: BoundSequence | None = None,
-                      filt: CongruenceFilter | None = None,
-                      include_empty: bool = True) -> Series:
+                      filt: CongruenceFilter | None = None) -> Series:
     """Sum the weight monomials of every admissible partition of 0..trunc.
 
     No partition is listed.  A coefficient DP takes the admissible part
@@ -356,11 +355,6 @@ def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
         for even, odd in zip(buckets, states[1]):
             for key, coeff in odd.items():
                 even[key] = even.get(key, 0) + coeff
-    if not include_empty:  # only the empty partition has degree 0
-        if buckets[0][layout.origin] == 1:
-            del buckets[0][layout.origin]
-        else:
-            buckets[0][layout.origin] -= 1
     out.terms = layout.unpack(buckets)
     return out
 

@@ -32,14 +32,14 @@ from .bijections import (DomainError, _backward, _forward, binary_contract,
                          sylvester_odd_to_distinct)
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
-                          bounded_partitions, count_by_statistic, count_total,
-                          parse_bounds, parse_phi)
+                          bounded_partitions, count_total, parse_bounds,
+                          parse_phi)
 from .partition import (alt_sum, largest_odd_multiplicity_part,
                         largest_odd_part, odd_count, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
-                     ROW_TOTALS, WeightVariant, binary_gf, boulet_product,
-                     enumerated_series, half_cells_product, pairing_gf,
-                     partition_gf, restricted_boulet_product,
+                     ROW_TOTALS, Series, WeightVariant, binary_gf,
+                     boulet_product, enumerated_series, half_cells_product,
+                     pairing_gf, partition_gf, restricted_boulet_product,
                      row_totals_product, series_equal)
 
 
@@ -135,15 +135,12 @@ def _compare(report: VerificationReport, lhs, rhs,
 @_timed
 def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
     """Distinct partitions counted by alternating sum match odd-part
-    partitions counted by length, for every n up to ``max_n``."""
+    partitions counted by length, for every n up to ``max_n``: two
+    coefficient DP series (``la`` and ``lo``), neither of them a product."""
     report = VerificationReport("bessenrodt", {"max_n": max_n})
-    distinct, odds = PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)
-    for n in range(max_n + 1):
-        left = count_by_statistic(n, alt_sum, distinct)
-        right = count_by_statistic(n, odd_count, odds)
-        if left != right:
-            report.fail(n=n, by_alt_sum=left, by_length=right)
-            break
+    _compare(report, enumerated_series(max_n, ALT_BY_WEIGHT, PAIRING_SOURCE.bounds(0)),
+             enumerated_series(max_n, ODD_BY_WEIGHT, PAIRING_TARGET.bounds(0)),
+             "by_alt_sum", "by_length")
     return report
 
 
@@ -276,13 +273,18 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
     return report
 
 
-def _grid(values, name: str) -> tuple:
+def _grid(values, name: str, key=lambda point: point) -> tuple:
     """``values``, an m or phi grid, as a tuple, read once, so that a
-    one-shot iterator is checked as well as reported; an empty grid would
-    pass having checked nothing, so it is an error."""
+    one-shot iterator is checked as well as reported.  An empty grid would
+    pass having checked nothing, and a point repeated (its ``key`` repeated)
+    would be checked and reported twice, so both are errors."""
     grid = tuple(values)
     if not grid:
         raise ValueError("the %s grid is empty: there is nothing to check" % name)
+    keys = [key(point) for point in grid]
+    for j, point in enumerate(keys):
+        if point in keys[:j]:
+            raise ValueError("the %s grid repeats %r" % (name, point))
     return grid
 
 
@@ -303,8 +305,8 @@ def _verify_composite(theorem: str, max_n: int, ms, families, encode,
     ``decode`` from the first of ``families`` onto the second: one run per m
     of ``ms``, or, when ``ms`` is None, one run that covers every m.
 
-    The every-m run lists all partitions of n, under one uncapped caps
-    object on both sides, and compares (l_a, source level) against (l_o,
+    The every-m run lists all partitions of n once, under caps of None (no
+    caps) on both sides, and compares (l_a, source level) against (l_o,
     target level) (:attr:`CapFamily.level`).  Its checks make the map a
     bijection of the partitions of n onto themselves: equal histograms, the
     round trip, and every image a partition of n.  The statistic comparison
@@ -314,8 +316,7 @@ def _verify_composite(theorem: str, max_n: int, ms, families, encode,
     source, target = families
     if ms is None:
         la, lo = _EXCHANGED
-        uncapped = parse_bounds("all:inf")
-        grid, runs = "every", [({"m": "every"}, uncapped, uncapped)]
+        grid, runs = "every", [({"m": "every"}, None, None)]
         stats = (lambda a: (la(a), source.level(a)), lambda b: (lo(b), target.level(b)))
     else:
         ms = _grid(ms, "m")
@@ -355,7 +356,7 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
     - 1)/2).  Inputs with no odd multiplicity (both statistics 0) fall
     outside the refinement; they are still mapped, and counted as skipped.
     """
-    phi_specs = _grid(phi_specs, "phi")
+    phi_specs = _grid(phi_specs, "phi", lambda spec: spec.replace(" ", ""))
     report = VerificationReport("pairing-refined",
                                 {"max_n": max_n, "phi": list(phi_specs)})
     runs = []
@@ -464,12 +465,14 @@ def verify_boulet_restricted(i: int = 0, k: int = 1,
         "boulet-restricted",
         {"i": i, "k": k, "bounds": bseq.spec, "trunc": trunc})
     filt = CongruenceFilter(k, i, even_length=(i != 0), first_part_once=(i != 0))
+    lhs = enumerated_series(trunc, FOUR_PARAM, bseq, filt)
     rhs = restricted_boulet_product(i, k, bseq, trunc)
-    if _compare(report, enumerated_series(trunc, FOUR_PARAM, bseq, filt), rhs) is None:
+    if _compare(report, lhs, rhs) is None:
         report.notes.append("matches with the empty partition included")
     elif i != 0:
         # The report keeps its first counterexample; this reading adds a note.
-        bare = enumerated_series(trunc, FOUR_PARAM, bseq, filt, include_empty=False)
+        # Only the empty partition has degree 0, so it is the constant term.
+        bare = Series(lhs.names, trunc, {e: c for e, c in lhs.terms.items() if any(e)})
         diff = _compare(report, bare, rhs)
         if diff is None:
             report.notes.append("matches with the empty partition excluded")

@@ -170,6 +170,31 @@ def test_andrews_rejects_a_cutoff_below_max_n(capsys):
         "n": 3, "count_a": 3, "count_b": 2}
 
 
+def test_bessenrodt_names_the_first_differing_monomial(monkeypatch):
+    # 3 at most once on the odd-part side drops 3,3 (length 2) from n = 6,
+    # the first of the partitions it drops in (total degree, exponents) order
+    from eulerparts import verify
+    monkeypatch.setattr(verify, "PAIRING_TARGET",
+                        PAIRING_TARGET._replace(spec=lambda m: "even:%d,3:1" % m))
+    report = verify_bessenrodt(max_n=12)
+    assert report.status == "fail"
+    assert report.counterexample == {"monomial": {"x": 2, "q": 6},
+                                     "by_alt_sum": 2, "by_length": 1}
+    assert verify_bessenrodt(max_n=5).ok()
+
+
+def test_bessenrodt_lists_no_partition(monkeypatch):
+    # both sides are coefficient DP series
+    from eulerparts import enumeration, verify
+
+    def refuse(*args):
+        raise AssertionError("bessenrodt listed a partition")
+
+    for module in (enumeration, verify):
+        monkeypatch.setattr(module, "bounded_partitions", refuse)
+    assert verify_bessenrodt(max_n=30).ok()
+
+
 def test_restricted_product_passes_for_residue_zero():
     report = verify_boulet_restricted(0, 2, "2:1", trunc=12)
     assert report.ok()
@@ -274,6 +299,34 @@ def test_an_empty_grid_is_an_error(runner, grid):
     # a grid with no point would pass having checked nothing
     with pytest.raises(ValueError, match="grid is empty"):
         runner(**grid)
+
+
+@pytest.mark.parametrize("runner, grid, message", (
+    (verify_pairing, {"ms": (1, 1)}, "the m grid repeats 1"),
+    (verify_binary, {"ms": iter((0, 2, 0))}, "the m grid repeats 0"),
+    (verify_pairing_gf, {"ms": (0, 0)}, "the m grid repeats 0"),
+    (verify_binary_gf, {"ms": (2, 1, 2)}, "the m grid repeats 2"),
+    (verify_pairing_refined, {"phi_specs": ("1", "1")}, "the phi grid repeats '1'"),
+    # phi specs compare as parse_bounds writes them, without spaces
+    (verify_pairing_refined, {"phi_specs": ("2*i+1", " 2 * i + 1")},
+     r"the phi grid repeats '2\*i\+1'"),
+))
+def test_a_repeated_grid_point_is_an_error(runner, grid, message):
+    # a repeated point would be checked and reported twice
+    with pytest.raises(ValueError, match="^%s$" % message):
+        runner(**grid)
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["pairing", "--max-n", "4", "--m", "1,1"], "the m grid repeats 1"),
+    (["pairing-gf", "--m", "0,0"], "the m grid repeats 0"),
+    (["pairing-refined", "--phi", "1, 1"], "the phi grid repeats '1'"),
+    (["all", "--m", "1,1"], "the m grid repeats 1"),
+))
+def test_verify_cli_rejects_a_repeated_grid_point(argv, message, capsys):
+    from eulerparts.cli import main
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
