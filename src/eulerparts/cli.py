@@ -44,8 +44,11 @@ def _filter_arg(args):
     return None if args.filter is None else parse_filter(args.filter)
 
 
-def _int(flag: str, text: str) -> int:
-    """``text`` as an integer, or a ValueError that names ``flag``."""
+def _m(flag: str, text: str):
+    """``text`` as a cap parameter m: ``inf`` (``UNBOUNDED``, no caps) or an
+    integer, else a ValueError that names ``flag``."""
+    if text == "inf":
+        return UNBOUNDED
     try:
         return int(text)
     except ValueError:
@@ -152,7 +155,7 @@ def cmd_map(args) -> int:
         else:
             stages = [("λ", p), ("τ", sylvester_distinct_to_odd(p))]
     else:
-        m = UNBOUNDED if args.m in (None, "inf") else _int("-m", args.m)
+        m = UNBOUNDED if args.m is None else _m("-m", args.m)
         image, trace = EXCHANGE_MAPS[args.name, args.direction](p, m)
         first, last = ("α", "β") if args.direction == "fwd" else ("β", "α")
         stages = [(first, p), ("λ", trace.lambda_part), ("μ", trace.mu_part),
@@ -177,8 +180,8 @@ def _required_bounds(args):
 # builder reads besides -N and --format, and the builder.
 SERIES = {
     "partition-gf": ((), lambda args: partition_gf(args.N)),
-    "pairing-gf": (("-m",), lambda args: pairing_gf(_int("-m", _given_or(args.m, "0")), args.N)),
-    "binary-gf": (("-m",), lambda args: binary_gf(_int("-m", _given_or(args.m, "0")), args.N)),
+    "pairing-gf": (("-m",), lambda args: pairing_gf(_m("-m", _given_or(args.m, "0")), args.N)),
+    "binary-gf": (("-m",), lambda args: binary_gf(_m("-m", _given_or(args.m, "0")), args.N)),
     "boulet": ((), lambda args: boulet_product(args.N)),
     "restricted-boulet": (("--i", "--k", "--bounds"), lambda args: restricted_boulet_product(
         _given_or(args.i, 0), _given_or(args.k, 1), _required_bounds(args), args.N)),
@@ -211,8 +214,8 @@ def _non_negative(flag: str, value: int) -> int:
     return value
 
 
-def _int_list(flag: str, text: str) -> tuple[int, ...]:
-    return tuple(_int(flag, x) for x in text.split(","))
+def _m_list(flag: str, text: str) -> tuple:
+    return tuple(_m(flag, x) for x in text.split(","))
 
 
 def _text_list(flag: str, text: str) -> tuple[str, ...]:
@@ -226,7 +229,7 @@ VERIFY_FLAGS = (
     ("--max-n", "max_n", int, _non_negative, None),
     ("--trunc", "trunc", int, _non_negative, None),
     ("--cutoff", "cutoff", int, _non_negative, None),
-    ("--m", "ms", str, _int_list, "comma-separated cap parameters, e.g. 0,1,2"),
+    ("--m", "ms", str, _m_list, "comma-separated cap parameters, e.g. 0,1,inf"),
     ("--i", "i", int, None, None),
     ("--k", "k", int, None, None),
     ("--bounds", "bounds", str, None, "bound DSL for the product checks"),
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="dump a truncated series")
     p.add_argument("name", choices=tuple(SERIES))
     p.add_argument("-N", type=int, default=12, help="truncation degree")
-    p.add_argument("-m")
+    p.add_argument("-m", help="cap parameter (integer or inf)")
     p.add_argument("--i", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--bounds")

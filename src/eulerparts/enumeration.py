@@ -257,9 +257,11 @@ class CapFamily(NamedTuple):
     level: Callable[[tuple[int, ...]], int]
 
     def bounds(self, m: int) -> BoundSequence:
-        """The family's caps at ``m``, a non-negative integer."""
-        # checked before formatting: "%d" % 1.5 would read m as 1
-        if not isinstance(m, int) or isinstance(m, bool):
+        """The family's caps at ``m``, a non-negative integer, or no caps at
+        ``m = UNBOUNDED`` (or a float equal to it)."""
+        # checked before formatting, which would read m = True as 1 and
+        # turn m = 1.5 into a bound DSL error that does not name m
+        if m != UNBOUNDED and (not isinstance(m, int) or isinstance(m, bool)):
             raise ValueError("m must be a non-negative integer, got %r" % (m,))
         if m < 0:
             raise ValueError("m must be >= 0")
@@ -284,11 +286,12 @@ def _even_parts(parts: tuple[int, ...]) -> list[int]:
 
 # Each level is the least m whose caps admit the largest multiplicity the
 # caps read: M <= 2m+1 from m = M // 2 on, and M <= m from m = M on.
-PAIRING_SOURCE = CapFamily(lambda m: "all:%d" % (2 * m + 1), "every part, at most 2m+1 times",
+# At m = inf each cap is inf, which "%s" writes as the bound DSL does.
+PAIRING_SOURCE = CapFamily(lambda m: "all:%s" % (2 * m + 1), "every part, at most 2m+1 times",
                            lambda parts: _largest_multiplicity(parts) // 2)
-PAIRING_TARGET = CapFamily(lambda m: "even:%d" % m, "even parts, at most m times",
+PAIRING_TARGET = CapFamily(lambda m: "even:%s" % m, "even parts, at most m times",
                            lambda parts: _largest_multiplicity(_even_parts(parts)))
-BINARY_FAMILY = CapFamily(lambda m: "even:%d" % (2 * m + 1), "even parts, at most 2m+1 times",
+BINARY_FAMILY = CapFamily(lambda m: "even:%s" % (2 * m + 1), "even parts, at most 2m+1 times",
                           lambda parts: _largest_multiplicity(_even_parts(parts)) // 2)
 
 

@@ -27,15 +27,18 @@ degree fixes, unpacked to exponent tuples once, at the end.
 sizes, largest first, tracks whether an even or an odd number of rows is
 filled so far, which decides whether the next copies of a size land in
 (a, b) rows or (c, d) rows.  The products multiply out their factors and
-never see a partition: ``product_series`` applies each numerator as one
-sweep from the top degree down, and divides out each denominator as one
-sweep from the bottom up.
+never see a partition: ``product_series`` cancels the numerators that a
+denominator undoes, then applies the other factors highest degree first,
+each numerator as one sweep from the top degree down and each denominator
+as one sweep from the bottom up.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import chain, repeat
+from operator import add, floordiv, mod, mul, sub
 from typing import Iterable, Sequence
 
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, UNBOUNDED, BoundSequence,
@@ -285,16 +288,30 @@ class _Layout:
         return sum(place * exps[i] for i, place, _, _ in self.digits)
 
     def unpack(self, buckets: list[dict]) -> dict[tuple, int]:
-        """The exponent tuples of the bucketed terms, with their coefficients."""
-        digits = [(place, base, lo) for _, place, base, lo in self.digits]
-        fixed, total = self.fixed, self.total
-        terms = {}
-        for g, bucket in enumerate(buckets):
-            for key, c in bucket.items():
-                exps = [key // place % base + lo for place, base, lo in digits]
-                exps.insert(fixed, g - sum(exps) if total else g)
-                terms[tuple(exps)] = c
-        return terms
+        """The exponent tuples of the bucketed terms, with their coefficients.
+
+        The keys of all buckets are decoded a variable at a time, each
+        packed variable's column by ``map`` over the one key list, and the
+        columns are zipped into tuples.  The fixed variable's column is each
+        key's bucket index, less the other columns under the total degree.
+        A step that changes no digit is left out: the division at place 1,
+        the remainder of the top digit (a key is below place * base there),
+        and the shift when lo is 0.
+        """
+        keys = list(chain.from_iterable(buckets))
+        fixed = chain.from_iterable(repeat(g, len(bucket)) for g, bucket in enumerate(buckets))
+        columns = []
+        top = len(self.digits) - 1
+        for j, (_, place, base, lo) in enumerate(self.digits):
+            column = keys if place == 1 else map(floordiv, keys, repeat(place))
+            if j < top:
+                column = map(mod, column, repeat(base))
+            column = list(map(add, column, repeat(lo)) if lo else column)
+            columns.append(column)
+            if self.total:
+                fixed = map(sub, fixed, column)
+        columns.insert(self.fixed, fixed)
+        return dict(zip(zip(*columns), chain.from_iterable(map(dict.values, buckets))))
 
 
 def enumerated_series(trunc: int, weight: WeightVariant = FOUR_PARAM,
@@ -401,10 +418,18 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
     ``denominator`` is true; ``sign`` is +1 or -1 and ``X^exps`` must have
     positive truncation degree, which gives a denominator the unit constant
     term its division needs.  A factor of degree above ``trunc`` is 1 at
-    this truncation and is skipped; the others are applied in the order
-    given, each as one sweep (``_apply_factor``) over the terms of
-    ``_Layout`` bounded by the kept factors: a numerator from the top degree
-    down, a denominator from the bottom up.
+    this truncation and is skipped.  Each numerator that equals a
+    denominator (the same sign and exponents) is dropped together with one
+    copy of it, since the two multiply to 1.  The factors left are applied
+    highest degree first, each as one sweep (``_apply_factor``) over the
+    terms of ``_Layout`` bounded by them: a numerator from the top degree
+    down, a denominator from the bottom up.  A factor of high degree then
+    meets a series that is still sparse.
+
+    The order changes no term: the truncated series form a commutative
+    ring, and every term of every partial product is a product of the
+    factors' monomials of degree at most ``trunc``, so it lies inside the
+    layout's bounds whatever the order.
     """
     acc = Series.one(names, trunc, degree_index)
     width = len(acc.names)
@@ -421,10 +446,23 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
         if d <= trunc:
             kept.append((sign, exps, d, denominator))
 
-    layout = _Layout([exps for _, exps, _, _ in kept], acc)
+    # the number of numerator/denominator pairs to drop, per (sign, exps),
+    # counted down separately on either side
+    pairs = (Counter((s, e) for s, e, _, den in kept if not den)
+             & Counter((s, e) for s, e, _, den in kept if den))
+    left = {False: pairs, True: pairs.copy()}
+    applied = []
+    for sign, exps, d, denominator in kept:
+        if left[denominator][sign, exps]:
+            left[denominator][sign, exps] -= 1
+        else:
+            applied.append((sign, exps, d, denominator))
+    applied.sort(key=lambda factor: factor[2], reverse=True)
+
+    layout = _Layout([exps for _, exps, _, _ in applied], acc)
     buckets = [{} for _ in range(trunc + 1)]
     buckets[0][layout.origin] = 1
-    for sign, exps, d, denominator in kept:
+    for sign, exps, d, denominator in applied:
         _apply_factor(buckets, sign, d, layout.delta(exps), denominator)
     acc.terms = layout.unpack(buckets)
     return acc
@@ -471,18 +509,22 @@ def _capped_product(i: int, k: int, bounds: BoundSequence, trunc: int,
     prod_j (1 + X(jk+i, (j-1)k+i)) / [(1 - X(jk+i, jk+i)) (1 - X(2jk, 2(j-1)k))]
 
     times (1 - X^block) for each capped size, a block being ``strict``
-    copies of the size (``_bound_factor_list``).  The j-th factor of every
-    family has degree >= j under every weight, so j runs to ``trunc``.  The
-    caps are applied before the two denominators, while the accumulated
-    series is still small, so each sweep touches fewer terms.
+    copies of the size (``_bound_factor_list``).  X(h, l) has degree h + l
+    under every weight, so each family's j stops at its last factor of
+    degree at most ``trunc``.
     """
     if k < 1 or not 0 <= i < k:
         raise ValueError("need 0 <= i < k and k >= 1")
-    js = range(1, trunc + 1)
-    factors = [(1, weight.cells(j * k + i, (j - 1) * k + i), False) for j in js]
+
+    def js(first: int, step: int) -> range:
+        # the j >= 1 whose degree, first + (j - 1) * step, is at most trunc
+        return range(1, (trunc - first) // step + 2)
+
+    factors = [(1, weight.cells(j * k + i, (j - 1) * k + i), False)
+               for j in js(k + 2 * i, 2 * k)]
     factors += [(-1, exps, False) for exps in _bound_factor_list(bounds, trunc, weight, i, k)]
-    factors += [(-1, weight.cells(j * k + i, j * k + i), True) for j in js]
-    factors += [(-1, weight.cells(2 * j * k, 2 * (j - 1) * k), True) for j in js]
+    factors += [(-1, weight.cells(j * k + i, j * k + i), True) for j in js(2 * (k + i), 2 * k)]
+    factors += [(-1, weight.cells(2 * j * k, 2 * (j - 1) * k), True) for j in js(2 * k, 4 * k)]
     return product_series(factors, weight.names, trunc, weight.degree_index)
 
 

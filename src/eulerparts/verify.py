@@ -288,6 +288,12 @@ def _grid(values, name: str, key=lambda point: point) -> tuple:
     return grid
 
 
+def _written(m):
+    """m as a report writes it: ``"inf"`` for ``UNBOUNDED``, which JSON has
+    no number for."""
+    return "inf" if m == UNBOUNDED else m
+
+
 def _m_runs(ms, source, target) -> list:
     """One run per m: its context and both families' caps at m, one caps
     object if the families are one, so the engine enumerates it once.  Every
@@ -295,7 +301,7 @@ def _m_runs(ms, source, target) -> list:
     runs = []
     for m in ms:
         src = source.bounds(m)
-        runs.append(({"m": m}, src, src if target is source else target.bounds(m)))
+        runs.append(({"m": _written(m)}, src, src if target is source else target.bounds(m)))
     return runs
 
 
@@ -320,7 +326,7 @@ def _verify_composite(theorem: str, max_n: int, ms, families, encode,
         stats = (lambda a: (la(a), source.level(a)), lambda b: (lo(b), target.level(b)))
     else:
         ms = _grid(ms, "m")
-        grid, runs, stats = list(ms), _m_runs(ms, source, target), _EXCHANGED
+        grid, runs, stats = list(map(_written, ms)), _m_runs(ms, source, target), _EXCHANGED
     report = VerificationReport(theorem, {"max_n": max_n, "m": grid})
     _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, encode),
                      _composite(_backward, sylvester_odd_to_distinct, decode),
@@ -508,11 +514,11 @@ def verify_halves_product(bounds: BoundSequence | str = "even:1",
 def _verify_gf_triple(theorem: str, ms, trunc: int, families,
                       closed) -> VerificationReport:
     ms = _grid(ms, "m")
-    report = VerificationReport(theorem, {"m": list(ms), "trunc": trunc})
-    for context, left, right in _m_runs(ms, *families):
+    report = VerificationReport(theorem, {"m": list(map(_written, ms)), "trunc": trunc})
+    for m, (context, left, right) in zip(ms, _m_runs(ms, *families)):
         by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left)
         by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right)
-        gf = closed(context["m"], trunc)
+        gf = closed(m, trunc)
         for tag, other in (("enumerated by odd parts", by_odd), ("closed form", gf)):
             if _compare(report, by_alt, other, "enumerated_by_alt_sum", "other",
                         **context, other_side=tag):

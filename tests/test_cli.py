@@ -267,6 +267,27 @@ def test_series_rejects_non_integer_m(capsys, name):
     assert (code, out, err) == (2, "", "error: -m: 'x' is not an integer\n")
 
 
+@pytest.mark.parametrize("name, finite", (("pairing-gf", "12"), ("binary-gf", "6")))
+def test_series_m_inf_is_the_uncapped_product(capsys, name, finite):
+    # at degree 24 the caps 2m+1 and the closed form's m-factor, of degree
+    # 2m+2 (pairing-gf) or 4m+4 (binary-gf), change nothing from m = 12 or
+    # m = 6 on, so those m print what m = inf prints
+    for fmt in ("text", "csv", "json"):
+        outs = [run(capsys, "series", name, "-N", "24", "-m", m, "--format", fmt)
+                for m in ("inf", finite)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def test_verify_reads_m_inf(capsys):
+    code, out, err = run(capsys, "verify", "pairing-gf", "--m", "0,inf", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"] == {"m": [0, "inf"], "trunc": 24}
+    code, out, err = run(capsys, "verify", "pairing", "--m", "inf", "--max-n", "12",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["params"] == {"m": ["inf"], "max_n": 12}
+
+
 # A value of each flag a series builder or map may read, and the values with
 # which each series name reads all of its flags.
 FLAG_VALUE = {"-m": "1", "--i": "0", "--k": "1", "--bounds": "all:3",

@@ -214,6 +214,15 @@ def test_cap_families_validate_m_once():
             PAIRING_SOURCE.bounds(bad)
 
 
+@pytest.mark.parametrize("m", (UNBOUNDED, float("inf")))
+def test_cap_families_at_m_inf_are_uncapped(m):
+    for family, spec in ((PAIRING_SOURCE, "all:inf"), (PAIRING_TARGET, "even:inf"),
+                         (BINARY_FAMILY, "even:inf")):
+        bounds = family.bounds(m)
+        assert bounds.spec == spec
+        assert all(bounds.bound(size) == UNBOUNDED for size in range(1, 30))
+
+
 def test_spec_strings_round_trip():
     for spec in ("all:3", "even:1", "odd:inf,even:0", "2:0,5:3", "phi:2*i+1"):
         b = parse_bounds(spec)

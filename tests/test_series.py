@@ -365,6 +365,48 @@ def test_layout_round_trip(case):
     assert layout.unpack(buckets) == terms
 
 
+def term_by_term(layout, buckets):
+    """The layout's terms decoded one key at a time: digit i of a key is
+    key // place % base + lo, and the fixed variable is read from the
+    bucket index."""
+    terms = {}
+    for g, bucket in enumerate(buckets):
+        for key, c in bucket.items():
+            exps = [key // place % base + lo for _, place, base, lo in layout.digits]
+            exps.insert(layout.fixed, g - sum(exps) if layout.total else g)
+            terms[tuple(exps)] = c
+    return terms
+
+
+# name: (variables, degree_index, monomials), with 0, 1 and 3 packed digits
+# under the total degree and under a degree index; mixed signs give digits
+# with lo < 0 and keys whose top digit is not 0
+UNPACK_CASES = {
+    "q, total": (("q",), None, [(1,), (2,)]),
+    "q, by q": (("q",), 0, [(1,), (3,)]),
+    "ab, total": (AB, None, [(1, 0), (0, 1), (2, -1)]),
+    "xq, by q": (XQ, 1, [(1, 1), (-2, 1), (0, 2)]),
+    "abcd, total": (ABCD, None, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                                 (1, -1, 0, 1)]),
+    "abcd, by c": (ABCD, 2, [(1, 0, 1, 0), (-1, 2, 1, -1), (0, 0, 1, 3)]),
+}
+
+
+@pytest.mark.parametrize("case", UNPACK_CASES)
+def test_unpack_matches_a_term_by_term_decode(case):
+    names, index, monomials = UNPACK_CASES[case]
+    trunc = 8
+    # every product of the monomials of degree <= trunc, with its count
+    want = reference_product([(-1, monomials, True)], names, trunc, index)
+    layout = series._Layout(monomials, want)
+    assert len(layout.digits) == len(names) - 1
+    buckets = [{} for _ in range(trunc + 1)]
+    for exps, c in want.terms.items():
+        buckets[want.degree(exps)][layout.origin + layout.delta(exps)] = c
+    assert layout.unpack(buckets) == term_by_term(layout, buckets) == want.terms
+    assert layout.unpack([{} for _ in range(trunc + 1)]) == {}
+
+
 def test_product_series_validation():
     with pytest.raises(ValueError, match="sign"):
         product_series([(2, (0, 1), False)], XQ, 5, degree_index=1)
@@ -438,6 +480,48 @@ def test_sweep_matches_truncated_factor_multiplication(case):
     got = sweep_product(families, names, trunc, index)
     assert got == reference_product(families, names, trunc, index)
     assert 0 not in got.terms.values()
+
+
+@given(factor_families(), st.data())
+def test_product_series_is_independent_of_factor_order(case, data):
+    # the factors in any order, and with a numerator and the denominator it
+    # cancels inserted anywhere, give the terms of the reference product
+    families, names, trunc, index = case
+    factors = [(sign, exps, denominator)
+               for sign, exps_list, denominator in families for exps in exps_list]
+    want = reference_product(families, names, trunc, index)
+    shuffled = data.draw(st.permutations(factors))
+    assert product_series(shuffled, names, trunc, index) == want
+    sign, exps, _ = data.draw(st.sampled_from(factors))
+    paired = list(shuffled)
+    for denominator in data.draw(st.permutations((False, True))):
+        paired.insert(data.draw(st.integers(0, len(paired))), (sign, exps, denominator))
+    assert product_series(paired, names, trunc, index) == want
+
+
+def test_factors_arrive_highest_degree_first_and_cancelled_pairs_never(monkeypatch):
+    arrived = []
+
+    def spy(buckets, sign, d, delta, denominator):
+        arrived.append((sign, d, denominator))
+        apply(buckets, sign, d, delta, denominator)
+
+    apply = series._apply_factor
+    monkeypatch.setattr(series, "_apply_factor", spy)
+    factors = [(1, (0, 1), False), (-1, (0, 2), False), (1, (1, 3), True),
+               (-1, (0, 2), True), (-1, (0, 2), False), (1, (0, 4), True),
+               (1, (1, 3), False)]
+    got = product_series(factors, XQ, 10, 1)
+    # (1 + x q^3) and (1 - q^2) cancel once each; the second (1 - q^2) stays
+    assert arrived == [(1, 4, True), (-1, 2, False), (1, 1, False)]
+    kept = [(1, [(0, 1)], False), (-1, [(0, 2)], False), (1, [(0, 4)], True)]
+    assert got == reference_product(kept, XQ, 10, 1)
+    # pairing_gf at m = 0: the caps (1 - q^(2s)) cancel (q^2; q^2)
+    arrived.clear()
+    pairing_gf(0, 20)
+    assert [d for _, d, _ in arrived] == sorted((d for _, d, _ in arrived), reverse=True)
+    assert sorted(arrived) == sorted([(1, 2 * j - 1, False) for j in range(1, 11)]
+                                     + [(-1, 4 * j - 2, True) for j in range(1, 6)])
 
 
 @pytest.mark.parametrize("trunc", (0, 1, 2, 7))
@@ -602,6 +686,24 @@ def test_half_cells_product_matches_closed_form(spec):
                 (-1, [(2 * j - 1, 2 * j - 1) for j in js], True),
                 (-1, caps, False)]
     assert half_cells_product(parse_bounds(spec), N) == reference_product(families, AB, N)
+
+
+@pytest.mark.parametrize("weight", (FOUR_PARAM, ROW_TOTALS, HALF_CELLS, ALT_BY_WEIGHT))
+@pytest.mark.parametrize("i, k", ((0, 1), (0, 2), (1, 2), (2, 3)))
+def test_capped_product_builds_only_the_factors_it_keeps(monkeypatch, weight, i, k):
+    # the three j-families stop at their last factor of degree <= trunc
+    built = []
+    monkeypatch.setattr(series, "product_series",
+                        lambda factors, *args: built.extend(factors) or Series.one(*args))
+    for trunc in (0, 1, 2, 5, 12):
+        built.clear()
+        series._capped_product(i, k, parse_bounds("all:inf"), trunc, weight)
+        js = range(1, trunc + 1)
+        every = ([(1, weight.cells(j * k + i, (j - 1) * k + i), False) for j in js]
+                 + [(-1, weight.cells(j * k + i, j * k + i), True) for j in js]
+                 + [(-1, weight.cells(2 * j * k, 2 * (j - 1) * k), True) for j in js])
+        probe = Series.zero(weight.names, trunc, weight.degree_index)
+        assert built == [f for f in every if probe.degree(f[1]) <= trunc], trunc
 
 
 # -- the progression-restricted product --------------------------------------

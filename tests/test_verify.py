@@ -317,6 +317,22 @@ def test_a_repeated_grid_point_is_an_error(runner, grid, message):
         runner(**grid)
 
 
+def test_the_gf_checks_take_m_inf(monkeypatch):
+    inf = float("inf")
+    report = verify_pairing_gf(ms=(0, inf), trunc=24)
+    assert report.ok() and report.params == {"m": [0, "inf"], "trunc": 24}
+    # the closed form at m = inf is the uncapped product; a capped one fails
+    # at q^4, and the report writes m as JSON can hold it
+    from eulerparts import verify
+    from eulerparts.series import binary_gf
+    monkeypatch.setattr(verify, "binary_gf", lambda m, trunc: binary_gf(0, trunc))
+    report = verify_binary_gf(ms=(inf,), trunc=8)
+    assert report.params == {"m": ["inf"], "trunc": 8}
+    assert report.counterexample["m"] == "inf"
+    assert report.counterexample["monomial"]["q"] == 4
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
 @pytest.mark.parametrize("argv, message", (
     (["pairing", "--max-n", "4", "--m", "1,1"], "the m grid repeats 1"),
     (["pairing-gf", "--m", "0,0"], "the m grid repeats 0"),
@@ -452,6 +468,7 @@ def broken_inverse(monkeypatch):
     ((2, 1), 2, 4, "2,2"),
     ((1,), 1, 4, "2,2"),  # each run alone fails as it does beside another
     ((0,), 0, 5, "5"),
+    ((float("inf"),), "inf", 4, "2,2"),  # written so that JSON can hold it
 ))
 def test_exchange_reports_the_first_failure_in_run_order(broken_inverse, ms, m, n, text):
     report = verify_pairing(max_n=8, ms=ms)
