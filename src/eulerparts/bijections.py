@@ -150,7 +150,7 @@ def merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int,
     if len(set(lam)) != len(lam):  # a part repeats, maybe not as a neighbour: name it
         raise DomainError("part %d repeats in the distinct half"
                           % next(p for i, p in enumerate(lam) if p in lam[:i]))
-    if mu[::2] != mu[1::2]:
+    if not _evenly_paired(mu):
         raise _unpaired(mu, " in the even half")
     return tuple(sorted(lam + mu, reverse=True))
 

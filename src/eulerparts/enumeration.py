@@ -61,9 +61,9 @@ class BoundSequence:
         out = []
         for size in range(1, cutoff + 1):
             b = self.bound(size)
-            prod = size * (b + 1)
-            if prod <= cutoff:
-                out.append(prod)
+            product = size * (b + 1)
+            if product <= cutoff:
+                out.append(product)
         return sorted(out)
 
 
@@ -405,14 +405,8 @@ def count_total(n: int, bounds: BoundSequence | None = None,
     return sum(1 for _ in _leaves(n, bounds, filt))
 
 
-def histogram(partitions: Iterable[tuple[int, ...]],
-              stat: Callable[[tuple[int, ...]], int]) -> dict[int, int]:
-    """Histogram of ``stat`` over ``partitions``, keyed ascending."""
-    return dict(sorted(Counter(map(stat, partitions)).items()))
-
-
 def count_by_statistic(n: int, stat: Callable[[tuple[int, ...]], int],
                        bounds: BoundSequence | None = None,
                        filt: CongruenceFilter | None = None) -> dict[int, int]:
     """Histogram of ``stat`` over the enumerated partitions, keyed ascending."""
-    return histogram(bounded_partitions(n, bounds, filt), stat)
+    return dict(sorted(Counter(map(stat, bounded_partitions(n, bounds, filt))).items()))

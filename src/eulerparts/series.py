@@ -97,9 +97,6 @@ class Series:
     def one(cls, names: Sequence[str], trunc: int, degree_index: int | None = None) -> "Series":
         return cls(names, trunc, {(0,) * len(tuple(names)): 1}, degree_index)
 
-    def _blank(self) -> "Series":
-        return Series(self.names, self.trunc, None, self.degree_index)
-
     def _compatible(self, other: "Series"):
         if (self.names, self.trunc, self.degree_index) != (other.names, other.trunc, other.degree_index):
             raise ValueError("series mismatch: %r/%d vs %r/%d"
@@ -119,13 +116,12 @@ class Series:
                 and self.terms == other.terms)
 
     def __mul__(self, other) -> "Series":
+        res = Series.zero(self.names, self.trunc, self.degree_index)
         if isinstance(other, int):
-            out = self._blank()
             if other:
-                out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+                res.terms = {e: c * other for e, c in self.terms.items()}
+            return res
         self._compatible(other)
-        res = self._blank()
         if not self.terms or not other.terms:
             return res
         left = sorted(self.terms.items(), key=lambda kv: self.degree(kv[0]))
@@ -433,7 +429,8 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
     """
     acc = Series.one(names, trunc, degree_index)
     width = len(acc.names)
-    kept = []
+    # the (sign, exps, degree) multisets of the numerators and denominators
+    numerators, denominators = Counter(), Counter()
     for sign, exps, denominator in factors:
         if sign not in (1, -1):
             raise ValueError("factor sign must be +1 or -1")
@@ -444,19 +441,14 @@ def product_series(factors: Iterable[tuple[int, Sequence[int], bool]],
         if d < 1:
             raise ValueError("factor monomial must have positive degree: %r" % (exps,))
         if d <= trunc:
-            kept.append((sign, exps, d, denominator))
+            side = denominators if denominator else numerators
+            side[sign, exps, d] += 1
 
-    # the number of numerator/denominator pairs to drop, per (sign, exps),
-    # counted down separately on either side
-    pairs = (Counter((s, e) for s, e, _, den in kept if not den)
-             & Counter((s, e) for s, e, _, den in kept if den))
-    left = {False: pairs, True: pairs.copy()}
-    applied = []
-    for sign, exps, d, denominator in kept:
-        if left[denominator][sign, exps]:
-            left[denominator][sign, exps] -= 1
-        else:
-            applied.append((sign, exps, d, denominator))
+    matched = numerators & denominators
+    numerators -= matched
+    denominators -= matched
+    applied = [(*factor, False) for factor in numerators.elements()]
+    applied += [(*factor, True) for factor in denominators.elements()]
     applied.sort(key=lambda factor: factor[2], reverse=True)
 
     layout = _Layout([exps for _, exps, _, _ in applied], acc)

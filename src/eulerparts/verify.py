@@ -37,7 +37,7 @@ from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
 from .partition import (alt_sum, largest_odd_multiplicity_part,
                         largest_odd_part, odd_count, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
-                     ROW_TOTALS, Series, WeightVariant, binary_gf,
+                     ROW_TOTALS, XQ, Series, WeightVariant, binary_gf,
                      boulet_product, enumerated_series, half_cells_product,
                      pairing_gf, partition_gf, restricted_boulet_product,
                      row_totals_product, series_equal)
@@ -197,6 +197,8 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     finite sets of equal size is onto.  This holds only while the histogram
     check runs first: a check that compares no statistic must compare the
     sizes of the two families itself."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     source_stat, target_stat = stats
     totals: Counter = Counter()
 
@@ -412,23 +414,14 @@ def verify_andrews(bounds_a: BoundSequence | str | None = None,
     equivalent = prod_a == prod_b
     report.notes.append("products %s: %s vs %s"
                         % ("agree" if equivalent else "differ", prod_a, prod_b))
-    mismatch = None
-    by_size_a = enumerated_series(max_n, _BY_SIZE, a)
-    by_size_b = enumerated_series(max_n, _BY_SIZE, b)
-    for n in range(max_n + 1):
-        ca = by_size_a.coefficient((n,))
-        cb = by_size_b.coefficient((n,))
-        if ca != cb:
-            mismatch = {"n": n, "count_a": ca, "count_b": cb}
-            break
-    if equivalent and mismatch:
-        report.fail(detail="products agree but counts differ", **mismatch)
+    # one variable, so the first differing monomial is the least n
+    cmp = series_equal(enumerated_series(max_n, _BY_SIZE, a),
+                       enumerated_series(max_n, _BY_SIZE, b))
+    if not cmp:
+        detail = {"detail": "products agree but counts differ"} if equivalent else {}
+        report.fail(**detail, n=cmp.exponents[0], count_a=cmp.left, count_b=cmp.right)
     elif not equivalent:
-        if mismatch:
-            report.fail(**mismatch)
-        else:
-            report.fail(detail="products differ; the first count difference "
-                               "lies beyond max_n")
+        report.fail(detail="products differ; the first count difference lies beyond max_n")
     return report
 
 
@@ -439,12 +432,11 @@ def verify_partition_gf(max_n: int = 30) -> VerificationReport:
     """Coefficient of q^n in 1/(q;q)_inf equals the number of partitions."""
     report = VerificationReport("partition-gf", {"max_n": max_n})
     gf = partition_gf(max_n)
-    for n in range(max_n + 1):
-        counted = count_total(n)
-        coeff = gf.coefficient((0, n))
-        if counted != coeff:
-            report.fail(n=n, enumerated=counted, coefficient=coeff)
-            break
+    counted = Series(XQ, max_n, {(0, n): count_total(n) for n in range(max_n + 1)},
+                     degree_index=1)
+    cmp = series_equal(counted, gf)
+    if not cmp:
+        report.fail(n=cmp.exponents[1], enumerated=cmp.left, coefficient=cmp.right)
     return report
 
 

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 
 import pytest
 
@@ -22,6 +24,8 @@ from eulerparts.verify import (
     verify_rows_product,
     verify_sylvester,
 )
+
+import oracles
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -170,6 +174,65 @@ def test_andrews_rejects_a_cutoff_below_max_n(capsys):
         "n": 3, "count_a": 3, "count_b": 2}
 
 
+# Cap specs for the andrews pairs: equivalent and inequivalent sequences,
+# strict caps, uncapped sizes and caps on single sizes.
+ANDREWS_SPECS = ("all:1", "all:2", "all:3", "all:2s", "all:4s", "all:6s", "even:0",
+                 "even:1", "even:2s", "even:3s", "odd:inf,even:1", "odd:1", "odd:0",
+                 "1:0", "2:1,3:0", "3:2")
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_counts(spec: str, max_n: int) -> tuple[int, ...]:
+    bounds = parse_bounds(spec)
+
+    def cap_of(size):
+        # the oracle reads an uncapped size as None
+        cap = bounds.bound(size)
+        return None if cap == math.inf else cap
+
+    return tuple(oracles.bounded_count_dp(n, cap_of) for n in range(max_n + 1))
+
+
+@pytest.mark.parametrize("a", ANDREWS_SPECS)
+def test_andrews_counts_match_an_independent_oracle(a):
+    # bounded_count_dp shares no code with the coefficient DP or the walk:
+    # a failing report names the first n whose oracle counts differ, and
+    # any other report needs equal oracle counts for every n <= 20
+    counts_a = _oracle_counts(a, 20)
+    for b in ANDREWS_SPECS:
+        if b == a:
+            continue
+        counts_b = _oracle_counts(b, 20)
+        report = verify_andrews(a, b, max_n=20)
+        first = next((n for n in range(21) if counts_a[n] != counts_b[n]), None)
+        named = {key: value for key, value in (report.counterexample or {}).items()
+                 if key in ("n", "count_a", "count_b")}
+        if first is None:
+            assert named == {}, (a, b)
+        else:
+            assert named == {"n": first, "count_a": counts_a[first],
+                             "count_b": counts_b[first]}, (a, b)
+            assert report.status == "fail"
+
+
+def test_andrews_reports_counts_that_differ_under_agreeing_products(monkeypatch):
+    # Andrews' theorem rules this out; a faulty strict-product list shows it
+    from eulerparts.enumeration import BoundSequence
+    monkeypatch.setattr(BoundSequence, "strict_products", lambda self, cutoff: [])
+    report = verify_andrews("all:3", "all:2", max_n=10)
+    assert report.counterexample == {"detail": "products agree but counts differ",
+                                     "n": 3, "count_a": 3, "count_b": 2}
+
+
+def test_partition_gf_reports_the_first_count_that_differs(monkeypatch):
+    from eulerparts import verify
+    monkeypatch.setattr(verify, "count_total",
+                        lambda n, count_total=count_total: count_total(n) + (n == 7))
+    report = verify_partition_gf(max_n=12)
+    assert report.status == "fail"
+    assert report.counterexample == {"n": 7, "enumerated": 16, "coefficient": 15}
+
+
 def test_bessenrodt_names_the_first_differing_monomial(monkeypatch):
     # 3 at most once on the odd-part side drops 3,3 (length 2) from n = 6,
     # the first of the partitions it drops in (total degree, exponents) order
@@ -299,6 +362,16 @@ def test_an_empty_grid_is_an_error(runner, grid):
     # a grid with no point would pass having checked nothing
     with pytest.raises(ValueError, match="grid is empty"):
         runner(**grid)
+
+
+@pytest.mark.parametrize("runner, kwargs", (
+    (verify_sylvester, {}), (verify_pairing, {}), (verify_binary, {"ms": (1,)}),
+    (verify_pairing_refined, {}),
+))
+def test_an_exchange_check_rejects_a_negative_max_n(runner, kwargs):
+    # with no n to check it would pass having checked nothing
+    with pytest.raises(ValueError, match="^max_n must be >= 0$"):
+        runner(max_n=-1, **kwargs)
 
 
 @pytest.mark.parametrize("runner, grid, message", (
