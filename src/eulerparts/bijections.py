@@ -88,26 +88,6 @@ class BijectionTrace(NamedTuple):
 
 # -- run lengths on a descending parts tuple --------------------------------
 
-def _split_runs(parts: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """``(singles, pairs)``: one copy of every part of odd multiplicity, and
-    the rest, both descending.  Equal neighbours pair off along each run, so
-    a run of odd length leaves one part over."""
-    singles: list[int] = []
-    pairs: list[int] = []
-    prev = 0
-    for p in parts:
-        if p == prev:
-            pairs += (p, p)
-            prev = 0
-        else:
-            if prev:
-                singles.append(prev)
-            prev = p
-    if prev:
-        singles.append(prev)
-    return singles, pairs
-
-
 def _evenly_paired(parts: tuple[int, ...]) -> bool:
     """True when every multiplicity is even: the parts pair off as neighbours."""
     return parts[::2] == parts[1::2]
@@ -139,9 +119,22 @@ def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
 
     Returns ``(lam, mu)``: ``lam`` has the parts of odd multiplicity, once
     each (so it is distinct), and ``mu`` keeps everything else, so each of
-    its multiplicities is even.
+    its multiplicities is even.  Equal neighbours pair off along each run,
+    so a run of odd length leaves one part over.
     """
-    lam, mu = _split_runs(alpha)
+    lam: list[int] = []
+    mu: list[int] = []
+    prev = 0
+    for p in alpha:
+        if p == prev:
+            mu += (p, p)
+            prev = 0
+        else:
+            if prev:
+                lam.append(prev)
+            prev = p
+    if prev:
+        lam.append(prev)
     return tuple(lam), tuple(mu)
 
 
@@ -284,7 +277,8 @@ def binary_contract(nu: tuple[int, ...]) -> tuple[int, ...]:
     stay as they are.  Requires all parts even.
     """
     _all_even(nu)
-    singles, out = _split_runs(nu)
+    singles, pairs = split_distinct_even(nu)
+    out = list(pairs)
     for v in singles:
         low = v & -v
         out += [v // low] * low

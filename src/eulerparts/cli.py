@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import itertools
 import json
 import os
 import sys
+import types
 
 from .bijections import (binary_inverse_trace, binary_map,
                          pairing_inverse_trace, pairing_map,
@@ -32,8 +31,6 @@ from .series import (WEIGHTS, binary_gf, boulet_product,
 from .verify import REGISTRY, run_checks, runs_for
 
 STATS = {"la": alt_sum, "lo": odd_count}
-
-CSV_CHUNK = 256  # CSV rows formatted per write
 
 
 def _bounds_arg(args):
@@ -53,21 +50,6 @@ def _m(flag: str, text: str):
         return int(text)
     except ValueError:
         raise ValueError("%s: %r is not an integer" % (flag, text)) from None
-
-
-def _csv_chunks(header, rows):
-    """The CSV text of ``header`` and then ``rows``, ``CSV_CHUNK`` rows at a
-    time, each chunk built as it is asked for."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = iter(rows)
-    chunk = [header]
-    while chunk:
-        writer.writerows(chunk)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
-        chunk = list(itertools.islice(rows, CSV_CHUNK))
 
 
 def _emit(text: str):
@@ -92,8 +74,12 @@ def _print(args, payload, header, rows, lines):
     built, and a CSV or text view that yields lazily is never held whole."""
     if args.format == "json":
         _emit(_json(payload()))
+    elif args.format == "csv":  # csv.writer writes each row through _emit
+        out = csv.writer(types.SimpleNamespace(write=_emit), lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows())
     else:
-        for text in _csv_chunks(header, rows()) if args.format == "csv" else lines():
+        for text in lines():
             _emit(text)
 
 

@@ -4,8 +4,8 @@ A partition is a non-increasing tuple of positive parts; the empty tuple is
 the (unique) partition of 0.  The whole library passes partitions as these
 parts tuples.  Each statistic is one function of the tuple, and so are the
 two ways to print it, :func:`plain_form` and :func:`exponent_form`.
-:class:`Partition` is the validated text codec the command line reads its
-input through.
+:class:`Partition` is the validated parser the command line reads its input
+through.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class Partition:
 
     def __str__(self) -> str:
         return plain_form(self.parts)
-
-    def exponent_form(self) -> str:
-        """:func:`exponent_form` of the parts."""
-        return exponent_form(self.parts)
 
     def multiplicities(self) -> dict[int, int]:
         """Sizes to multiplicities, largest first: :func:`multiplicities`."""

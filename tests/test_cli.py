@@ -800,13 +800,15 @@ def test_import_leaves_the_process_pool_out():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_closed_output_pipe_keeps_the_status():
+@pytest.mark.parametrize("fmt, head", (("text", b"30\n29,1\n28"), ("csv", b"parts\n30\n2")),
+                         ids=("text", "csv"))
+def test_closed_output_pipe_keeps_the_status(fmt, head):
     # the reader stops after 10 bytes, as ``| head -c 10`` does; the 112 kB
     # listing is more than a pipe holds, so later writes meet a closed pipe
     proc = subprocess.Popen(
-        [sys.executable, "-m", "eulerparts", "enumerate", "30"],
+        [sys.executable, "-m", "eulerparts", "enumerate", "30", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(10) == b"30\n29,1\n28"
+    assert proc.stdout.read(10) == head
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")

@@ -571,6 +571,28 @@ def test_exchange_catches_a_map_that_misses_the_target(monkeypatch):
                                      "detail": "inverse round trip failed"}
 
 
+@pytest.mark.parametrize("m, left, right", (
+    (0, {2: 1}, {0: 1, 2: 1}),
+    (1, {0: 1, 2: 2, 4: 1}, {0: 2, 2: 2, 4: 1}),
+    (2, {0: 2, 2: 5, 4: 2, 6: 1}, {0: 3, 2: 5, 4: 2, 6: 1}),
+))
+def test_exchange_fails_on_a_target_larger_than_the_image(m, left, right):
+    # the pairing map into the target caps at m + 1: every image lies in the
+    # target, the round trip holds and l_a goes to l_o, but the images miss
+    # 2^(m+1), first at n = 2m + 2, so only the histograms show the fault
+    from eulerparts import verify
+    from eulerparts.bijections import (merge_pairs, split_pairs,
+                                       sylvester_distinct_to_odd, sylvester_odd_to_distinct)
+    report = VerificationReport("pairing", {"max_n": 12, "m": [m]})
+    runs = [({"m": m}, PAIRING_SOURCE.bounds(m), PAIRING_TARGET.bounds(m + 1))]
+    verify._verify_exchange(
+        report, verify._composite(verify._forward, sylvester_distinct_to_odd, merge_pairs),
+        verify._composite(verify._backward, sylvester_odd_to_distinct, split_pairs),
+        runs, 12, verify._EXCHANGED)
+    assert report.counterexample == {"m": m, "n": 2 * m + 2,
+                                     "by_alt_sum": left, "by_odd_count": right}
+
+
 def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
     # 2,2 and 1,1,1,1 swap images; the inverse agrees, so every round trip
     # holds.  m = 3 admits the image 2,2 of 2,2; m = 1, run after it on the
