@@ -2,11 +2,12 @@
 
 Subcommands: ``enumerate``, ``stats``, ``map``, ``series``, ``verify`` and
 ``table``.  Exit codes: 0 on success, 1 when a verification fails, 2 for
-usage errors (including inputs outside a map's domain).  A reader that
-closes the output pipe early leaves the exit code as it would be.  All
-output is deterministic for a given invocation.  Each subcommand computes its
-result once and prints it through :func:`_print`, and a flag that the chosen
-``series`` builder or ``map`` does not read is a usage error, as in ``verify``.
+usage errors (including inputs outside a map's domain).  All output is
+deterministic for a given invocation.  Each subcommand computes its result
+once and prints it through :func:`_print`, the only code that writes a result,
+and a flag that the chosen ``series`` builder or ``map`` does not read is a
+usage error, as in ``verify``.  A reader that closes the output pipe early
+leaves the exit code as it would be, whether stdout is buffered or not.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import csv
 import json
 import os
 import sys
-import types
 
 from .bijections import (binary_inverse_trace, binary_map,
                          pairing_inverse_trace, pairing_map,
@@ -52,17 +52,6 @@ def _m(flag: str, text: str):
         raise ValueError("%s: %r is not an integer" % (flag, text)) from None
 
 
-def _emit(text: str):
-    try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    except BrokenPipeError:
-        # The reader has gone.  Send the rest of the output, and the flush at
-        # exit, to the null device, so the command ends with its own status.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-
-
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
@@ -72,15 +61,22 @@ def _print(args, payload, header, rows, lines):
     ``header`` and ``rows()`` as CSV, or ``lines()`` as text, one line at a
     time.  The views are zero-argument functions, so only the printed one is
     built, and a CSV or text view that yields lazily is never held whole."""
-    if args.format == "json":
-        _emit(_json(payload()))
-    elif args.format == "csv":  # csv.writer writes each row through _emit
-        out = csv.writer(types.SimpleNamespace(write=_emit), lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows())
-    else:
-        for text in lines():
-            _emit(text)
+    try:
+        if args.format == "json":
+            sys.stdout.write(_json(payload()) + "\n")
+        elif args.format == "csv":
+            out = csv.writer(sys.stdout, lineterminator="\n")
+            out.writerow(header)
+            out.writerows(rows())
+        else:
+            sys.stdout.writelines(text + "\n" for text in lines())
+        sys.stdout.flush()  # a closed pipe fails here, not at the exit flush
+    except BrokenPipeError:
+        # The reader has gone.  Send what is still buffered, at exit, to the
+        # null device, so the command ends with its own status.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _given_or(value, default):
@@ -100,8 +96,9 @@ def _reject(args, name: str, flags) -> None:
 
 def cmd_enumerate(args) -> int:
     bounds, filt = _bounds_arg(args), _filter_arg(args)
-    if args.count:
-        _emit(str(count_total(args.n, bounds, filt)))
+    if args.count:  # every view is the bare count
+        count = count_total(args.n, bounds, filt)
+        _print(args, lambda: count, [count], tuple, lambda: [str(count)])
         return 0
 
     def family():  # the text and CSV views stream it; JSON lists it

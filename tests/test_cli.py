@@ -800,15 +800,51 @@ def test_import_leaves_the_process_pool_out():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-@pytest.mark.parametrize("fmt, head", (("text", b"30\n29,1\n28"), ("csv", b"parts\n30\n2")),
-                         ids=("text", "csv"))
+def _buffered_env() -> dict:
+    """This environment without ``PYTHONUNBUFFERED``, so the child's stdout is
+    block-buffered, as it is when no terminal is attached."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("fmt, head", (("text", b"30\n29,1\n28"), ("csv", b"parts\n30\n2"),
+                                       ("json", b"[[30], [29")),
+                         ids=("text", "csv", "json"))
 def test_closed_output_pipe_keeps_the_status(fmt, head):
     # the reader stops after 10 bytes, as ``| head -c 10`` does; the 112 kB
     # listing is more than a pipe holds, so later writes meet a closed pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "eulerparts", "enumerate", "30", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env())
     assert proc.stdout.read(10) == head
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.parametrize("argv, status", (
+    (("enumerate", "5", "--count"), 0),
+    (("enumerate", "5"), 0),
+    (("enumerate", "5", "--format", "csv"), 0),
+    (("enumerate", "5", "--format", "json"), 0),
+    (("stats", "6", "--stat", "la", "--format", "csv"), 0),
+    (("table", "6", "--stat", "lo"), 0),
+    (("map", "pairing", "fwd", "7,2,1", "--format", "json"), 0),
+    (("series", "boulet", "-N", "8"), 0),
+    (("verify", "sylvester", "--max-n", "5"), 0),
+    (("verify", "boulet-restricted", "--i", "1", "--k", "2", "--bounds", "3:1,5:3"), 1),
+), ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+def test_buffered_output_to_a_closed_pipe_keeps_the_status(argv, status):
+    # the reader has gone before the command starts, as in ``| true``; the
+    # output fits stdout's buffer, so it meets the closed pipe only when
+    # flushed, and a flush left to the interpreter's exit would exit 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "eulerparts", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_buffered_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (status, b"")

@@ -286,6 +286,16 @@ def test_parse_phi_rejects(bad):
         parse_phi(bad)
 
 
+@pytest.mark.parametrize("bad", ("i+*2", "()", "*i"))
+def test_parse_phi_names_an_unexpected_token(bad):
+    with pytest.raises(ValueError, match="unexpected token"):
+        parse_phi(bad)
+
+
+def test_bound_sequence_repr():
+    assert repr(parse_bounds("all:3")) == "BoundSequence('all:3')"
+
+
 def test_phi_bounds_in_enumeration():
     # part i at most i times: 1 once, 2 twice, ...
     bounds = parse_bounds("phi:i")

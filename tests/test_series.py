@@ -160,6 +160,20 @@ def test_series_equal_reports_first_difference():
     assert series_equal(s1, s1).exponents is None
 
 
+def test_series_equal_ignores_stored_zeros():
+    # builders assign ``.terms`` directly, so a zero coefficient can be stored
+    plain = Series(XQ, 5, {(1, 1): 2})
+    stored_zero = Series(XQ, 5)
+    stored_zero.terms = {(1, 1): 2, (2, 2): 0}
+    assert series_equal(stored_zero, plain) == SeriesComparison(True)
+    assert series_equal(plain, stored_zero) == SeriesComparison(True)
+
+
+def test_series_repr():
+    s = Series(XQ, 5, {(0, 0): 1, (1, 1): 2}, degree_index=1)
+    assert repr(s) == "Series(2 terms, vars=('x', 'q'), trunc=5)"
+
+
 @given(st.data())
 def test_series_equal_matches_a_sorted_scan(data):
     (s1,) = data.draw(series_tuples(1))
