@@ -7,7 +7,9 @@ deterministic for a given invocation.  Each subcommand computes its result
 once and prints it through :func:`_print`, the only code that writes a result,
 and a flag that the chosen ``series`` builder or ``map`` does not read is a
 usage error, as in ``verify``.  A reader that closes the output pipe early
-leaves the exit code as it would be, whether stdout is buffered or not.
+leaves the exit code as it would be, whether stdout is buffered or not: the
+result and argparse's ``--help`` are both written under one guard,
+:func:`_guarded`.
 """
 
 from __future__ import annotations
@@ -56,12 +58,31 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
+def _guarded(call):
+    """Return ``call()``, a step that may write to stdout, once stdout is
+    flushed, also when the step ends by raising, as argparse does after it
+    prints ``--help``.  If the reader has gone, the step returns None and
+    what is still buffered goes, at exit, to the null device, so the
+    command ends with its own status."""
+    try:
+        try:
+            return call()
+        finally:
+            sys.stdout.flush()  # a closed pipe fails here, not at the exit flush
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return None
+
+
 def _print(args, payload, header, rows, lines):
     """Print a command's result in ``args.format``: ``payload()`` as JSON,
     ``header`` and ``rows()`` as CSV, or ``lines()`` as text, one line at a
-    time.  The views are zero-argument functions, so only the printed one is
-    built, and a CSV or text view that yields lazily is never held whole."""
-    try:
+    time, under :func:`_guarded`.  The views are zero-argument functions, so
+    only the printed one is built, and a CSV or text view that yields lazily
+    is never held whole."""
+    def write():
         if args.format == "json":
             sys.stdout.write(_json(payload()) + "\n")
         elif args.format == "csv":
@@ -70,13 +91,8 @@ def _print(args, payload, header, rows, lines):
             out.writerows(rows())
         else:
             sys.stdout.writelines(text + "\n" for text in lines())
-        sys.stdout.flush()  # a closed pipe fails here, not at the exit flush
-    except BrokenPipeError:
-        # The reader has gone.  Send what is still buffered, at exit, to the
-        # null device, so the command ends with its own status.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+
+    _guarded(write)
 
 
 def _given_or(value, default):
@@ -336,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _guarded(lambda: parser.parse_args(argv))
+    if args is None:  # --help, printed for a reader that has gone
+        return 0
     try:
         if [] in vars(args).values():
             # argparse before Python 3.12 drops a value of "--" and leaves []

@@ -9,6 +9,13 @@ can be passed on a command line.
 The exchange families (:class:`CapFamily`) live here too: each writes its
 caps in the bound DSL as a function of m, so the maps that trade between
 them and the generating functions that count them read the same caps.
+
+The enumeration walks a partition's head, its largest parts, only while
+the remainder exceeds ``n // 2``.  The partitions of each remainder up to
+``n // 2`` are listed once, in a memo, and every partition that ends in
+one of them is its head joined to it.  The memo lives as long as one
+listing or count, or, passed as ``tails=``, as long as a caller that lists
+one family at several n keeps it.
 """
 
 from __future__ import annotations
@@ -315,18 +322,32 @@ def _size_caps(n: int, bounds: BoundSequence | None,
     return table
 
 
-def _walk(n: int, table: list[tuple[int, int]], need_even: bool) -> Iterator[list[int]]:
-    """Walk the partitions of ``n`` built from ``table``, a :func:`_size_caps`
-    table, in descending lexicographic order, yielding the one parts list
-    the walk fills; a caller copies it before the next step.
+def _blocks(n: int, table: list[tuple[int, int]], need_even: bool,
+            tails: dict) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], int]]:
+    """The partitions of ``n`` built from ``table``, a :func:`_size_caps`
+    table, as (head, listed, start) blocks in descending lexicographic
+    order: ``head + tail`` for each tail of ``listed[start:]`` is one
+    partition, and the blocks give every partition once.
 
-    The walk keeps one block per distinct part: a table index and a count.
-    It places as many copies of the largest size that fits as it may, and so
-    on down.  To step on, it takes one copy off the last block and refills
-    the rest from the sizes below that block's.  ``room[i]``, the most that
-    the sizes ``table[:i]`` can hold, prunes the walk: a block is lowered
-    only while the sizes below it have room for the rest, and otherwise goes
-    whole, so no branch is entered whose rest is too heavy for its sizes.
+    The head is walked one block of equal parts at a time, the largest part
+    that fits first and as many copies as may be first, while the remainder
+    exceeds ``n // 2``.  Once a block brings it to r <= n // 2, the rest of
+    the partition is a tail: a partition of r whose parts lie below the
+    head's last part.  ``tails[r]`` lists the partitions of r once, in
+    descending lexicographic order, so grouped by largest part, largest
+    first, with ``starts[j]``, where the tails whose parts all lie below
+    ``table[j]`` start.  So a head's tails are one suffix of that list.
+    ``tails[r]`` is built the first time a head needs it, each of its
+    partitions by one tuple concatenation onto a tail of a smaller
+    remainder, so ``tails`` never holds a partition of more than ``n // 2``.
+    The list does not depend on n: a tail of r holds at most r // size
+    copies of a size, no more than the table's ``n // size``.  So one memo
+    serves one family at every n.
+
+    ``room[i]``, the most that the sizes ``table[:i]`` can hold, prunes the
+    walk: a block is lowered only while the sizes below it have room for
+    the rest.  With ``need_even``, a head keeps the tails that make the
+    length even.
     """
     sizes = [size for size, _ in table]
     caps = [cap for _, cap in table]
@@ -335,74 +356,111 @@ def _walk(n: int, table: list[tuple[int, int]], need_even: bool) -> Iterator[lis
         room.append(room[-1] + size * cap)
     if n > room[-1]:
         return
-    acc: list[int] = []
-    blocks: list[int] = []  # the table index of each distinct part
-    counts: list[int] = []  # and its number of copies
-    remaining, top = n, len(table)  # fill ``remaining`` from table[:top]
-    while True:
-        while remaining:
-            i = bisect_right(sizes, remaining, 0, top) - 1
-            if i < 0:
-                break
+    half = n // 2
+
+    def listed(r, top):
+        # the partitions of r, and where those with parts below table[top] start
+        entry = tails.get(r)
+        if entry is None:
+            end = bisect_right(sizes, r)
+            block, starts = [], [0] * (end + 1)
+            for j in range(end - 1, -1, -1):
+                size = sizes[j]
+                for count in range(min(caps[j], r // size), 0, -1):
+                    rest = r - size * count
+                    if rest > room[j]:
+                        break  # fewer copies leave still more
+                    below, start = listed(rest, j)
+                    block += map(((size,) * count).__add__, below[start:])
+                starts[j] = len(block)
+            entry = tails[r] = block, starts
+        block, starts = entry
+        return block, starts[min(top, len(starts) - 1)]
+
+    def heads(head, remaining, top):
+        # the blocks that extend ``head``, with ``remaining`` > n // 2 left
+        # to fill from table[:top]
+        for i in range(bisect_right(sizes, remaining, 0, top) - 1, -1, -1):
+            if remaining > room[i + 1]:
+                return
             size = sizes[i]
-            count = min(caps[i], remaining // size)
-            acc += [size] * count
-            blocks.append(i)
-            counts.append(count)
-            remaining -= size * count
-            top = i
-            if remaining > room[i]:
-                break
-        else:
-            if not (need_even and len(acc) % 2):
-                yield acc
-        while blocks:
-            top = blocks[-1]
-            size = sizes[top]
-            if remaining + size <= room[top]:
-                break
-            count = counts.pop()
-            blocks.pop()
-            remaining += size * count
-            del acc[-count:]
-        else:
-            return
-        remaining += size
-        acc.pop()
-        if counts[-1] == 1:
-            blocks.pop()
-            counts.pop()
-        else:
-            counts[-1] -= 1
+            for count in range(min(caps[i], remaining // size), 0, -1):
+                rest = remaining - size * count
+                if rest > room[i]:
+                    break
+                if rest > half:
+                    yield from heads(head + (size,) * count, rest, i)
+                else:
+                    yield (head + (size,) * count, *listed(rest, i))
+
+    tails.setdefault(0, ([()], [0]))  # the one tail of 0 is the empty partition
+    walk = heads((), n, len(table)) if n else [((), *listed(0, 0))]
+    if not need_even:
+        yield from walk
+        return
+    for head, block, start in walk:
+        odd = len(head) & 1
+        yield head, [tail for tail in block[start:] if len(tail) & 1 == odd], 0
 
 
-def _leaves(n: int, bounds: BoundSequence | None,
-            filt: CongruenceFilter | None) -> Iterator[list[int]]:
-    """The walk over the partitions of ``n`` within the caps.  The caps and
-    the filter's sizes are read here, once, into the table of
-    :func:`_size_caps`, before the walk starts."""
+def _walk(n: int, table: list[tuple[int, int]], need_even: bool,
+          tails: dict) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``n`` that :func:`_blocks` lists, one tuple at a
+    time: each head joined, by tuple concatenation, to each of its tails."""
+    for head, block, start in _blocks(n, table, need_even, tails):
+        yield from map(head.__add__, block[start:])
+
+
+def _setup(n: int, bounds: BoundSequence | None, filt: CongruenceFilter | None,
+           tails: dict | None) -> tuple[int, list[tuple[int, int]], bool, dict]:
+    """The arguments of a walk over the partitions of ``n`` within the caps.
+    The caps and the filter's sizes are read here, once, into the table of
+    :func:`_size_caps`, before the walk starts.  ``tails`` is the memo the
+    walk keeps its tails in: a new dict when None, which lives as long as
+    the walk, or a caller's dict, which must serve one family, the first
+    ``bounds`` object and filter it was given."""
     if n < 0:
         raise ValueError("cannot partition a negative number")
-    return _walk(n, _size_caps(n, bounds, filt), filt is not None and filt.even_length)
+    table = _size_caps(n, bounds, filt)
+    if tails is None:
+        tails = {}
+    elif tails.setdefault(None, (bounds, filt)) != (bounds, filt):
+        raise ValueError("this tails memo holds the partitions of other caps or "
+                         "another filter: %r" % (tails[None],))
+    return n, table, filt is not None and filt.even_length, tails
 
 
 def bounded_partitions(n: int, bounds: BoundSequence | None = None,
-                       filt: CongruenceFilter | None = None) -> Iterator[tuple[int, ...]]:
+                       filt: CongruenceFilter | None = None,
+                       tails: dict | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the parts tuple of every partition of ``n`` within the caps,
     lazily, in descending lexicographic order (largest first part first,
     ties broken by the next part, and so on).  The order is deterministic.
 
-    The caps are read once, when this is called (:func:`_leaves`).  ``n = 0``
+    The caps are read once, when this is called (:func:`_setup`).  ``n = 0``
     yields exactly the empty partition whatever the caps are.
+
+    The walk lists the partitions of each remainder up to ``n // 2`` once,
+    in a memo (:func:`_blocks`), and builds the others from them.  The memo
+    lives as long as the iterator.  A caller that lists one family at
+    several n may keep it longer: ``tails``, a dict, empty at first, passed
+    with the same ``bounds`` object and filter at each n, shares the
+    partitions already listed; given another family's caps or filter it
+    raises ValueError.
     """
-    return map(tuple, _leaves(n, bounds, filt))
+    return _walk(*_setup(n, bounds, filt, tails))
 
 
 def count_total(n: int, bounds: BoundSequence | None = None,
-                filt: CongruenceFilter | None = None) -> int:
-    """How many partitions :func:`bounded_partitions` yields, counted on the
-    walk's leaves without building them."""
-    return sum(1 for _ in _leaves(n, bounds, filt))
+                filt: CongruenceFilter | None = None,
+                tails: dict | None = None) -> int:
+    """How many partitions :func:`bounded_partitions` yields: the number of
+    (head, listed tail) pairs of its walk, counted without joining them.
+    Every tail is a partition listed in the memo, not a count, so this is
+    raw enumeration.  ``tails`` is as in :func:`bounded_partitions`; without
+    it the memo lives for the call."""
+    blocks = _blocks(*_setup(n, bounds, filt, tails))
+    return sum(len(block) - start for _, block, start in blocks)
 
 
 def count_by_statistic(n: int, stat: Callable[[tuple[int, ...]], int],

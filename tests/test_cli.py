@@ -834,6 +834,8 @@ def test_closed_output_pipe_keeps_the_status(fmt, head):
     (("series", "boulet", "-N", "8"), 0),
     (("verify", "sylvester", "--max-n", "5"), 0),
     (("verify", "boulet-restricted", "--i", "1", "--k", "2", "--bounds", "3:1,5:3"), 1),
+    (("--help",), 0),
+    (("verify", "--help"), 0),
 ), ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
 def test_buffered_output_to_a_closed_pipe_keeps_the_status(argv, status):
     # the reader has gone before the command starts, as in ``| true``; the
