@@ -5,10 +5,8 @@ returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The four bijection checks share
 one engine, :func:`_verify_exchange`, which runs on parts tuples, checks
 one run at a time, takes each statistic of a partition once per run and n,
-and keeps no memo of results; each side of a run lists its family under one
-memo of small partitions (the ``tails`` of :func:`bounded_partitions`), and
-the composite checks memoise each map stage, so a stage runs once per
-distinct input in a check however many m or phi runs meet it.
+and keeps no memo; the composite checks memoise each map stage, so a stage
+runs once per distinct input in a check however many m or phi runs meet it.
 A check over several m or phi reports its first failure in the order they
 were given, then by n.  By default ``pairing`` and ``binary`` make one run
 that covers every m (:func:`_verify_composite`).
@@ -187,12 +185,9 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     the dict.
 
     The check runs on parts tuples: ``forward`` and ``backward`` are the map
-    and its inverse on them.  It keeps no memo of maps or statistics, so a
-    partition that two runs admit is mapped in each; the composite maps
-    memoise their stages (:func:`_composite`).  Each side of a run lists its
-    family at every n under one ``tails`` memo of :func:`bounded_partitions`,
-    so the partitions of a small remainder are listed once per run side;
-    the memo changes no partition listed, only how often it is built.  The map does not check l_a = l_o itself: the
+    and its inverse on them.  It keeps no memo, so a partition that two runs
+    admit is mapped in each; the composite maps memoise their stages
+    (:func:`_composite`).  The map does not check l_a = l_o itself: the
     statistic comparison is that check, or holds it as its first coordinate.
 
     These checks imply that the images exhaust the target family, so that is
@@ -207,13 +202,12 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     source_stat, target_stat = stats
     totals: Counter = Counter()
 
-    def check(n, src, dst, tails):
+    def check(n, src, dst):
         # The first failure of one run at n, or None.  A run whose target
         # caps are its source caps lists its family once.
-        source = list(bounded_partitions(n, src, tails=tails[0]))
+        source = list(bounded_partitions(n, src))
         target = {beta: target_stat(beta)
-                  for beta in (source if dst is src
-                               else bounded_partitions(n, dst, tails=tails[1]))}
+                  for beta in (source if dst is src else bounded_partitions(n, dst))}
         keys = list(map(source_stat, source))
         left, right = Counter(keys), Counter(target.values())
         totals.update(left)
@@ -238,9 +232,8 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         return None
 
     for context, src, dst in runs:
-        tails = ({}, {})  # each side's memo of small partitions, for every n
         for n in range(max_n + 1):
-            failure = check(n, src, dst, tails)
+            failure = check(n, src, dst)
             if failure:
                 report.fail(**context, n=n, **failure)
                 return totals
@@ -251,7 +244,7 @@ def _composite(compose, fishhook, code):
     """One direction of the pairing or binary map on parts tuples: ``compose``
     (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
     of the even half, each memoised by its own ``functools.cache``: the only
-    memos of map results in an exchange check.  The runners call this each time they run,
+    memos of an exchange check.  The runners call this each time they run,
     so a stage runs once per distinct input the check meets, whichever runs
     meet it, and its memo lives for one check; ``sylvester`` meets each
     input once and runs the fishhooks bare.
@@ -439,9 +432,8 @@ def verify_partition_gf(max_n: int = 30) -> VerificationReport:
     """Coefficient of q^n in 1/(q;q)_inf equals the number of partitions."""
     report = VerificationReport("partition-gf", {"max_n": max_n})
     gf = partition_gf(max_n)
-    tails: dict = {}  # one memo of small partitions for every n
-    counted = Series(XQ, max_n, {(0, n): count_total(n, tails=tails)
-                                 for n in range(max_n + 1)}, degree_index=1)
+    counted = Series(XQ, max_n, {(0, n): count_total(n) for n in range(max_n + 1)},
+                     degree_index=1)
     cmp = series_equal(counted, gf)
     if not cmp:
         report.fail(n=cmp.exponents[1], enumerated=cmp.left, coefficient=cmp.right)

@@ -407,7 +407,7 @@ def test_bounded_partitions_sequence_matches_accel_asc(cap_spec, cap_of, filter_
 @pytest.mark.parametrize("cap_spec, cap_of", SEQUENCE_CAPS)
 @pytest.mark.parametrize("filter_spec, keep", SEQUENCE_FILTERS)
 def test_count_total_matches_accel_asc(cap_spec, cap_of, filter_spec, keep):
-    # count_total counts the walk's leaves without building partitions
+    # count_total counts the walk's (head, tail) pairs without joining them
     bounds = parse_bounds(cap_spec) if cap_spec else None
     filt = parse_filter(filter_spec) if filter_spec else None
     for n in range(27):
@@ -415,36 +415,6 @@ def test_count_total_matches_accel_asc(cap_spec, cap_of, filter_spec, keep):
                    if keep(parts) and all(cap_of(s) is None or c <= cap_of(s)
                                           for s, c in Counter(parts).items()))
         assert count_total(n, bounds, filt) == want, (cap_spec, filter_spec, n)
-
-
-@pytest.mark.parametrize("cap_spec, cap_of", SEQUENCE_CAPS)
-@pytest.mark.parametrize("filter_spec, keep", SEQUENCE_FILTERS)
-def test_a_shared_tails_memo_lists_what_fresh_calls_list(cap_spec, cap_of, filter_spec, keep):
-    # one memo over n = 0..30, filled by listing and by counting, in
-    # either order, against a walk with a memo of its own at each n
-    bounds = parse_bounds(cap_spec) if cap_spec else None
-    filt = parse_filter(filter_spec) if filter_spec else None
-    tails: dict = {}
-    for n in range(31):
-        fresh = list(bounded_partitions(n, bounds, filt))
-        if n % 2:
-            assert count_total(n, bounds, filt, tails=tails) == len(fresh), n
-        assert list(bounded_partitions(n, bounds, filt, tails=tails)) == fresh, n
-        assert count_total(n, bounds, filt, tails=tails) == len(fresh), n
-
-
-def test_a_tails_memo_serves_one_family():
-    caps = parse_bounds("all:3")
-    tails: dict = {}
-    assert count_total(12, caps, tails=tails) == 50
-    for other_caps, other_filter in ((parse_bounds("all:3"), None), (None, None),
-                                     (caps, parse_filter("mod:2,res:1")),
-                                     (caps, parse_filter("even-length"))):
-        with pytest.raises(ValueError, match="^this tails memo holds"):
-            bounded_partitions(12, other_caps, other_filter, tails=tails)
-        with pytest.raises(ValueError, match="^this tails memo holds"):
-            count_total(12, other_caps, other_filter, tails=tails)
-    assert len(list(bounded_partitions(12, caps, tails=tails))) == 50
 
 
 def test_invalid_cap_names_the_same_size_in_both_paths():

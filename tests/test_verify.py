@@ -227,8 +227,7 @@ def test_andrews_reports_counts_that_differ_under_agreeing_products(monkeypatch)
 def test_partition_gf_reports_the_first_count_that_differs(monkeypatch):
     from eulerparts import verify
     monkeypatch.setattr(verify, "count_total",
-                        lambda n, tails, count_total=count_total:
-                        count_total(n, tails=tails) + (n == 7))
+                        lambda n, count_total=count_total: count_total(n) + (n == 7))
     report = verify_partition_gf(max_n=12)
     assert report.status == "fail"
     assert report.counterexample == {"n": 7, "enumerated": 16, "coefficient": 15}
@@ -676,7 +675,7 @@ def test_exchange_lists_a_shared_family_once(monkeypatch, runner, ms, walks):
     sizes = []
     walk = verify.bounded_partitions
     monkeypatch.setattr(verify, "bounded_partitions",
-                        lambda n, bounds, tails: sizes.append(n) or walk(n, bounds, tails=tails))
+                        lambda n, bounds: sizes.append(n) or walk(n, bounds))
     assert runner(max_n=5, ms=ms).ok()
     assert len(sizes) == walks * 6
 
