@@ -135,8 +135,14 @@ def largest_odd_part(parts: tuple[int, ...]) -> int:
 
 
 def largest_odd_multiplicity_part(parts: tuple[int, ...]) -> int:
-    """The largest part occurring an odd number of times, 0 if none."""
-    for size, mult in multiplicities(parts).items():
-        if mult % 2 == 1:
-            return size
-    return 0
+    """The largest part occurring an odd number of times, 0 if none: the
+    first run of equal parts, largest first, of odd length."""
+    prev, run = 0, 0
+    for p in parts:
+        if p == prev:
+            run += 1
+        elif run & 1:
+            return prev
+        else:
+            prev, run = p, 1
+    return prev if run & 1 else 0

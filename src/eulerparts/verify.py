@@ -5,8 +5,10 @@ returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The four bijection checks share
 one engine, :func:`_verify_exchange`, which runs on parts tuples, checks
 one run at a time, takes each statistic of a partition once per run and n,
-and keeps no memo; the composite checks memoise each map stage, so a stage
-runs once per distinct input in a check however many m or phi runs meet it.
+and maps each source partition once per check: a later run takes the image
+an earlier run verified.  The composite checks also memoise each map stage,
+so a stage runs once per distinct input in a check however many m or phi
+runs meet it.
 A check over several m or phi reports its first failure in the order they
 were given, then by n.  By default ``pairing`` and ``binary`` make one run
 that covers every m (:func:`_verify_composite`).
@@ -185,8 +187,16 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     the dict.
 
     The check runs on parts tuples: ``forward`` and ``backward`` are the map
-    and its inverse on them.  It keeps no memo, so a partition that two runs
-    admit is mapped in each; the composite maps memoise their stages
+    and its inverse on them.  It maps each source partition once: while a
+    later run remains, it keeps a dict from each source partition whose
+    image has passed every test (the caps, the round trip, the statistic)
+    to that image, and a later run that lists the partition takes the image
+    from the dict and tests it against its own target caps and statistic
+    only.  That is exact: the maps are pure, and a failure ends the check,
+    so a stored partition has passed the round trip with the same maps.
+    The last run stores nothing, so a one-run check keeps no dict; in a
+    check of several runs the dict holds the images of every run but the
+    last, summed over n.  The composite maps also memoise their stages
     (:func:`_composite`).  The map does not check l_a = l_o itself: the
     statistic comparison is that check, or holds it as its first coordinate.
 
@@ -201,8 +211,9 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         raise ValueError("max_n must be >= 0")
     source_stat, target_stat = stats
     totals: Counter = Counter()
+    images: dict = {}  # source partition -> its image, once it has passed
 
-    def check(n, src, dst):
+    def check(n, src, dst, store):
         # The first failure of one run at n, or None.  A run whose target
         # caps are its source caps lists its family once.
         source = list(bounded_partitions(n, src))
@@ -214,15 +225,20 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
         for alpha, key in zip(source, keys):
+            # an image an earlier run stored has passed its round trip; the
+            # caps and the statistic are this run's own
+            known = images.get(alpha)
             try:
-                beta = forward(alpha)
+                beta = forward(alpha) if known is None else known
                 if beta not in target:
                     detail = "image violates the target caps"
-                elif backward(beta) != alpha:
+                elif known is None and backward(beta) != alpha:
                     detail = "inverse round trip failed"
                 elif target[beta] != key:
                     detail = "statistic not carried over"
                 else:
+                    if store:
+                        images[alpha] = beta
                     continue
             except (AssertionError, DomainError) as exc:
                 # An invariant a map checks itself, or a stage that rejects a
@@ -231,9 +247,10 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
             return {"input": plain_form(alpha), "image": plain_form(beta), "detail": detail}
         return None
 
-    for context, src, dst in runs:
+    last = len(runs) - 1
+    for j, (context, src, dst) in enumerate(runs):
         for n in range(max_n + 1):
-            failure = check(n, src, dst)
+            failure = check(n, src, dst, j < last)
             if failure:
                 report.fail(**context, n=n, **failure)
                 return totals
@@ -243,18 +260,22 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
 def _composite(compose, fishhook, code):
     """One direction of the pairing or binary map on parts tuples: ``compose``
     (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
-    of the even half, each memoised by its own ``functools.cache``: the only
-    memos of an exchange check.  The runners call this each time they run,
-    so a stage runs once per distinct input the check meets, whichever runs
-    meet it, and its memo lives for one check; ``sylvester`` meets each
-    input once and runs the fishhooks bare.
+    of the even half, each memoised by its own ``functools.cache``.  The
+    runners call this each time they run, so a stage runs once per distinct
+    input the check meets, whichever runs meet it, and its memo lives for
+    one check, beside the engine's dict of verified images
+    (:func:`_verify_exchange`), which spares a later run the whole map of a
+    partition an earlier run verified; ``sylvester`` meets each input once
+    and runs the fishhooks bare.
 
     A memo changes no verdict, as the ``bijections`` module argues: the
     stages are pure functions of their input tuple; ``functools.cache``
     stores nothing for a call that raises, so the stage raises again for
     every partition that meets that input; and every per-partition check
-    still runs for every source partition (the split, the join, the map's
-    weight check, the target caps, the round trip and the statistic)."""
+    (the split, the join, the map's weight check, the target caps, the
+    round trip and the statistic) still runs for every source partition
+    the first time the check meets it, and the caps and the statistic in
+    every run that lists it."""
     hook, coded = functools.cache(fishhook), functools.cache(code)
     return lambda parts: compose(parts, hook, coded)[-1]
 

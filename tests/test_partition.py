@@ -138,6 +138,16 @@ def test_tuple_statistics_match_oracle(parts):
         (v for v, k in table.items() if k % 2), default=0)
 
 
+def test_largest_odd_multiplicity_part_matches_the_table_up_to_20():
+    # the refined check's source statistic, a scan of the runs, against the
+    # oracle's multiplicity table on every partition of n <= 20
+    for n in range(21):
+        for parts in oracles.descending_partitions(n):
+            table = oracles.multiplicity_table(parts)
+            assert partition.largest_odd_multiplicity_part(parts) == max(
+                (v for v, k in table.items() if k % 2), default=0), parts
+
+
 @given(part_lists)
 def test_conjugate_involution(parts):
     p = Partition(parts).parts

@@ -664,6 +664,63 @@ def test_exchange_takes_each_statistic_once(monkeypatch, ms):
                                         for m in ms for n in range(11))
 
 
+def count_forward(monkeypatch):
+    # every source partition the checks map: the calls to verify's _forward
+    from eulerparts import verify
+    mapped, compose = [], verify._forward
+    monkeypatch.setattr(verify, "_forward",
+                        lambda alpha, *stages: mapped.append(alpha) or compose(alpha, *stages))
+    return mapped
+
+
+@pytest.mark.parametrize("ms", ((0, 1, 2), (2, 0, 1), (2,)))
+def test_exchange_maps_each_partition_once_per_check(monkeypatch, ms):
+    # the families nest in m, so the runs together list the family at 2:
+    # each of its partitions is mapped once, whatever the run order
+    mapped = count_forward(monkeypatch)
+    assert verify_pairing(max_n=12, ms=ms).ok()
+    assert len(mapped) == len(set(mapped)) == sum(
+        count_total(n, PAIRING_SOURCE.bounds(2)) for n in range(13))
+
+
+def test_refined_check_maps_each_partition_once(monkeypatch):
+    # the phi = 1 sources lie inside the phi = i sources
+    mapped = count_forward(monkeypatch)
+    assert verify_pairing_refined(max_n=12).ok()
+    assert len(mapped) == sum(count_total(n, parse_bounds("phi:2*(i)+1")) for n in range(13))
+
+
+def test_exchange_reuse_still_checks_the_target_caps():
+    # the identity, with a constant statistic, so the histograms compare
+    # the family sizes.  The first run, distinct parts onto themselves,
+    # passes and stores every image; the second sends distinct parts to odd
+    # parts, equally many for each n (Euler), so the histograms agree, and
+    # the image 2 of 2, stored by the first run, must fail its caps.  It is
+    # reported as the second run alone reports it, with no map called.
+    from eulerparts import verify
+    distinct, odd = parse_bounds("all:1"), parse_bounds("odd:inf,even:0")
+    calls = []
+
+    def identity(parts):
+        calls.append(parts)
+        return parts
+
+    def check(runs):
+        report = VerificationReport("identity", {})
+        verify._verify_exchange(report, identity, identity, runs, 8,
+                                (lambda parts: 0, lambda parts: 0))
+        return report.counterexample
+
+    alone = check([({"run": 2}, distinct, odd)])
+    assert alone == {"run": 2, "n": 2, "input": "2", "image": "2",
+                     "detail": "image violates the target caps"}
+    calls.clear()
+    assert check([({"run": 1}, distinct, distinct), ({"run": 2}, distinct, odd)]) == alone
+    # forward and inverse once for each distinct partition of n <= 8, all
+    # in the first run
+    assert len(calls) == 2 * sum(count_total(n, distinct) for n in range(9))
+
+
 @pytest.mark.parametrize("runner, ms, walks", (
     (verify_pairing, (0, 1), 2 * 2), (verify_binary, (0, 1), 2),
     (verify_pairing, None, 1), (verify_binary, None, 1),
