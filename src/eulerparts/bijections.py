@@ -39,9 +39,8 @@ That lets a caller memoise the stages, as the exchange checks in
 * an input on which a stage raises is never stored, so the stage raises
   for every partition whose split meets that input;
 * the split, the join and the composites' weight check are not memoised:
-  they run for every partition the first time a check meets it.  A later
-  run of the same check takes a partition's image from the check's dict
-  of verified images and calls no map on it.
+  they run for every partition a check meets, and a check meets each
+  partition once.
 
 l_a = l_o is not checked by :func:`_forward` but by the public maps
 :func:`pairing_map` and :func:`binary_map`; an exchange check compares

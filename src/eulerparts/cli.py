@@ -363,7 +363,3 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a DomainError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,15 +3,11 @@
 Every checker computes both sides of an identity over an explicit grid and
 returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The four bijection checks share
-one engine, :func:`_verify_exchange`, which runs on parts tuples, checks
-one run at a time, takes each statistic of a partition once per run and n,
-and maps each source partition once per check: a later run takes the image
-an earlier run verified.  The composite checks also memoise each map stage,
-so a stage runs once per distinct input in a check however many m or phi
-runs meet it.
-A check over several m or phi reports its first failure in the order they
-were given, then by n.  By default ``pairing`` and ``binary`` make one run
-that covers every m (:func:`_verify_composite`).
+one engine, :func:`_verify_exchange`, which runs on parts tuples under one
+pair of caps, takes each statistic of a partition once per n and maps each
+source partition once; the composite checks also memoise each map stage.
+Each makes one run: an m or phi grid is checked at its top, every m by
+default (:func:`_verify_composite`), and a failure is reported by n.
 The registry at the end plans and runs the grid of the ``verify`` command:
 :func:`runs_for` picks the runs and :func:`run_checks` runs them.
 """
@@ -36,8 +32,8 @@ from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_total, parse_bounds,
                           parse_phi)
-from .partition import (alt_sum, largest_odd_multiplicity_part,
-                        largest_odd_part, odd_count, plain_form)
+from .partition import (alt_sum, even_profile, largest_odd_multiplicity_part,
+                        largest_odd_part, odd_count, pair_profile, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, XQ, Series, WeightVariant, binary_gf,
                      boulet_product, enumerated_series, half_cells_product,
@@ -166,39 +162,28 @@ def _json_keys(hist: dict) -> dict:
     return {str(k) if isinstance(k, tuple) else k: v for k, v in sorted(hist.items())}
 
 
-def _verify_exchange(report: VerificationReport, forward, backward, runs,
-                     max_n: int, stats) -> Counter:
-    """Check a bijection for each of ``runs``, (context, source caps, target
-    caps) triples, in order, and each n up to ``max_n``: the histograms of
+def _verify_exchange(report: VerificationReport, forward, backward, context: dict,
+                     caps, max_n: int, stats) -> Counter:
+    """Check a bijection between the families under ``caps``, a (source
+    caps, target caps) pair, for each n up to ``max_n``: the histograms of
     ``stats`` over the two families agree; each source partition's image is
     in the target family, the inverse undoes it and the statistic is carried
     over.  It stops at the first failure, so the counterexample is the first
-    in run order, then n order, and starts with the run's context.  Returns
-    the source histogram summed over the (run, n) pairs checked: each n of
-    the runs before the failing one, and of the failing run up to its n.
+    in n order, and starts with ``context``.  Returns the source histogram
+    summed over the n checked, the failing n included.
 
-    Each statistic of a partition is taken once per run and n.  The source
+    Each statistic of a partition is taken once per n.  The source
     statistic of each source partition gives both the left-hand histogram
     and the key its image must carry.  The target family is listed as a
     dict from each target partition to its statistic: it gives the
     right-hand histogram, answers target membership, and gives an image's
     statistic.  The caps are tested first, so an image outside them never
     reaches the inverse, and an image that passes them has its statistic in
-    the dict.
+    the dict.  Target caps that are the source caps list the family once.
 
-    The check runs on parts tuples: ``forward`` and ``backward`` are the map
-    and its inverse on them.  It maps each source partition once: while a
-    later run remains, it keeps a dict from each source partition whose
-    image has passed every test (the caps, the round trip, the statistic)
-    to that image, and a later run that lists the partition takes the image
-    from the dict and tests it against its own target caps and statistic
-    only.  That is exact: the maps are pure, and a failure ends the check,
-    so a stored partition has passed the round trip with the same maps.
-    The last run stores nothing, so a one-run check keeps no dict; in a
-    check of several runs the dict holds the images of every run but the
-    last, summed over n.  The composite maps also memoise their stages
-    (:func:`_composite`).  The map does not check l_a = l_o itself: the
-    statistic comparison is that check, or holds it as its first coordinate.
+    ``forward`` and ``backward``, the map and its inverse on parts tuples,
+    run once per source partition.  The map does not check l_a = l_o
+    itself: the statistic comparison is that check, or holds it first.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -206,16 +191,17 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
     map injective; and every image lies in the target.  An injection between
     finite sets of equal size is onto.  This holds only while the histogram
     check runs first: a check that compares no statistic must compare the
-    sizes of the two families itself."""
+    sizes of the two families itself.  A statistic that carries a level (or
+    a profile) makes the argument hold for each smaller family it cuts out:
+    one run at the top of a grid checks every point below it."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    src, dst = caps
     source_stat, target_stat = stats
     totals: Counter = Counter()
-    images: dict = {}  # source partition -> its image, once it has passed
 
-    def check(n, src, dst, store):
-        # The first failure of one run at n, or None.  A run whose target
-        # caps are its source caps lists its family once.
+    def check(n):
+        # the first failure at n, or None
         source = list(bounded_partitions(n, src))
         target = {beta: target_stat(beta)
                   for beta in (source if dst is src else bounded_partitions(n, dst))}
@@ -225,20 +211,15 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
         for alpha, key in zip(source, keys):
-            # an image an earlier run stored has passed its round trip; the
-            # caps and the statistic are this run's own
-            known = images.get(alpha)
             try:
-                beta = forward(alpha) if known is None else known
+                beta = forward(alpha)
                 if beta not in target:
                     detail = "image violates the target caps"
-                elif known is None and backward(beta) != alpha:
+                elif backward(beta) != alpha:
                     detail = "inverse round trip failed"
                 elif target[beta] != key:
                     detail = "statistic not carried over"
                 else:
-                    if store:
-                        images[alpha] = beta
                     continue
             except (AssertionError, DomainError) as exc:
                 # An invariant a map checks itself, or a stage that rejects a
@@ -247,35 +228,26 @@ def _verify_exchange(report: VerificationReport, forward, backward, runs,
             return {"input": plain_form(alpha), "image": plain_form(beta), "detail": detail}
         return None
 
-    last = len(runs) - 1
-    for j, (context, src, dst) in enumerate(runs):
-        for n in range(max_n + 1):
-            failure = check(n, src, dst, j < last)
-            if failure:
-                report.fail(**context, n=n, **failure)
-                return totals
+    for n in range(max_n + 1):
+        failure = check(n)
+        if failure:
+            report.fail(**context, n=n, **failure)
+            break
     return totals
 
 
 def _composite(compose, fishhook, code):
     """One direction of the pairing or binary map on parts tuples: ``compose``
     (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
-    of the even half, each memoised by its own ``functools.cache``.  The
-    runners call this each time they run, so a stage runs once per distinct
-    input the check meets, whichever runs meet it, and its memo lives for
-    one check, beside the engine's dict of verified images
-    (:func:`_verify_exchange`), which spares a later run the whole map of a
-    partition an earlier run verified; ``sylvester`` meets each input once
-    and runs the fishhooks bare.
+    of the even half, each memoised by its own ``functools.cache`` that
+    lives for one check, so a stage runs once per distinct input the check
+    meets; ``sylvester`` meets each input once and runs the fishhooks bare.
 
     A memo changes no verdict, as the ``bijections`` module argues: the
-    stages are pure functions of their input tuple; ``functools.cache``
-    stores nothing for a call that raises, so the stage raises again for
-    every partition that meets that input; and every per-partition check
-    (the split, the join, the map's weight check, the target caps, the
-    round trip and the statistic) still runs for every source partition
-    the first time the check meets it, and the caps and the statistic in
-    every run that lists it."""
+    stages are pure; ``functools.cache`` stores nothing for a call that
+    raises, so the stage raises again for every partition that meets that
+    input; and the split, the join, the map's weight check, the target
+    caps, the round trip and the statistic run for every source partition."""
     hook, coded = functools.cache(fishhook), functools.cache(code)
     return lambda parts: compose(parts, hook, coded)[-1]
 
@@ -290,9 +262,8 @@ def verify_sylvester(max_n: int = 25) -> VerificationReport:
       them odd), that is, l_a(input) = l_o(image).
     """
     report = VerificationReport("sylvester", {"max_n": max_n})
-    runs = [({}, PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0))]
-    _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct,
-                     runs, max_n, _REFINED)
+    _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct, {},
+                     (PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)), max_n, _REFINED)
     return report
 
 
@@ -317,43 +288,39 @@ def _written(m):
     return "inf" if m == UNBOUNDED else m
 
 
-def _m_runs(ms, source, target) -> list:
-    """One run per m: its context and both families' caps at m, one caps
-    object if the families are one, so the engine enumerates it once.  Every
-    run is built, and so every m validated, before any work."""
-    runs = []
-    for m in ms:
-        src = source.bounds(m)
-        runs.append(({"m": _written(m)}, src, src if target is source else target.bounds(m)))
-    return runs
-
-
 def _verify_composite(theorem: str, max_n: int, ms, families, encode,
                       decode) -> VerificationReport:
     """Check the composite map whose even-half stages are ``encode`` and
-    ``decode`` from the first of ``families`` onto the second: one run per m
-    of ``ms``, or, when ``ms`` is None, one run that covers every m.
+    ``decode`` from the first of ``families`` onto the second, in one run
+    that compares (l_a, source level) against (l_o, target level)
+    (:attr:`CapFamily.level`).  A family at m is its partitions of level at
+    most m.  Every image lies in the run's target family, the round trip
+    makes the map injective, and the level is carried, so for every m up to
+    the run's caps the map sends the source family at m onto the target
+    family at m, with l_a -> l_o.
 
-    The every-m run lists all partitions of n once, under caps of None (no
-    caps) on both sides, and compares (l_a, source level) against (l_o,
-    target level) (:attr:`CapFamily.level`).  Its checks make the map a
-    bijection of the partitions of n onto themselves: equal histograms, the
-    round trip, and every image a partition of n.  The statistic comparison
-    makes it keep the level.  A family at m is its partitions of level at
-    most m, so for every m, m = inf included, the map sends the source
-    family at m onto the target family at m, with l_a -> l_o."""
+    When ``ms`` is None the run lists all partitions of n, under no caps
+    (None), and so covers every m, m = inf included.  A grid of several m
+    runs under the caps at its top m, which covers every m listed.  A
+    one-point grid needs no level to tell points apart: it compares l_a
+    against l_o under the caps at its m."""
     source, target = families
+    la, lo = _EXCHANGED
+    stats = (lambda a: (la(a), source.level(a)), lambda b: (lo(b), target.level(b)))
     if ms is None:
-        la, lo = _EXCHANGED
-        grid, runs = "every", [({"m": "every"}, None, None)]
-        stats = (lambda a: (la(a), source.level(a)), lambda b: (lo(b), target.level(b)))
+        grid = context = "every"
+        src = dst = None
     else:
         ms = _grid(ms, "m")
-        grid, runs, stats = list(map(_written, ms)), _m_runs(ms, source, target), _EXCHANGED
+        grid = context = list(map(_written, ms))
+        src = {m: source.bounds(m) for m in ms}[max(ms)]  # validates every m
+        dst = src if target is source else target.bounds(max(ms))
+        if len(ms) == 1:
+            context, stats = grid[0], _EXCHANGED
     report = VerificationReport(theorem, {"max_n": max_n, "m": grid})
     _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, encode),
                      _composite(_backward, sylvester_odd_to_distinct, decode),
-                     runs, max_n, stats)
+                     {"m": context}, (src, dst), max_n, stats)
     return report
 
 
@@ -384,22 +351,39 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
     phi(i) times, by (number of odd parts, that number + (largest odd part
     - 1)/2).  Inputs with no odd multiplicity (both statistics 0) fall
     outside the refinement; they are still mapped, and counted as skipped.
+
+    A grid of several phi runs under the pointwise maximum of their caps
+    and adds a profile to each statistic: each i repeated floor(mult(i)/2)
+    times on the source, mult(2i) times on the target, at most phi(i) times
+    exactly in the family at phi.  As a level does for m
+    (:func:`_verify_composite`), it makes the run check every phi listed.
     """
     phi_specs = _grid(phi_specs, "phi", lambda spec: spec.replace(" ", ""))
     report = VerificationReport("pairing-refined",
                                 {"max_n": max_n, "phi": list(phi_specs)})
-    runs = []
+    sources, targets = [], []
     for spec in phi_specs:
         phi = parse_phi(spec)  # first, so a bad spec is named as given
-        src = parse_bounds("phi:2*(%s)+1" % spec)
+        sources.append(parse_bounds("phi:2*(%s)+1" % spec))
         # "even part 2i at most phi(i) times" has no bound-DSL text
-        dst = BoundSequence(lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
-                            "at most phi(i) of each even part 2i, phi = %s" % spec)
-        runs.append(({"phi": spec}, src, dst))
+        targets.append(BoundSequence(
+            lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
+            "at most phi(i) of each even part 2i, phi = %s" % spec))
+    if len(phi_specs) == 1:
+        context, caps, stats = phi_specs[0], (sources[0], targets[0]), _REFINED
+    else:
+        context = list(phi_specs)
+        caps = tuple(BoundSequence(lambda s, seqs=seqs: max(b.bound(s) for b in seqs),
+                                   "the largest of %s" % "; ".join(b.spec for b in seqs))
+                     for seqs in (sources, targets))
+        source_stat, target_stat = _REFINED
+        stats = (lambda a: source_stat(a) + (pair_profile(a),),
+                 lambda b: target_stat(b) + (even_profile(b),))
     totals = _verify_exchange(
         report, _composite(_forward, sylvester_distinct_to_odd, merge_pairs),
-        _composite(_backward, sylvester_odd_to_distinct, split_pairs), runs, max_n, _REFINED)
-    report.skipped = totals[(0, 0)]
+        _composite(_backward, sylvester_odd_to_distinct, split_pairs), {"phi": context},
+        caps, max_n, stats)
+    report.skipped = sum(count for key, count in totals.items() if key[:2] == (0, 0))
     report.notes.append("inputs with all multiplicities even fall outside the refinement")
     return report
 
@@ -527,14 +511,16 @@ def verify_halves_product(bounds: BoundSequence | str = "even:1",
 def _verify_gf_triple(theorem: str, ms, trunc: int, families,
                       closed) -> VerificationReport:
     ms = _grid(ms, "m")
+    source, target = families
+    caps = [(source.bounds(m), target.bounds(m)) for m in ms]  # every m valid before any work
     report = VerificationReport(theorem, {"m": list(map(_written, ms)), "trunc": trunc})
-    for m, (context, left, right) in zip(ms, _m_runs(ms, *families)):
+    for m, (left, right) in zip(ms, caps):
         by_alt = enumerated_series(trunc, ALT_BY_WEIGHT, left)
         by_odd = enumerated_series(trunc, ODD_BY_WEIGHT, right)
         gf = closed(m, trunc)
         for tag, other in (("enumerated by odd parts", by_odd), ("closed form", gf)):
             if _compare(report, by_alt, other, "enumerated_by_alt_sum", "other",
-                        **context, other_side=tag):
+                        m=_written(m), other_side=tag):
                 return report
     return report
 

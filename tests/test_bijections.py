@@ -24,8 +24,9 @@ from eulerparts.bijections import (
     sylvester_odd_to_distinct,
 )
 from eulerparts.enumeration import bounded_partitions, parse_bounds
-from eulerparts.partition import (alt_sum, largest_odd_multiplicity_part,
-                                  largest_odd_part, multiplicities, odd_count)
+from eulerparts.partition import (alt_sum, even_profile, largest_odd_multiplicity_part,
+                                  largest_odd_part, multiplicities, odd_count,
+                                  pair_profile)
 
 import oracles
 
@@ -396,6 +397,15 @@ def test_refined_statistics_hold_generally(parts):
     p = largest_odd_part(beta)
     assert p % 2 == 1
     assert odd_count(beta) + (p - 1) // 2 == q
+
+
+def test_pairing_map_carries_the_profile():
+    # the pairs of each part i become the copies of 2i, and the fishhook
+    # adds only odd parts, so the refined check's profile is carried, on
+    # every partition of n <= 14
+    for n in range(15):
+        for alpha in oracles.descending_partitions(n):
+            assert even_profile(pairing_map(alpha)[0]) == pair_profile(alpha), alpha
 
 
 # -- invariant checks -------------------------------------------------------

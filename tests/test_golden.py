@@ -200,13 +200,13 @@ DIGESTS = {
     'series pairing-gf -m -1':
         '678d4d7661f5479916231c52d174d7849a79e08bc143dc32dcbe966431e139c0',
     'verify all --format json':
-        '408e4914c0ac7b2d003702d30a83ce05288795033c15f0c4626b133b96d464d0',
+        '5f879f64dd9e72608b441cc082346825f4164f6e5aba2f76f1c15dbd8180f29b',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format text':
         '5f4b048de12e4ac081d04297dfebaa0db57e753b4b42f1c0b4b3e0692c8f1743',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format csv':
         '4964199c6776606aa771b2ecc6f18bce40341385d02a3c6bae443e8aa7f8aae8',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format json':
-        'cb0d127471f1fe54e58e0e5930e73f39b4fc4d917f74ad3126e9d6d7accb3a6e',
+        '537fd310a2a497f84160c48a54ac41c41dabdfc1b2019d6d7a0420931edd421e',
     'enumerate 6 --bounds all:2 --format text':
         '8ddf26146c60e51f8e4d1dbbfa9e9a956918551f217a5f5c6e84a9ee272f3b3e',
     'enumerate 6 --bounds all:2 --format csv':

@@ -136,6 +136,21 @@ def test_tuple_statistics_match_oracle(parts):
     assert partition.largest_odd_part(desc) == max((v for v in parts if v % 2), default=0)
     assert partition.largest_odd_multiplicity_part(desc) == max(
         (v for v, k in table.items() if k % 2), default=0)
+    by_size = sorted(table.items(), reverse=True)
+    assert partition.pair_profile(desc) == tuple(v for v, k in by_size for _ in range(k // 2))
+    assert partition.even_profile(desc) == tuple(
+        v // 2 for v, k in by_size if v % 2 == 0 for _ in range(k))
+
+
+def test_profiles_worked_example():
+    # the refined check's profiles: one part of each pair on a source, the
+    # even parts halved on a target
+    assert partition.pair_profile((3, 2, 1)) == ()
+    assert partition.pair_profile((3, 1, 1, 1)) == (1,)
+    assert partition.pair_profile((4, 4, 4, 4, 4, 1, 1)) == (4, 4, 1)
+    assert partition.even_profile((5, 3, 1)) == ()
+    assert partition.even_profile((8, 4, 4, 3, 2)) == (4, 2, 2, 1)
+    assert partition.pair_profile(()) == partition.even_profile(()) == ()
 
 
 def test_largest_odd_multiplicity_part_matches_the_table_up_to_20():

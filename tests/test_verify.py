@@ -280,24 +280,44 @@ def test_restricted_product_mismatch_is_fully_reported(i, k, bounds, monomial):
     assert any("excluded" in note and "0 vs 1" in note for note in report.notes)
 
 
-def test_refined_source_caps_are_bound_dsl(monkeypatch):
-    # the source caps' spec parses back to the same caps; the target caps
-    # have no DSL text, and their name does not parse as DSL
+def record_exchange_runs(monkeypatch):
+    # the (context, (source caps, target caps)) of every run the checks make
     from eulerparts import verify
-    seen = []
-    engine = verify._verify_exchange
+    seen, engine = [], verify._verify_exchange
     monkeypatch.setattr(verify, "_verify_exchange",
-                        lambda report, forward, backward, runs, *rest:
-                        seen.extend(runs) or engine(report, forward, backward, runs, *rest))
-    assert verify_pairing_refined(max_n=3, phi_specs=("1", "i", " 2 * i + 1 ")).ok()
-    assert [context["phi"] for context, _, _ in seen] == ["1", "i", " 2 * i + 1 "]
-    for _, src, dst in seen:
+                        lambda report, forward, backward, context, caps, *rest:
+                        seen.append((context, caps))
+                        or engine(report, forward, backward, context, caps, *rest))
+    return seen
+
+
+def test_refined_source_caps_are_bound_dsl(monkeypatch):
+    # one spec: the source caps' spec parses back to the same caps; the
+    # target caps have no DSL text, and their name does not parse as DSL.
+    # Several specs: one run, whose caps are the largest of each spec's,
+    # size by size.
+    seen = record_exchange_runs(monkeypatch)
+    sizes = range(1, 25)
+    specs = ("1", "i", " 2 * i + 1 ")
+    written = ["phi:2*(1)+1", "phi:2*(i)+1", "phi:2*(2*i+1)+1"]
+    for spec, text in zip(specs, written):
+        assert verify_pairing_refined(max_n=3, phi_specs=(spec,)).ok()
+        context, (src, dst) = seen.pop()
+        assert context == {"phi": spec} and src.spec == text
         again = parse_bounds(src.spec)
         assert again.spec == src.spec
-        assert [again.bound(s) for s in range(1, 25)] == [src.bound(s) for s in range(1, 25)]
+        assert [again.bound(s) for s in sizes] == [src.bound(s) for s in sizes]
         with pytest.raises(ValueError):
             parse_bounds(dst.spec)
-    assert [src.spec for _, src, _ in seen] == ["phi:2*(1)+1", "phi:2*(i)+1", "phi:2*(2*i+1)+1"]
+    assert verify_pairing_refined(max_n=3, phi_specs=specs).ok()
+    (context, (src, dst)), = seen
+    assert context == {"phi": list(specs)}
+    assert [src.bound(s) for s in sizes] == [
+        max(parse_bounds(text).bound(s) for text in written) for s in sizes]
+    # phi(i) of each even part 2i, odd parts uncapped
+    phis = [lambda i: 1, lambda i: i, lambda i: 2 * i + 1]
+    assert [dst.bound(s) for s in sizes] == [
+        max(phi(s // 2) for phi in phis) if s % 2 == 0 else math.inf for s in sizes]
 
 
 def test_refined_pairing_reports_skipped_inputs():
@@ -536,14 +556,17 @@ def broken_inverse(monkeypatch):
 
 
 @pytest.mark.parametrize("ms, m, n, text", (
-    ((0, 1), 0, 5, "5"),  # m = 1 fails first by n, but m = 0 comes first
-    ((1, 0), 1, 4, "2,2"),
-    ((2, 1), 2, 4, "2,2"),
-    ((1,), 1, 4, "2,2"),  # each run alone fails as it does beside another
-    ((0,), 0, 5, "5"),
+    # a grid makes one run, at its top, so the first failure is by n:
+    # 2,2 (level 1) before 5, whatever the order of the grid
+    ((0, 1), [0, 1], 4, "2,2"),
+    ((1, 0), [1, 0], 4, "2,2"),
+    ((2, 1), [2, 1], 4, "2,2"),
+    ((1,), 1, 4, "2,2"),
+    ((0,), 0, 5, "5"),  # 2,2 is not in the family at m = 0
     ((float("inf"),), "inf", 4, "2,2"),  # written so that JSON can hold it
+    ((0, float("inf")), [0, "inf"], 4, "2,2"),
 ))
-def test_exchange_reports_the_first_failure_in_run_order(broken_inverse, ms, m, n, text):
+def test_exchange_reports_the_first_failure_in_n_order(broken_inverse, ms, m, n, text):
     report = verify_pairing(max_n=8, ms=ms)
     ce = report.counterexample
     assert (ce["m"], ce["n"], ce["input"], ce["detail"]) == (
@@ -552,22 +575,30 @@ def test_exchange_reports_the_first_failure_in_run_order(broken_inverse, ms, m, 
 
 def test_refined_check_inverts_every_image(broken_inverse):
     report = verify_pairing_refined(max_n=8, phi_specs=("1", "i"))
+    assert report.counterexample == {"phi": ["1", "i"], "n": 4, "input": "2,2",
+                                     "image": "4", "detail": "inverse round trip failed"}
+    # the skipped inputs are those the run checked up to its failure: the
+    # empty partition, 1,1 and 2,2 (1,1,1,1 is above the caps)
+    assert report.skipped == 3
+    report = verify_pairing_refined(max_n=8, phi_specs=("1",))
     assert report.counterexample == {"phi": "1", "n": 4, "input": "2,2", "image": "4",
                                      "detail": "inverse round trip failed"}
-    # phi = i never runs: the skipped inputs are those phi = 1 checked up to
-    # its failure, the empty partition, 1,1 and 2,2
-    assert report.skipped == 3
 
 
-def test_exchange_catches_a_map_that_misses_the_target(monkeypatch):
+@pytest.mark.parametrize("ms, m, n, text, image", (
+    ((0,), 0, 3, "2,1", "1,1,1"),
+    # the run at m = 1 meets 1,1 first, whose image 1,1 is 2's
+    ((0, 1), [0, 1], 2, "1,1", "1,1"),
+))
+def test_exchange_catches_a_map_that_misses_the_target(monkeypatch, ms, m, n, text, image):
     # every input of weight n goes to 1^n, inside the target family, so the
     # images miss the rest of it; the round trip fails, with no check that
     # the images exhaust the target
     from eulerparts import verify
     monkeypatch.setattr(verify, "_forward",
                         lambda alpha, *stages: ((),) * 4 + ((1,) * sum(alpha),))
-    report = verify_pairing(max_n=6, ms=(0, 1))
-    assert report.counterexample == {"m": 0, "n": 3, "input": "2,1", "image": "1,1,1",
+    report = verify_pairing(max_n=6, ms=ms)
+    assert report.counterexample == {"m": m, "n": n, "input": text, "image": image,
                                      "detail": "inverse round trip failed"}
 
 
@@ -584,27 +615,32 @@ def test_exchange_fails_on_a_target_larger_than_the_image(m, left, right):
     from eulerparts.bijections import (merge_pairs, split_pairs,
                                        sylvester_distinct_to_odd, sylvester_odd_to_distinct)
     report = VerificationReport("pairing", {"max_n": 12, "m": [m]})
-    runs = [({"m": m}, PAIRING_SOURCE.bounds(m), PAIRING_TARGET.bounds(m + 1))]
     verify._verify_exchange(
         report, verify._composite(verify._forward, sylvester_distinct_to_odd, merge_pairs),
         verify._composite(verify._backward, sylvester_odd_to_distinct, split_pairs),
-        runs, 12, verify._EXCHANGED)
+        {"m": m}, (PAIRING_SOURCE.bounds(m), PAIRING_TARGET.bounds(m + 1)), 12,
+        verify._EXCHANGED)
     assert report.counterexample == {"m": m, "n": 2 * m + 2,
                                      "by_alt_sum": left, "by_odd_count": right}
 
 
-def test_exchange_checks_the_target_caps_of_every_run(monkeypatch):
+def test_exchange_checks_the_target_caps_of_every_m(monkeypatch):
     # 2,2 and 1,1,1,1 swap images; the inverse agrees, so every round trip
-    # holds.  m = 3 admits the image 2,2 of 2,2; m = 1, run after it on the
-    # same partitions, must still reject it.
+    # holds, and l_a = l_o = 0 throughout.  m = 3 admits the image 2,2 of
+    # 2,2; m = 1 rejects it by its caps.  The grid's run at 3 rejects it by
+    # its level: 2,2 is in the family at 1, its image only from 2 on.
     from eulerparts.bijections import pairing_map
     swap = {(2, 2): (1, 1, 1, 1), (1, 1, 1, 1): (2, 2)}
     forward = {a: pairing_map(b)[0] for a, b in swap.items()}
     patch_composite(monkeypatch, "_forward", forward)
     patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
-    report = verify_pairing(max_n=6, ms=(3, 1))
-    assert report.counterexample == {"m": 1, "n": 4, "input": "2,2", "image": "2,2",
-                                     "detail": "image violates the target caps"}
+    assert verify_pairing(max_n=6, ms=(1,)).counterexample == {
+        "m": 1, "n": 4, "input": "2,2", "image": "2,2",
+        "detail": "image violates the target caps"}
+    assert verify_pairing(max_n=6, ms=(3,)).ok()
+    assert verify_pairing(max_n=6, ms=(3, 1)).counterexample == {
+        "m": [3, 1], "n": 4, "input": "2,2", "image": "2,2",
+        "detail": "statistic not carried over"}
 
 
 @pytest.fixture(params=(
@@ -636,23 +672,52 @@ def test_the_every_m_run_catches_a_map_that_moves_a_level(swapped_levels):
     assert runner(max_n=n, ms=(0, 1, 2, 3)).ok()
 
 
-@pytest.mark.parametrize("ms", ((1,), (1, 2)))
-def test_exchange_reports_a_statistic_not_carried_over(monkeypatch, ms):
+def test_a_grid_run_catches_a_map_that_moves_a_level(swapped_levels):
+    # the run at the top of a grid carries the level, so it sees the swap
+    # that the family at 6 alone does not: the images stay in that family
+    # and carry l_o = l_a, but the map would not send the family at 4 onto
+    # its target
+    runner, n, first, forward = swapped_levels
+    assert runner(max_n=n, ms=(0, 6)).counterexample == {
+        "m": [0, 6], "n": n, "input": plain_form(first), "image": plain_form(forward[first]),
+        "detail": "statistic not carried over"}
+    assert runner(max_n=n, ms=(6,)).ok()
+
+
+def test_a_phi_grid_run_catches_a_map_that_moves_a_profile(monkeypatch):
+    # 3,2,1 and 3,1,1,1 (n = 6, refined key (2, 3), profiles () and
+    # {1: 1}) swap images, and the inverse agrees: both lie in the sources
+    # and targets at phi = 1 and at phi = i, and each image carries the
+    # refined key, but not the profile, so the map would not send the
+    # family at phi = 0 onto its target
+    from eulerparts.bijections import pairing_map
+    low, high = (3, 2, 1), (3, 1, 1, 1)
+    forward = {low: pairing_map(high)[0], high: pairing_map(low)[0]}
+    patch_composite(monkeypatch, "_forward", forward)
+    patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
+    assert verify_pairing_refined(max_n=6, phi_specs=("1", "i")).counterexample == {
+        "phi": ["1", "i"], "n": 6, "input": "3,2,1", "image": plain_form(forward[low]),
+        "detail": "statistic not carried over"}
+    assert verify_pairing_refined(max_n=6, phi_specs=("i",)).ok()
+
+
+@pytest.mark.parametrize("ms, m", (((1,), 1), ((1, 2), [1, 2])))
+def test_exchange_reports_a_statistic_not_carried_over(monkeypatch, ms, m):
     # 3,1 (l_a 2) and 2,2 (l_a 0) swap images, 3,1 and 4 (l_o 2 and 0); the
     # inverse agrees and both images lie in the target, so only the
     # statistic, read from the target's table, shows the fault
     patch_composite(monkeypatch, "_forward", {(3, 1): (4,), (2, 2): (3, 1)})
     patch_composite(monkeypatch, "_backward", {(4,): (3, 1), (3, 1): (2, 2)})
     report = verify_pairing(max_n=6, ms=ms)
-    assert report.counterexample == {"m": 1, "n": 4, "input": "3,1", "image": "4",
+    assert report.counterexample == {"m": m, "n": 4, "input": "3,1", "image": "4",
                                      "detail": "statistic not carried over"}
 
 
 @pytest.mark.parametrize("ms", ((2,), (0, 2)))
 def test_exchange_takes_each_statistic_once(monkeypatch, ms):
-    # per run and n: the source statistic once per source partition and the
-    # target statistic once per target partition, the images' included,
-    # since every image lies in the target
+    # per n of the one run, at the top of the grid: the source statistic
+    # once per source partition and the target statistic once per target
+    # partition, the images' included, since every image lies in the target
     from eulerparts import verify
     calls = []
     monkeypatch.setattr(verify, "_EXCHANGED", tuple(
@@ -660,8 +725,8 @@ def test_exchange_takes_each_statistic_once(monkeypatch, ms):
         for stat in verify._EXCHANGED))
     assert verify_pairing(max_n=10, ms=ms).ok()
     for stat, family in (("alt_sum", PAIRING_SOURCE), ("odd_count", PAIRING_TARGET)):
-        assert calls.count(stat) == sum(count_total(n, family.bounds(m))
-                                        for m in ms for n in range(11))
+        assert calls.count(stat) == sum(count_total(n, family.bounds(max(ms)))
+                                        for n in range(11))
 
 
 def count_forward(monkeypatch):
@@ -675,8 +740,8 @@ def count_forward(monkeypatch):
 
 @pytest.mark.parametrize("ms", ((0, 1, 2), (2, 0, 1), (2,)))
 def test_exchange_maps_each_partition_once_per_check(monkeypatch, ms):
-    # the families nest in m, so the runs together list the family at 2:
-    # each of its partitions is mapped once, whatever the run order
+    # the one run lists the family at the top m, 2: each of its partitions
+    # is mapped once, whatever the grid order
     mapped = count_forward(monkeypatch)
     assert verify_pairing(max_n=12, ms=ms).ok()
     assert len(mapped) == len(set(mapped)) == sum(
@@ -684,50 +749,20 @@ def test_exchange_maps_each_partition_once_per_check(monkeypatch, ms):
 
 
 def test_refined_check_maps_each_partition_once(monkeypatch):
-    # the phi = 1 sources lie inside the phi = i sources
+    # the one run lists the largest sources, those of phi = i
     mapped = count_forward(monkeypatch)
     assert verify_pairing_refined(max_n=12).ok()
     assert len(mapped) == sum(count_total(n, parse_bounds("phi:2*(i)+1")) for n in range(13))
 
 
-def test_exchange_reuse_still_checks_the_target_caps():
-    # the identity, with a constant statistic, so the histograms compare
-    # the family sizes.  The first run, distinct parts onto themselves,
-    # passes and stores every image; the second sends distinct parts to odd
-    # parts, equally many for each n (Euler), so the histograms agree, and
-    # the image 2 of 2, stored by the first run, must fail its caps.  It is
-    # reported as the second run alone reports it, with no map called.
-    from eulerparts import verify
-    distinct, odd = parse_bounds("all:1"), parse_bounds("odd:inf,even:0")
-    calls = []
-
-    def identity(parts):
-        calls.append(parts)
-        return parts
-
-    def check(runs):
-        report = VerificationReport("identity", {})
-        verify._verify_exchange(report, identity, identity, runs, 8,
-                                (lambda parts: 0, lambda parts: 0))
-        return report.counterexample
-
-    alone = check([({"run": 2}, distinct, odd)])
-    assert alone == {"run": 2, "n": 2, "input": "2", "image": "2",
-                     "detail": "image violates the target caps"}
-    calls.clear()
-    assert check([({"run": 1}, distinct, distinct), ({"run": 2}, distinct, odd)]) == alone
-    # forward and inverse once for each distinct partition of n <= 8, all
-    # in the first run
-    assert len(calls) == 2 * sum(count_total(n, distinct) for n in range(9))
-
-
 @pytest.mark.parametrize("runner, ms, walks", (
-    (verify_pairing, (0, 1), 2 * 2), (verify_binary, (0, 1), 2),
+    (verify_pairing, (0, 1), 2), (verify_binary, (0, 1), 1),
     (verify_pairing, None, 1), (verify_binary, None, 1),
 ))
 def test_exchange_lists_a_shared_family_once(monkeypatch, runner, ms, walks):
-    # binary's source and target are one family, listed once per (m, n); the
-    # every-m run lists one uncapped family per n for either check
+    # a grid makes one run, at its top; binary's source and target are one
+    # family, listed once per n; the every-m run lists one uncapped family
+    # per n for either check
     from eulerparts import verify
     sizes = []
     walk = verify.bounded_partitions
