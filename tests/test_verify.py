@@ -280,23 +280,17 @@ def test_restricted_product_mismatch_is_fully_reported(i, k, bounds, monomial):
     assert any("excluded" in note and "0 vs 1" in note for note in report.notes)
 
 
-def record_exchange_runs(monkeypatch):
-    # the (context, (source caps, target caps)) of every run the checks make
+def test_refined_source_caps_are_bound_dsl(monkeypatch):
+    # one spec: the source caps' spec parses back to the same caps; the
+    # target caps have no DSL text, and their name does not parse as DSL.
+    # Several specs: one run, whose caps are the largest of each spec's,
+    # size by size.
     from eulerparts import verify
     seen, engine = [], verify._verify_exchange
     monkeypatch.setattr(verify, "_verify_exchange",
                         lambda report, forward, backward, context, caps, *rest:
                         seen.append((context, caps))
                         or engine(report, forward, backward, context, caps, *rest))
-    return seen
-
-
-def test_refined_source_caps_are_bound_dsl(monkeypatch):
-    # one spec: the source caps' spec parses back to the same caps; the
-    # target caps have no DSL text, and their name does not parse as DSL.
-    # Several specs: one run, whose caps are the largest of each spec's,
-    # size by size.
-    seen = record_exchange_runs(monkeypatch)
     sizes = range(1, 25)
     specs = ("1", "i", " 2 * i + 1 ")
     written = ["phi:2*(1)+1", "phi:2*(i)+1", "phi:2*(2*i+1)+1"]
@@ -587,7 +581,7 @@ def test_refined_check_inverts_every_image(broken_inverse):
 
 @pytest.mark.parametrize("ms, m, n, text, image", (
     ((0,), 0, 3, "2,1", "1,1,1"),
-    # the run at m = 1 meets 1,1 first, whose image 1,1 is 2's
+    # the run at m = 1 lists 1,1, whose image 1,1 is already 2's
     ((0, 1), [0, 1], 2, "1,1", "1,1"),
 ))
 def test_exchange_catches_a_map_that_misses_the_target(monkeypatch, ms, m, n, text, image):
