@@ -47,9 +47,8 @@ l_a = l_o is not checked by :func:`_forward` but by the public maps
 exactly that equality as its statistic, so it too runs once for every
 partition.
 
-The families the maps trade between, with their caps as functions of m,
-are :class:`~eulerparts.enumeration.CapFamily` values imported from
-``enumeration``.
+The families the maps trade between are :class:`~eulerparts.enumeration.CapFamily`
+values: one per-size rule each gives the caps at m, the level and the profile.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ congruence class of part sizes, to even length, and to at most one copy of
 the class representative.  Both restrictions have a small text DSL so they
 can be passed on a command line.
 
-The exchange families (:class:`CapFamily`) live here too: each writes its
-caps in the bound DSL as a function of m, so the maps that trade between
-them and the generating functions that count them read the same caps.
+The exchange families (:class:`CapFamily`) live here too: each is one
+per-size rule, which gives its caps at m and at phi, a partition's level and
+its profile, so the maps, the checks and the generating functions agree.
 
 The enumeration walks a partition's head, its largest parts, only while
 the remainder exceeds ``n // 2``.  The partitions of each remainder up to
@@ -25,7 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import inf, prod
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 
 # "No cap": a number, so that cap arithmetic needs no branch for it.
@@ -251,55 +251,80 @@ def parse_filter(text: str) -> CongruenceFilter:
 
 # -- the exchange families ------------------------------------------------
 
-class CapFamily(NamedTuple):
-    """A family cut out by multiplicity caps: ``spec`` writes its caps at
-    ``m`` in the bound DSL, ``what`` names them in a map's DomainError, and
-    ``level`` gives a partition's level, the least m whose caps admit it,
-    so that a partition is in the family at m exactly when its level is at
-    most m.  The exchange maps trade between these families; the maps do
-    not depend on m, only the caps do."""
+class CapFamily:
+    """One per-size rule, an upper bound sequence in Andrews' sense: it
+    indexes every size s as s or, when ``even``, each even size 2i as i, and
+    c copies of an indexed size force c // 2 when it ``halves``, else c.  The
+    family at phi (a cap per index) holds the partitions in which no index
+    forces more than phi of it, and at m, those at phi = m.  The caps, level,
+    profile and ``what`` (the caps' name in a map's DomainError) follow from it."""
 
-    spec: Callable[[int], str]
-    what: str
-    level: Callable[[tuple[int, ...]], int]
+    __slots__ = ("even", "halves", "what")  # the rule is read per partition: slots read fast
+
+    def __init__(self, even: bool, halves: bool):
+        self.even, self.halves = even, halves
+        self.what = "%s, at most %s times" % (("every part", "even parts")[even],
+                                              ("m", "2m+1")[halves])
+
+    def _most(self, value):
+        # the most copies of an indexed size that force at most value
+        return 2 * value + 1 if self.halves else value
 
     def bounds(self, m: int) -> BoundSequence:
-        """The family's caps at ``m``, a non-negative integer, or no caps at
-        ``m = UNBOUNDED`` (or a float equal to it)."""
+        """The caps at ``m``, an int >= 0 or (a float equal to) UNBOUNDED, in bound DSL."""
         # checked before formatting, which would read m = True as 1 and
         # turn m = 1.5 into a bound DSL error that does not name m
         if m != UNBOUNDED and (not isinstance(m, int) or isinstance(m, bool)):
             raise ValueError("m must be a non-negative integer, got %r" % (m,))
         if m < 0:
             raise ValueError("m must be >= 0")
-        return parse_bounds(self.spec(m))
+        # at m = inf the cap is inf, which "%s" writes as the bound DSL does
+        return parse_bounds("%s:%s" % (("all", "even")[self.even], self._most(m)))
 
+    def bounds_phi(self, phi: Callable[[int], object], name: str) -> BoundSequence:
+        """The family's caps at ``phi``, a function of the index written
+        ``name``.  Caps on every size are bound DSL text; on even sizes, not."""
+        most, shift = self._most, 1 if self.even else 0  # 2i is index i
+        cap = ("2*(%s)+1" if self.halves else "%s") % ("phi(i)" if self.even else name)
+        spec = ("at most %s of each even part 2i, phi = %s" % (cap, name) if self.even
+                else "phi:" + cap)
+        return BoundSequence(lambda s: UNBOUNDED if s & shift else most(phi(s >> shift)), spec)
 
-def _largest_multiplicity(parts: Iterable[int]) -> int:
-    """The largest multiplicity among non-increasing ``parts``: their longest
-    run of equal parts, 0 when there are none."""
-    best = run = prev = 0
-    for p in parts:
-        run = run + 1 if p == prev else 1
-        if run > best:
+    def level(self, parts: tuple[int, ...]) -> int:
+        """The most that an index of the non-increasing ``parts`` forces, the
+        least m whose caps admit them; each run of equal parts counts at its end."""
+        odd = 1 if self.even else 0  # p & odd: a part the rule does not index
+        best = run = prev = 0
+        for p in parts:
+            if p == prev:
+                run += 1
+            else:
+                if run > best and not prev & odd:
+                    best = run
+                prev, run = p, 1
+        if run > best and not prev & odd:
             best = run
-        prev = p
-    return best
+        return best // 2 if self.halves else best
+
+    def profile(self, parts: tuple[int, ...]) -> tuple[int, ...]:
+        """Each index in the non-increasing ``parts`` as often as its copies
+        force, largest first: each i at most phi(i) times exactly at phi."""
+        indices = [p >> 1 for p in parts if not p & 1] if self.even else parts
+        if not self.halves:
+            return tuple(indices)
+        out, prev = [], 0
+        for i in indices:
+            if i == prev:
+                out.append(i)
+                prev = 0
+            else:
+                prev = i
+        return tuple(out)
 
 
-def _even_parts(parts: tuple[int, ...]) -> list[int]:
-    return [p for p in parts if not p & 1]
-
-
-# Each level is the least m whose caps admit the largest multiplicity the
-# caps read: M <= 2m+1 from m = M // 2 on, and M <= m from m = M on.
-# At m = inf each cap is inf, which "%s" writes as the bound DSL does.
-PAIRING_SOURCE = CapFamily(lambda m: "all:%s" % (2 * m + 1), "every part, at most 2m+1 times",
-                           lambda parts: _largest_multiplicity(parts) // 2)
-PAIRING_TARGET = CapFamily(lambda m: "even:%s" % m, "even parts, at most m times",
-                           lambda parts: _largest_multiplicity(_even_parts(parts)))
-BINARY_FAMILY = CapFamily(lambda m: "even:%s" % (2 * m + 1), "even parts, at most 2m+1 times",
-                          lambda parts: _largest_multiplicity(_even_parts(parts)) // 2)
+PAIRING_SOURCE = CapFamily(even=False, halves=True)  # every part at most 2m+1 times
+PAIRING_TARGET = CapFamily(even=True, halves=False)  # even parts at most m times
+BINARY_FAMILY = CapFamily(even=True, halves=True)    # even parts at most 2m+1 times
 
 
 # -- enumeration ---------------------------------------------------------

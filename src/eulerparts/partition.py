@@ -126,24 +126,6 @@ def multiplicities(parts: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def pair_profile(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """One part of each pair of equal parts, largest first: each size i
-    repeated ⌊mult(i)/2⌋ times."""
-    out, prev = [], 0
-    for p in parts:
-        if p == prev:
-            out.append(p)
-            prev = 0
-        else:
-            prev = p
-    return tuple(out)
-
-
-def even_profile(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The even parts halved, largest first: each i repeated mult(2i) times."""
-    return tuple([p >> 1 for p in parts if not p & 1])
-
-
 def largest_odd_part(parts: tuple[int, ...]) -> int:
     """The largest odd part, or 0 when every part is even (or none)."""
     for p in parts:

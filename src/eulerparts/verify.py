@@ -32,8 +32,8 @@ from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_total, parse_bounds,
                           parse_phi)
-from .partition import (alt_sum, even_profile, largest_odd_multiplicity_part,
-                        largest_odd_part, odd_count, pair_profile, plain_form)
+from .partition import (alt_sum, largest_odd_multiplicity_part, largest_odd_part,
+                        odd_count, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, XQ, Series, WeightVariant, binary_gf,
                      boulet_product, enumerated_series, half_cells_product,
@@ -293,7 +293,7 @@ def _verify_composite(theorem: str, max_n: int, ms, families, encode,
     """Check the composite map whose even-half stages are ``encode`` and
     ``decode`` from the first of ``families`` onto the second, in one run
     that compares (l_a, source level) against (l_o, target level)
-    (:attr:`CapFamily.level`).  A family at m is its partitions of level at
+    (:meth:`CapFamily.level`).  A family at m is its partitions of level at
     most m.  Every image lies in the run's target family, the round trip
     makes the map injective, and the level is carried, so for every m up to
     the run's caps the map sends the source family at m onto the target
@@ -352,33 +352,25 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
     - 1)/2).  Inputs with no odd multiplicity (both statistics 0) fall
     outside the refinement; they are still mapped, and counted as skipped.
 
-    A grid of several phi runs under the pointwise maximum of their caps
-    and adds a profile to each statistic: each i repeated floor(mult(i)/2)
-    times on the source, mult(2i) times on the target, at most phi(i) times
-    exactly in the family at phi.  As a level does for m
+    A grid of several phi runs under the caps at their pointwise maximum
+    and adds each family's :meth:`CapFamily.profile` to its statistic: each
+    i floor(mult(i)/2) times on the source, mult(2i) times on the target, at
+    most phi(i) times exactly in the family at phi.  As a level does for m
     (:func:`_verify_composite`), it makes the run check every phi listed.
     """
     phi_specs = _grid(phi_specs, "phi", lambda spec: spec.replace(" ", ""))
     report = VerificationReport("pairing-refined",
                                 {"max_n": max_n, "phi": list(phi_specs)})
-    sources, targets = [], []
-    for spec in phi_specs:
-        phi = parse_phi(spec)  # first, so a bad spec is named as given
-        sources.append(parse_bounds("phi:2*(%s)+1" % spec))
-        # "even part 2i at most phi(i) times" has no bound-DSL text
-        targets.append(BoundSequence(
-            lambda s, phi=phi: phi(s // 2) if s % 2 == 0 else UNBOUNDED,
-            "at most phi(i) of each even part 2i, phi = %s" % spec))
-    if len(phi_specs) == 1:
-        context, caps, stats = phi_specs[0], (sources[0], targets[0]), _REFINED
-    else:
+    phis = [parse_phi(spec) for spec in phi_specs]  # each first, so a bad spec is named as given
+    names = [spec.replace(" ", "") for spec in phi_specs]
+    name = names[0] if len(names) == 1 else "max(%s)" % ",".join(names)
+    families = (PAIRING_SOURCE, PAIRING_TARGET)
+    caps = [family.bounds_phi(lambda i: max(phi(i) for phi in phis), name) for family in families]
+    context, stats = phi_specs[0], _REFINED
+    if len(phi_specs) > 1:
         context = list(phi_specs)
-        caps = tuple(BoundSequence(lambda s, seqs=seqs: max(b.bound(s) for b in seqs),
-                                   "the largest of %s" % "; ".join(b.spec for b in seqs))
-                     for seqs in (sources, targets))
-        source_stat, target_stat = _REFINED
-        stats = (lambda a: source_stat(a) + (pair_profile(a),),
-                 lambda b: target_stat(b) + (even_profile(b),))
+        stats = tuple(lambda p, stat=stat, profile=family.profile: stat(p) + (profile(p),)
+                      for stat, family in zip(_REFINED, families))
     totals = _verify_exchange(
         report, _composite(_forward, sylvester_distinct_to_odd, merge_pairs),
         _composite(_backward, sylvester_odd_to_distinct, split_pairs), {"phi": context},

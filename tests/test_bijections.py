@@ -23,10 +23,10 @@ from eulerparts.bijections import (
     sylvester_distinct_to_odd,
     sylvester_odd_to_distinct,
 )
-from eulerparts.enumeration import bounded_partitions, parse_bounds
-from eulerparts.partition import (alt_sum, even_profile, largest_odd_multiplicity_part,
-                                  largest_odd_part, multiplicities, odd_count,
-                                  pair_profile)
+from eulerparts.enumeration import (PAIRING_SOURCE, PAIRING_TARGET, bounded_partitions,
+                                   parse_bounds)
+from eulerparts.partition import (alt_sum, largest_odd_multiplicity_part, largest_odd_part,
+                                  multiplicities, odd_count)
 
 import oracles
 
@@ -403,9 +403,10 @@ def test_pairing_map_carries_the_profile():
     # the pairs of each part i become the copies of 2i, and the fishhook
     # adds only odd parts, so the refined check's profile is carried, on
     # every partition of n <= 14
+    source, target = PAIRING_SOURCE, PAIRING_TARGET
     for n in range(15):
         for alpha in oracles.descending_partitions(n):
-            assert even_profile(pairing_map(alpha)[0]) == pair_profile(alpha), alpha
+            assert target.profile(pairing_map(alpha)[0]) == source.profile(alpha), alpha
 
 
 # -- invariant checks -------------------------------------------------------

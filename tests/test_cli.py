@@ -195,6 +195,19 @@ def test_map_domain_violation(capsys):
     assert "above the cap" in err and "2m+1" in err
 
 
+@pytest.mark.parametrize("argv, line", (
+    (("pairing", "fwd", "2,2,2,2", "-m", "1"),
+     "part 2 appears 4 times, above the cap of 3 (every part, at most 2m+1 times)"),
+    (("pairing", "inv", "4,4,4,2,2", "-m", "2"),
+     "part 4 appears 3 times, above the cap of 2 (even parts, at most m times)"),
+    (("binary", "inv", "4,4,4,4", "-m", "0"),
+     "part 4 appears 4 times, above the cap of 1 (even parts, at most 2m+1 times)"),
+), ids=("pairing-source", "pairing-target", "binary"))
+def test_map_domain_error_names_the_family(capsys, argv, line):
+    # one partition outside each family's caps: the whole error line
+    assert run(capsys, "map", *argv) == (2, "", "error: %s\n" % line)
+
+
 def test_map_rejects_bad_m(capsys):
     code, out, err = run(capsys, "map", "pairing", "fwd", "1", "-m", "-3")
     assert (code, out, err) == (2, "", "error: m must be >= 0\n")

@@ -447,16 +447,44 @@ def test_a_float_infinity_is_no_cap(read):
     assert read(INF_CAPS) == read(parse_bounds("2:1"))
 
 
-# -- the levels of the exchange families -----------------------------------
+# -- the per-size rules of the exchange families ----------------------------
+
+FAMILIES = (PAIRING_SOURCE, PAIRING_TARGET, BINARY_FAMILY)
+
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((PAIRING_SOURCE, PAIRING_TARGET, BINARY_FAMILY)),
+@given(st.sampled_from(FAMILIES),
        st.integers(min_value=0, max_value=18), st.integers(min_value=0, max_value=6))
 def test_level_is_the_least_m_whose_caps_admit_the_partition(family, n, m):
-    # the closed forms against the family's DSL caps, on accelAsc's partitions
+    # the rule's level against the family's DSL caps, on accelAsc's
+    # partitions: the caps at m admit a partition exactly when its level is
+    # at most m, so the caps at its level admit it and those one below do not
     bounds = family.bounds(m)
+    caps = [family.bounds(k) for k in range(n + 1)]  # a level is at most n
     for alpha in oracles.descending_partitions(n):
-        assert (family.level(alpha) <= m) == oracles.within_caps(alpha, bounds), alpha
+        level = family.level(alpha)
+        assert (level <= m) == oracles.within_caps(alpha, bounds), alpha
+        assert oracles.within_caps(alpha, caps[level]), alpha
+        assert level == 0 or not oracles.within_caps(alpha, caps[level - 1]), alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=16),
+       st.sampled_from(("0", "1", "i", "2*i+1", "i*i")))
+def test_the_caps_at_phi_admit_exactly_the_profiles_within_phi(family, n, spec):
+    # the rule's caps at phi against its profile, on accelAsc's partitions:
+    # the caps admit a partition exactly when its profile holds each i at
+    # most phi(i) times; and at a constant phi = m the caps are those at m,
+    # on every size up to 30
+    phi = parse_phi(spec)
+    bounds = family.bounds_phi(phi, spec)
+    for alpha in oracles.descending_partitions(n):
+        held = Counter(family.profile(alpha))
+        assert oracles.within_caps(alpha, bounds) == all(
+            k <= phi(i) for i, k in held.items()), alpha
+    for m in (0, 1, 2, 3, 4, 5, UNBOUNDED):
+        at_m, at_phi = family.bounds(m), family.bounds_phi(lambda i: m, str(m))
+        assert [at_m.bound(s) for s in range(1, 31)] == [at_phi.bound(s) for s in range(1, 31)]
 
 
 # -- randomized agreement -------------------------------------------------

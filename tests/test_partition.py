@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulerparts import partition
+from eulerparts.enumeration import BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET
 from eulerparts.partition import EMPTY_TEXT, MAX_TEXT_WEIGHT, Partition
 
 import oracles
@@ -137,20 +138,26 @@ def test_tuple_statistics_match_oracle(parts):
     assert partition.largest_odd_multiplicity_part(desc) == max(
         (v for v, k in table.items() if k % 2), default=0)
     by_size = sorted(table.items(), reverse=True)
-    assert partition.pair_profile(desc) == tuple(v for v, k in by_size for _ in range(k // 2))
-    assert partition.even_profile(desc) == tuple(
+    # each family's profile, from its per-size rule, against the table
+    assert PAIRING_SOURCE.profile(desc) == tuple(v for v, k in by_size for _ in range(k // 2))
+    assert PAIRING_TARGET.profile(desc) == tuple(
         v // 2 for v, k in by_size if v % 2 == 0 for _ in range(k))
+    assert BINARY_FAMILY.profile(desc) == tuple(
+        v // 2 for v, k in by_size if v % 2 == 0 for _ in range(k // 2))
 
 
 def test_profiles_worked_example():
     # the refined check's profiles: one part of each pair on a source, the
-    # even parts halved on a target
-    assert partition.pair_profile((3, 2, 1)) == ()
-    assert partition.pair_profile((3, 1, 1, 1)) == (1,)
-    assert partition.pair_profile((4, 4, 4, 4, 4, 1, 1)) == (4, 4, 1)
-    assert partition.even_profile((5, 3, 1)) == ()
-    assert partition.even_profile((8, 4, 4, 3, 2)) == (4, 2, 2, 1)
-    assert partition.pair_profile(()) == partition.even_profile(()) == ()
+    # even parts halved on a target; the binary family keeps one of each
+    # pair of even parts, halved
+    assert PAIRING_SOURCE.profile((3, 2, 1)) == ()
+    assert PAIRING_SOURCE.profile((3, 1, 1, 1)) == (1,)
+    assert PAIRING_SOURCE.profile((4, 4, 4, 4, 4, 1, 1)) == (4, 4, 1)
+    assert PAIRING_TARGET.profile((5, 3, 1)) == ()
+    assert PAIRING_TARGET.profile((8, 4, 4, 3, 2)) == (4, 2, 2, 1)
+    assert BINARY_FAMILY.profile((8, 4, 4, 4, 3, 2, 2)) == (2, 1)
+    assert PAIRING_SOURCE.profile(()) == PAIRING_TARGET.profile(()) == ()
+    assert BINARY_FAMILY.profile(()) == ()
 
 
 def test_largest_odd_multiplicity_part_matches_the_table_up_to_20():

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -238,7 +239,7 @@ def test_bessenrodt_names_the_first_differing_monomial(monkeypatch):
     # the first of the partitions it drops in (total degree, exponents) order
     from eulerparts import verify
     monkeypatch.setattr(verify, "PAIRING_TARGET",
-                        PAIRING_TARGET._replace(spec=lambda m: "even:%d,3:1" % m))
+                        SimpleNamespace(bounds=lambda m: parse_bounds("even:%d,3:1" % m)))
     report = verify_bessenrodt(max_n=12)
     assert report.status == "fail"
     assert report.counterexample == {"monomial": {"x": 2, "q": 6},
