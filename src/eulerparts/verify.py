@@ -2,14 +2,18 @@
 
 Every checker computes both sides of an identity over an explicit grid and
 returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
-the identity holds everywhere on the grid.  The four bijection checks share
+the identity holds everywhere on the grid.  The three bijection checks share
 one engine, :func:`_verify_exchange`, which runs on parts tuples under one
 pair of caps, takes each statistic of a partition once per n and maps each
-source partition once; the composite checks also memoise each map stage.
+source partition once, each map stage memoised.
 Each makes one run: an m or phi grid is checked at its top, every m by
 default (:func:`_verify_composite`), and a failure is reported by n.
 The registry at the end plans and runs the grid of the ``verify`` command:
-:func:`runs_for` picks the runs and :func:`run_checks` runs them.
+:func:`runs_for` picks the runs and :func:`run_checks` runs them.  The
+paper's special cases are registry points of the general checks:
+``bessenrodt`` is ``pairing-gf`` at m = 0, ``sylvester`` is
+``pairing-refined`` at phi = 0 (the fishhook map on distinct partitions) and
+``boulet`` is ``boulet-restricted`` over all partitions.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .partition import (alt_sum, largest_odd_multiplicity_part, largest_odd_part
                         odd_count, plain_form)
 from .series import (ALT_BY_WEIGHT, FOUR_PARAM, HALF_CELLS, ODD_BY_WEIGHT,
                      ROW_TOTALS, XQ, Series, WeightVariant, binary_gf,
-                     boulet_product, enumerated_series, half_cells_product,
-                     pairing_gf, partition_gf, restricted_boulet_product,
-                     row_totals_product, series_equal)
+                     enumerated_series, half_cells_product, pairing_gf,
+                     partition_gf, restricted_boulet_product, row_totals_product,
+                     series_equal)
 
 
 @dataclass
@@ -129,18 +133,6 @@ def _compare(report: VerificationReport, lhs, rhs,
 
 
 # -- statistic distributions and bijections ---------------------------------
-
-@_timed
-def verify_bessenrodt(max_n: int = 30) -> VerificationReport:
-    """Distinct partitions counted by alternating sum match odd-part
-    partitions counted by length, for every n up to ``max_n``: two
-    coefficient DP series (``la`` and ``lo``), neither of them a product."""
-    report = VerificationReport("bessenrodt", {"max_n": max_n})
-    _compare(report, enumerated_series(max_n, ALT_BY_WEIGHT, PAIRING_SOURCE.bounds(0)),
-             enumerated_series(max_n, ODD_BY_WEIGHT, PAIRING_TARGET.bounds(0)),
-             "by_alt_sum", "by_length")
-    return report
-
 
 def _odd_hook(beta: tuple[int, ...]) -> tuple[int, int]:
     """(l_o, l_o + (largest odd part - 1)/2), or (0, 0) with no odd part."""
@@ -241,7 +233,7 @@ def _composite(compose, fishhook, code):
     (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
     of the even half, each memoised by its own ``functools.cache`` that
     lives for one check, so a stage runs once per distinct input the check
-    meets; ``sylvester`` meets each input once and runs the fishhooks bare.
+    meets.
 
     A memo changes no verdict, as the ``bijections`` module argues: the
     stages are pure; ``functools.cache`` stores nothing for a call that
@@ -250,21 +242,6 @@ def _composite(compose, fishhook, code):
     caps, the round trip and the statistic run for every source partition."""
     hook, coded = functools.cache(fishhook), functools.cache(code)
     return lambda parts: compose(parts, hook, coded)[-1]
-
-
-@_timed
-def verify_sylvester(max_n: int = 25) -> VerificationReport:
-    """The fishhook map is a bijection distinct -> odd for every weight up
-    to ``max_n``, inverts correctly, and satisfies
-
-    * first part of the input = length of the image + (largest image part - 1)/2
-    * alternating sum of the input = number of parts of the image (all of
-      them odd), that is, l_a(input) = l_o(image).
-    """
-    report = VerificationReport("sylvester", {"max_n": max_n})
-    _verify_exchange(report, sylvester_distinct_to_odd, sylvester_odd_to_distinct, {},
-                     (PAIRING_SOURCE.bounds(0), PAIRING_TARGET.bounds(0)), max_n, _REFINED)
-    return report
 
 
 def _grid(values, name: str, key=lambda point: point) -> tuple:
@@ -438,14 +415,6 @@ def verify_partition_gf(max_n: int = 30) -> VerificationReport:
 
 
 @_timed
-def verify_boulet(trunc: int = 16) -> VerificationReport:
-    """Four-parameter weight sum over all partitions equals Boulet's product."""
-    report = VerificationReport("boulet", {"trunc": trunc})
-    _compare(report, enumerated_series(trunc, FOUR_PARAM), boulet_product(trunc))
-    return report
-
-
-@_timed
 def verify_boulet_restricted(i: int = 0, k: int = 1,
                              bounds: BoundSequence | str = "1:1,2:3",
                              trunc: int = 20) -> VerificationReport:
@@ -538,30 +507,40 @@ def verify_binary_gf(ms=(0, 1, 2), trunc: int = 24) -> VerificationReport:
 
 @dataclass(frozen=True)
 class Check:
-    """Registry entry: the runner, the grids ``verify all`` uses and the
-    runner's keywords, which are the flags that apply to the check.  The
-    keywords are stored, so a wrapper that replaces the runner keeps them."""
+    """Registry entry: the runner, the grids ``verify all`` uses, the flags
+    that apply and the fixed keywords.  ``flags`` maps the keyword each flag
+    sets to the runner keyword it sets, the same name but where a check
+    renames one; it is stored, so a wrapper that replaces the runner keeps
+    it.  ``fixed`` holds runner keywords that every run of the check passes
+    and that no flag sets, so that the check is one point of its runner's
+    grid."""
 
     runner: object
     default_runs: tuple[dict, ...]
-    flags: tuple[str, ...]
+    flags: dict[str, str]
+    fixed: dict = field(default_factory=dict)
 
 
-def _check(runner, *default_runs: dict) -> Check:
+def _check(runner, *default_runs: dict, fixed: dict | None = None,
+           renamed: dict | None = None) -> Check:
     # ``_timed`` wraps the body with functools.wraps, so the signature is the
-    # body's
+    # body's; ``renamed`` maps a runner keyword to the keyword its flag sets
+    fixed, renamed = fixed or {}, renamed or {}
     return Check(runner, default_runs or ({},),
-                 tuple(inspect.signature(runner).parameters))
+                 {renamed.get(kw, kw): kw for kw in inspect.signature(runner).parameters
+                  if kw not in fixed}, fixed)
 
 
 REGISTRY: dict[str, Check] = {
-    "bessenrodt": _check(verify_bessenrodt),
-    "sylvester": _check(verify_sylvester),
+    "bessenrodt": _check(verify_pairing_gf, {"trunc": 30}, fixed={"ms": (0,)},
+                         renamed={"trunc": "max_n"}),
+    "sylvester": _check(verify_pairing_refined, {"max_n": 25}, fixed={"phi_specs": ("0",)}),
     "andrews": _check(verify_andrews,
                       {"bounds_a": "all:2s", "bounds_b": "even:1s"},
                       {"bounds_a": "all:4s", "bounds_b": "even:2s"},
                       {"bounds_a": "all:6s", "bounds_b": "even:3s"}),
-    "boulet": _check(verify_boulet),
+    "boulet": _check(verify_boulet_restricted, {"trunc": 16},
+                     fixed={"i": 0, "k": 1, "bounds": "all:inf"}),
     "boulet-restricted": _check(verify_boulet_restricted,
                                 {"i": 0, "k": 1, "bounds": "1:1,2:3"},
                                 {"i": 1, "k": 2, "bounds": "3:1,5:3"},
@@ -582,31 +561,32 @@ REGISTRY: dict[str, Check] = {
 
 
 def runs_for(theorem: str, given: dict, flags: dict) -> list[tuple[str, dict]]:
-    """The (check id, keyword arguments) runs that ``verify theorem`` makes,
-    given the runner keywords set on the command line and ``flags``, the
-    flag that sets each keyword.  Each check lays the keywords it takes over
-    every point of its default grid; a single check given any keyword makes
-    one run, of those keywords alone, and a keyword it does not take is an
-    error that names the flag typed."""
+    """The (check id, runner keyword arguments) runs that ``verify theorem``
+    makes, given the keywords that the command line's flags set and
+    ``flags``, the flag that sets each keyword.  Each check takes the
+    keywords of its own flags, as its runner's keywords, and lays them over
+    every point of its default grid, over its fixed keywords; a single check
+    given any keyword makes one run, of those keywords alone, and a keyword
+    it does not take is an error that names the flag typed."""
     if theorem != "all" and theorem not in REGISTRY:
         raise ValueError("unknown theorem id %r (known: %s)"
                          % (theorem, ", ".join(REGISTRY)))
     runs = []
     for name in REGISTRY if theorem == "all" else [theorem]:
         entry = REGISTRY[name]
-        relevant = {kw: v for kw, v in given.items() if kw in entry.flags}
+        relevant = {entry.flags[kw]: v for kw, v in given.items() if kw in entry.flags}
         if theorem != "all" and len(relevant) < len(given):
             raise ValueError("flags %s do not apply to %r"
-                             % (sorted(flags[kw] for kw in given if kw not in relevant),
+                             % (sorted(flags[kw] for kw in given if kw not in entry.flags),
                                 name))
         bases = entry.default_runs if theorem == "all" or not relevant else ({},)
-        runs.extend((name, {**base, **relevant}) for base in bases)
+        runs.extend((name, {**entry.fixed, **base, **relevant}) for base in bases)
     return runs
 
 
 def run_checks(runs: list[tuple[str, dict]], jobs: int) -> list[VerificationReport]:
     """Call the registry runner of every run in this process and return the
-    reports in the order of ``runs``.
+    reports, each named by its check id, in the order of ``runs``.
 
     With more than one of min(jobs, runs, cores) workers, each call is made
     from a thread here, and its timed runner sends the body, by name and with
@@ -615,7 +595,9 @@ def run_checks(runs: list[tuple[str, dict]], jobs: int) -> list[VerificationRepo
     """
     def execute(run):
         name, kwargs = run
-        return REGISTRY[name].runner(**kwargs)
+        report = REGISTRY[name].runner(**kwargs)
+        report.theorem = name  # a registry point reports under its own id
+        return report
 
     workers = min(jobs, len(runs), os.cpu_count() or 1)
     if workers < 2:

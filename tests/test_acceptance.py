@@ -19,11 +19,11 @@ from eulerparts.bijections import pairing_inverse_trace, pairing_map
 from eulerparts.enumeration import bounded_partitions, parse_bounds
 from eulerparts.partition import alt_sum, exponent_form, odd_count
 from eulerparts.verify import (
+    run_checks,
+    runs_for,
     verify_andrews,
-    verify_bessenrodt,
     verify_binary,
     verify_binary_gf,
-    verify_boulet,
     verify_boulet_restricted,
     verify_halves_product,
     verify_pairing,
@@ -31,7 +31,6 @@ from eulerparts.verify import (
     verify_pairing_refined,
     verify_partition_gf,
     verify_rows_product,
-    verify_sylvester,
 )
 
 import oracles
@@ -138,16 +137,16 @@ def test_criterion_5_binary_exhaustive():
 def test_criterion_6_distinct_vs_odd_with_hook_properties():
     with criterion(6, 60, "distinct-by-alternating-sum vs odd-by-length to "
                           "n <= 30, fishhook properties to weight 25"):
-        report = verify_bessenrodt(max_n=30)
+        (report,) = run_checks(runs_for("bessenrodt", {"max_n": 30}, {}), 1)
         assert report.ok(), report.summary()
-        report = verify_sylvester(max_n=25)
+        (report,) = run_checks(runs_for("sylvester", {"max_n": 25}, {}), 1)
         assert report.ok(), report.summary()
 
 
 def test_criterion_7_series_identities():
     with criterion(7, 120, "series identities: four-parameter to degree 16, "
                            "collapsed products and closed forms to degree 24"):
-        assert verify_boulet(trunc=16).ok()
+        assert run_checks(runs_for("boulet", {"trunc": 16}, {}), 1)[0].ok()
         for spec in ("all:3", "even:3", "1:1,3:5"):
             assert verify_rows_product(spec, trunc=24).ok(), spec
         for spec in ("even:1", "all:2", "2:0,5:3"):

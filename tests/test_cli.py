@@ -415,6 +415,10 @@ def test_verify_irrelevant_flag(capsys):
     (("boulet", "--max-n", "5"), "['--max-n']"),
     (("andrews", "--m", "1"), "['--m']"),
     (("sylvester", "--phi", "1", "--a", "all:1", "--max-n", "3"), "['--a', '--phi']"),
+    # a check's fixed keywords are not flags, nor the keyword a flag renames
+    (("bessenrodt", "--m", "1"), "['--m']"),
+    (("bessenrodt", "--trunc", "5"), "['--trunc']"),
+    (("boulet", "--i", "1", "--bounds", "all:1"), "['--bounds', '--i']"),
 ))
 def test_verify_stray_flags_are_named_as_typed(capsys, argv, flags):
     code, out, err = run(capsys, "verify", *argv)
@@ -464,6 +468,19 @@ def test_verify_all_reduced_grid(capsys):
     assert len(lines) == 22
     failing = [l for l in lines if ",fail," in l]
     assert len(failing) == 2 and all("boulet-restricted" in l for l in failing)
+
+
+def test_verify_all_leaves_the_fixed_keywords_alone(capsys):
+    # --m, --phi and the --bounds default reach the general checks, not the
+    # special cases, which stay at their own grid points
+    code, out, _ = run(capsys, "verify", "all", "--m", "2", "--phi", "1", "--max-n", "6",
+                       "--trunc", "6", "--cutoff", "7", "--format", "json")
+    assert code == 1
+    params = {r["theorem"]: r["params"] for r in json.loads(out)}
+    assert params["bessenrodt"] == {"m": [0], "trunc": 6}
+    assert params["sylvester"] == {"max_n": 6, "phi": ["0"]}
+    assert params["boulet"] == {"i": 0, "k": 1, "bounds": "all:inf", "trunc": 6}
+    assert params["pairing-gf"]["m"] == [2] and params["pairing-refined"]["phi"] == ["1"]
 
 
 def _without_elapsed(report):

@@ -50,6 +50,11 @@ CASES += [
 ]
 CASES += [("verify", "all", "--max-n", "8", "--trunc", "8", "--cutoff", "9", "--format", fmt)
           for fmt in FORMATS]
+# the paper's special cases, each a grid point of a general check
+CASES += [("verify",) + case + ("--format", fmt)
+          for case in (("sylvester", "--max-n", "6"), ("bessenrodt", "--max-n", "10"),
+                       ("boulet", "--trunc", "8"))
+          for fmt in FORMATS]
 
 # The other subcommands, with their empty and degenerate inputs.
 OTHERS = (
@@ -200,13 +205,31 @@ DIGESTS = {
     'series pairing-gf -m -1':
         '678d4d7661f5479916231c52d174d7849a79e08bc143dc32dcbe966431e139c0',
     'verify all --format json':
-        '5f879f64dd9e72608b441cc082346825f4164f6e5aba2f76f1c15dbd8180f29b',
+        'b087f49638253234af1ee216ceeea49a8b4ab39aad14ecfdd6d0c65693c5c6a4',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format text':
-        '5f4b048de12e4ac081d04297dfebaa0db57e753b4b42f1c0b4b3e0692c8f1743',
+        'e6cdab266809dd8baeedca0f9082e7c5d44187960e45c78d3db5ce6a865f056b',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format csv':
-        '4964199c6776606aa771b2ecc6f18bce40341385d02a3c6bae443e8aa7f8aae8',
+        '297bf3580faf8395468e84063ba98a41db2cfcc4e3129b9b216eaf2e9079b00f',
     'verify all --max-n 8 --trunc 8 --cutoff 9 --format json':
-        '537fd310a2a497f84160c48a54ac41c41dabdfc1b2019d6d7a0420931edd421e',
+        '1b54e6791364c8263df3024fed1ba151c5430e21c874e6505b824fa671d657ac',
+    'verify sylvester --max-n 6 --format text':
+        'ae1898c1d18b0008c48a70a4042be8ab9c3e1fcc5b682e32b6b4f75486ab3bc5',
+    'verify sylvester --max-n 6 --format csv':
+        '94eefb9885e4306ae86e56660e78d7ab769e58ee66ea48653a60f40a51480da5',
+    'verify sylvester --max-n 6 --format json':
+        '1a9e9b6c09e7183a1fa168641bd7556239d9e3ed7b3ebe940218228c8e5f7989',
+    'verify bessenrodt --max-n 10 --format text':
+        '1284621da01fc50b01301fd0b476facf8d08ba4e0fc3cd0f980f1df382a77185',
+    'verify bessenrodt --max-n 10 --format csv':
+        '51825a6b53853365024adc44e3af0cbbd79ee9c8ae7eaacaa966f3c950d8e507',
+    'verify bessenrodt --max-n 10 --format json':
+        '0e3f996db694b2782e8b0d5b3dbc2573a5a6553c20a6c53f029b2bd0e7e914ed',
+    'verify boulet --trunc 8 --format text':
+        'f0f7a2056082dbf9eec2006a66d79324aaf53ed2bcebccd53f85000afa6a689b',
+    'verify boulet --trunc 8 --format csv':
+        '494f4bacff36bb4951ac8a09bd0fd0c3987321c40cd999923d49e7d9b41ed02a',
+    'verify boulet --trunc 8 --format json':
+        'e84ff197f9f5f3c5049e849c415669ac78f7bf772a54f7c61ce440fa7a44b693',
     'enumerate 6 --bounds all:2 --format text':
         '8ddf26146c60e51f8e4d1dbbfa9e9a956918551f217a5f5c6e84a9ee272f3b3e',
     'enumerate 6 --bounds all:2 --format csv':

@@ -11,11 +11,11 @@ from eulerparts.partition import alt_sum, plain_form
 from eulerparts.verify import (
     REGISTRY,
     VerificationReport,
+    run_checks,
+    runs_for,
     verify_andrews,
-    verify_bessenrodt,
     verify_binary,
     verify_binary_gf,
-    verify_boulet,
     verify_boulet_restricted,
     verify_halves_product,
     verify_pairing,
@@ -23,7 +23,6 @@ from eulerparts.verify import (
     verify_pairing_refined,
     verify_partition_gf,
     verify_rows_product,
-    verify_sylvester,
 )
 
 import oracles
@@ -81,7 +80,9 @@ def test_registry_contents():
         assert callable(check.runner), name
         assert check.default_runs, name
         for run in check.default_runs:
-            assert set(run) <= set(check.flags), (name, run)
+            # each default run is in runner keywords, which a flag sets
+            assert set(run) <= set(check.flags.values()), (name, run)
+        assert not set(check.fixed) & set(check.flags.values()), name
 
 
 def test_registry_default_runs_carry_their_params():
@@ -90,17 +91,49 @@ def test_registry_default_runs_carry_their_params():
     assert report.params["b"] == "even:1s"
 
 
+@pytest.mark.parametrize("name, flags, host, kwargs", (
+    ("sylvester", (), verify_pairing_refined, {"max_n": 25}),
+    ("sylvester", ("--max-n", "6"), verify_pairing_refined, {"max_n": 6}),
+    ("bessenrodt", (), verify_pairing_gf, {"trunc": 30}),
+    ("bessenrodt", ("--max-n", "12"), verify_pairing_gf, {"trunc": 12}),
+    ("boulet", (), verify_boulet_restricted, {"trunc": 16}),
+    ("boulet", ("--trunc", "8"), verify_boulet_restricted, {"trunc": 8}),
+))
+def test_a_special_case_is_its_hosts_grid_point(name, flags, host, kwargs, capsys):
+    # the paper's special cases run their host's runner at their fixed
+    # keywords, and report under their own id
+    from eulerparts.cli import main
+    assert main(["verify", name, *flags, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    expected = host(**REGISTRY[name].fixed, **kwargs).to_dict()
+    assert expected["theorem"] != name
+    expected = json.loads(json.dumps({**expected, "theorem": name}))
+    for report in (got, expected):
+        report.pop("elapsed_ms")
+    assert got == expected
+
+
 # -- every checker on a reduced grid ------------------------------------------
 
+def point(name):
+    """The registry check ``name`` as a runner that takes the keywords of
+    its flags, as ``verify name`` does."""
+    def run(**given):
+        (report,) = run_checks(runs_for(name, given, dict(zip(given, given))), 1)
+        return report
+    run.__name__ = name
+    return run
+
+
 SMALL_RUNS = (
-    (verify_bessenrodt, {"max_n": 12}),
-    (verify_sylvester, {"max_n": 12}),
+    (point("bessenrodt"), {"max_n": 12}),
+    (point("sylvester"), {"max_n": 12}),
     (verify_pairing, {"max_n": 10, "ms": (0, 1)}),
     (verify_binary, {"max_n": 10, "ms": (0, 1)}),
     (verify_pairing_refined, {"max_n": 10, "phi_specs": ("1",)}),
     (verify_andrews, {"bounds_a": "all:2s", "bounds_b": "even:1s", "max_n": 12}),
     (verify_partition_gf, {"max_n": 15}),
-    (verify_boulet, {"trunc": 8}),
+    (point("boulet"), {"trunc": 8}),
     (verify_boulet_restricted, {"i": 0, "k": 1, "bounds": "1:1,2:3", "trunc": 10}),
     (verify_rows_product, {"bounds": "all:3", "trunc": 10}),
     (verify_halves_product, {"bounds": "even:1", "trunc": 10}),
@@ -240,11 +273,12 @@ def test_bessenrodt_names_the_first_differing_monomial(monkeypatch):
     from eulerparts import verify
     monkeypatch.setattr(verify, "PAIRING_TARGET",
                         SimpleNamespace(bounds=lambda m: parse_bounds("even:%d,3:1" % m)))
-    report = verify_bessenrodt(max_n=12)
+    report = point("bessenrodt")(max_n=12)
     assert report.status == "fail"
-    assert report.counterexample == {"monomial": {"x": 2, "q": 6},
-                                     "by_alt_sum": 2, "by_length": 1}
-    assert verify_bessenrodt(max_n=5).ok()
+    assert report.counterexample == {"m": 0, "other_side": "enumerated by odd parts",
+                                     "monomial": {"x": 2, "q": 6},
+                                     "enumerated_by_alt_sum": 2, "other": 1}
+    assert point("bessenrodt")(max_n=5).ok()
 
 
 def test_bessenrodt_lists_no_partition(monkeypatch):
@@ -256,7 +290,7 @@ def test_bessenrodt_lists_no_partition(monkeypatch):
 
     for module in (enumeration, verify):
         monkeypatch.setattr(module, "bounded_partitions", refuse)
-    assert verify_bessenrodt(max_n=30).ok()
+    assert point("bessenrodt")(max_n=30).ok()
 
 
 def test_restricted_product_passes_for_residue_zero():
@@ -380,7 +414,7 @@ def test_an_empty_grid_is_an_error(runner, grid):
 
 
 @pytest.mark.parametrize("runner, kwargs", (
-    (verify_sylvester, {}), (verify_pairing, {}), (verify_binary, {"ms": (1,)}),
+    (point("sylvester"), {}), (verify_pairing, {}), (verify_binary, {"ms": (1,)}),
     (verify_pairing_refined, {}),
 ))
 def test_an_exchange_check_rejects_a_negative_max_n(runner, kwargs):
@@ -440,8 +474,8 @@ def test_sylvester_check_reports_a_broken_map_invariant(monkeypatch):
         raise AssertionError("invariant broken: weight preserved")
 
     monkeypatch.setattr(verify, "sylvester_distinct_to_odd", broken)
-    report = verify_sylvester(max_n=3)
-    assert report.counterexample == {"n": 0, "input": "∅",
+    report = point("sylvester")(max_n=3)
+    assert report.counterexample == {"phi": "0", "n": 0, "input": "∅",
                                      "detail": "invariant broken: weight preserved"}
 
 
@@ -775,8 +809,8 @@ def test_sylvester_check_reports_an_even_image_part(monkeypatch):
     monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
                         lambda lam: (2, 2) if lam == (4,) else fishhook(lam))
     inverted = record_calls(monkeypatch, "sylvester_odd_to_distinct")
-    report = verify_sylvester(max_n=6)
-    assert report.counterexample == {"n": 4, "input": "4", "image": "2,2",
+    report = point("sylvester")(max_n=6)
+    assert report.counterexample == {"phi": "0", "n": 4, "input": "4", "image": "2,2",
                                      "detail": "image violates the target caps"}
     assert inverted and (2, 2) not in inverted
 
@@ -792,8 +826,8 @@ def test_sylvester_check_reports_a_statistic_not_carried_over(monkeypatch):
                         lambda lam: swap.get(lam) or fishhook(lam))
     monkeypatch.setattr(verify, "sylvester_odd_to_distinct",
                         lambda tau: back.get(tau) or inverse(tau))
-    report = verify_sylvester(max_n=6)
-    assert report.counterexample == {"n": 5, "input": "5", "image": "3,1,1",
+    report = point("sylvester")(max_n=6)
+    assert report.counterexample == {"phi": "0", "n": 5, "input": "5", "image": "3,1,1",
                                      "detail": "statistic not carried over"}
 
 
@@ -807,7 +841,8 @@ def test_the_checks_build_no_partition(monkeypatch):
 
     monkeypatch.setattr(Partition, "__init__", refuse)
     for name in ("sylvester", "pairing", "binary", "pairing-refined", "bessenrodt"):
-        assert REGISTRY[name].runner().ok(), name
+        # through the registry, so that a check's fixed keywords apply
+        assert point(name)().ok(), name
 
 
 def test_verify_cli_reports_a_broken_map_invariant(lossy_merge_pairs, capsys):
