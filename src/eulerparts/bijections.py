@@ -29,18 +29,27 @@ linear in the number of parts it reads and writes, and sorts only when its
 output can come out of order: ``merge_distinct_even``, ``binary_expand``,
 ``binary_contract`` and the join of the two halves.  :func:`_forward` and
 :func:`_backward` compose the stages of the two composite maps, taking the
-fishhook and the even half's stage as arguments.
+fishhook and the even half's stage as arguments.  They are the maps that
+the public functions run and trace, and the reference that the exchange
+checks in ``verify``, which run the same composition inline, are tested
+against.
 
-That lets a caller memoise the stages, as the exchange checks in
-``verify`` do for the life of one check, and stay exact:
+Those checks memoise the four stages for the life of one check and stay
+exact:
 
 * each stage is a pure function of its input tuple, so a stored image is
   the image it would compute again;
 * an input on which a stage raises is never stored, so the stage raises
   for every partition whose split meets that input;
-* the split, the join and the composites' weight check are not memoised:
-  they run for every partition a check meets, and a check meets each
-  partition once.
+* :func:`merge_distinct_even` checks each half on its own: the distinct
+  half with :func:`_repeated`, a pure function of the inverse fishhook's
+  output, and the even half with :func:`_unpaired_half`, a pure function
+  of the decode stage's output.  So each verdict is stored with its half,
+  and raised only once both stages have run, the distinct half's first, as
+  :func:`_backward` raises them;
+* the split, the join, the parity split of the image and both weight
+  checks are not memoised: they run for every partition a check meets,
+  and a check meets each partition once.
 
 l_a = l_o is not checked by :func:`_forward` but by the public maps
 :func:`pairing_map` and :func:`binary_map`; an exchange check compares
@@ -138,13 +147,26 @@ def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
     return tuple(lam), tuple(mu)
 
 
+def _repeated(lam: tuple[int, ...]) -> DomainError | None:
+    """The error for a distinct half in which a part repeats, maybe not as a
+    neighbour (it names the first repeat), or None when the parts are distinct."""
+    if len(set(lam)) == len(lam):
+        return None
+    return DomainError("part %d repeats in the distinct half"
+                       % next(p for i, p in enumerate(lam) if p in lam[:i]))
+
+
+def _unpaired_half(mu: tuple[int, ...]) -> DomainError | None:
+    """The error for an even half whose parts do not pair off, or None when they do."""
+    return None if _evenly_paired(mu) else _unpaired(mu, " in the even half")
+
+
 def merge_distinct_even(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of :func:`split_distinct_even`; validates both halves."""
-    if len(set(lam)) != len(lam):  # a part repeats, maybe not as a neighbour: name it
-        raise DomainError("part %d repeats in the distinct half"
-                          % next(p for i, p in enumerate(lam) if p in lam[:i]))
-    if not _evenly_paired(mu):
-        raise _unpaired(mu, " in the even half")
+    """Inverse of :func:`split_distinct_even`; validates both halves, the
+    distinct one first."""
+    error = _repeated(lam) or _unpaired_half(mu)
+    if error:
+        raise error
     return tuple(sorted(lam + mu, reverse=True))
 
 

@@ -4,8 +4,9 @@ Every checker computes both sides of an identity over an explicit grid and
 returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The three bijection checks share
 one engine, :func:`_verify_exchange`, which runs on parts tuples under one
-pair of caps, takes each statistic of a partition once per n and maps each
-source partition once, each map stage memoised.
+pair of caps, takes each statistic of a partition once per n and sends each
+source partition once round the composite map, which it runs inline over
+memoised stages.
 Each makes one run: an m or phi grid is checked at its top, every m by
 default (:func:`_verify_composite`), and a failure is reported by n.
 The registry at the end plans and runs the grid of the ``verify`` command:
@@ -27,11 +28,11 @@ from dataclasses import dataclass, field
 
 # pairing_map, binary_map and their inverses are not called here; the
 # benchmark's tracer (perfbench/spans.py) wraps them under these names.
-from .bijections import (DomainError, _backward, _forward, binary_contract,
+from .bijections import (DomainError, _repeated, _unpaired_half, binary_contract,
                          binary_expand, binary_inverse, binary_map,
                          merge_pairs, pairing_inverse, pairing_map,
-                         split_pairs, sylvester_distinct_to_odd,
-                         sylvester_odd_to_distinct)
+                         split_distinct_even, split_pairs,
+                         sylvester_distinct_to_odd, sylvester_odd_to_distinct)
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
                           bounded_partitions, count_total, parse_bounds,
@@ -154,8 +155,8 @@ def _json_keys(hist: dict) -> dict:
     return {str(k) if isinstance(k, tuple) else k: v for k, v in sorted(hist.items())}
 
 
-def _verify_exchange(report: VerificationReport, forward, backward, context: dict,
-                     caps, max_n: int, stats) -> Counter:
+def _verify_exchange(report: VerificationReport, stages, context: dict, caps,
+                     max_n: int, stats) -> Counter:
     """Check a bijection between the families under ``caps``, a (source
     caps, target caps) pair, for each n up to ``max_n``: the histograms of
     ``stats`` over the two families agree; each source partition's image is
@@ -167,15 +168,22 @@ def _verify_exchange(report: VerificationReport, forward, backward, context: dic
     Each statistic of a partition is taken once per n.  The source
     statistic of each source partition gives both the left-hand histogram
     and the key its image must carry.  The target family is listed as a
-    dict from each target partition to its statistic: it gives the
-    right-hand histogram, answers target membership, and gives an image's
-    statistic.  The caps are tested first, so an image outside them never
-    reaches the inverse, and an image that passes them has its statistic in
-    the dict.  Target caps that are the source caps list the family once.
+    dict from each target partition to its statistic, which is never None:
+    it gives the right-hand histogram, answers target membership, and gives
+    an image's statistic, all in one lookup.  The caps are tested first, so
+    an image outside them never reaches the inverse.  Target caps that are
+    the source caps list the family once.
 
-    ``forward`` and ``backward``, the map and its inverse on parts tuples,
-    run once per source partition.  The map does not check l_a = l_o
-    itself: the statistic comparison is that check, or holds it first.
+    The map is :func:`~eulerparts.bijections._forward` and its inverse
+    ``_backward``, run inline over ``stages`` (fishhook, encode, inverse
+    fishhook, decode), each memoised in a dict that lives for this call;
+    the ``bijections`` module docstring says why that is exact.  Each
+    inverse stage stores with its output the verdict of
+    :func:`~eulerparts.bijections.merge_distinct_even` on that half, raised
+    only after both have run, so errors come in ``_backward``'s order:
+    inverse fishhook, decode, a repeated part, an unpaired part.  The map
+    does not check l_a = l_o itself: the statistic comparison is that
+    check, or holds it first.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -190,6 +198,8 @@ def _verify_exchange(report: VerificationReport, forward, backward, context: dic
         raise ValueError("max_n must be >= 0")
     src, dst = caps
     source_stat, target_stat = stats
+    fishhook, encode, unhook, decode = stages
+    hooked, encoded, unhooked, decoded = {}, {}, {}, {}
     totals: Counter = Counter()
 
     def check(n):
@@ -202,23 +212,60 @@ def _verify_exchange(report: VerificationReport, forward, backward, context: dic
         totals.update(left)
         if left != right:
             return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
-        for alpha, key in zip(source, keys):
-            try:
-                beta = forward(alpha)
-                if beta not in target:
+        try:
+            for alpha, key in zip(source, keys):
+                lam, mu = split_distinct_even(alpha)
+                tau = hooked.get(lam)
+                if tau is None:
+                    tau = hooked[lam] = fishhook(lam)
+                nu = encoded.get(mu)
+                if nu is None:
+                    nu = encoded[mu] = encode(mu)
+                beta = tuple(sorted(tau + nu, reverse=True))
+                if sum(beta) != n:
+                    raise AssertionError("invariant broken: weight preserved")
+                stat = target.get(beta)
+                if stat is None:
                     detail = "image violates the target caps"
-                elif backward(beta) != alpha:
+                    break
+                odd, even = [], []
+                for p in beta:
+                    if p & 1:
+                        odd.append(p)
+                    else:
+                        even.append(p)
+                odd, even = tuple(odd), tuple(even)
+                distinct = unhooked.get(odd)
+                if distinct is None:
+                    lam = unhook(odd)
+                    distinct = unhooked[odd] = (lam, _repeated(lam))
+                paired = decoded.get(even)
+                if paired is None:
+                    mu = decode(even)
+                    paired = decoded[even] = (mu, _unpaired_half(mu))
+                lam, error = distinct
+                if error:
+                    raise error
+                mu, error = paired
+                if error:
+                    raise error
+                back = tuple(sorted(lam + mu, reverse=True))
+                if back != alpha:
+                    if sum(back) != n:
+                        raise AssertionError("invariant broken: weight preserved")
                     detail = "inverse round trip failed"
-                elif target[beta] != key:
+                    break
+                if stat != key:
                     detail = "statistic not carried over"
-                else:
-                    continue
-            except (AssertionError, DomainError) as exc:
-                # An invariant a map checks itself, or a stage that rejects a
-                # half of a source partition or of an image.
-                return {"input": plain_form(alpha), "detail": str(exc)}
-            return {"input": plain_form(alpha), "image": plain_form(beta), "detail": detail}
-        return None
+                    break
+            else:
+                return None
+        except (AssertionError, DomainError) as exc:
+            # An invariant a map checks itself, a stage that rejects a half
+            # of a source partition or of an image, or a half that the
+            # inverse leaves outside its domain.
+            return {"input": plain_form(alpha), "detail": str(exc)}
+        return {"input": plain_form(alpha), "image": plain_form(beta), "detail": detail}
 
     for n in range(max_n + 1):
         failure = check(n)
@@ -226,22 +273,6 @@ def _verify_exchange(report: VerificationReport, forward, backward, context: dic
             report.fail(**context, n=n, **failure)
             break
     return totals
-
-
-def _composite(compose, fishhook, code):
-    """One direction of the pairing or binary map on parts tuples: ``compose``
-    (``_forward`` or ``_backward``) with ``fishhook`` and ``code``, the stage
-    of the even half, each memoised by its own ``functools.cache`` that
-    lives for one check, so a stage runs once per distinct input the check
-    meets.
-
-    A memo changes no verdict, as the ``bijections`` module argues: the
-    stages are pure; ``functools.cache`` stores nothing for a call that
-    raises, so the stage raises again for every partition that meets that
-    input; and the split, the join, the map's weight check, the target
-    caps, the round trip and the statistic run for every source partition."""
-    hook, coded = functools.cache(fishhook), functools.cache(code)
-    return lambda parts: compose(parts, hook, coded)[-1]
 
 
 def _grid(values, name: str, key=lambda point: point) -> tuple:
@@ -295,8 +326,8 @@ def _verify_composite(theorem: str, max_n: int, ms, families, encode,
         if len(ms) == 1:
             context, stats = grid[0], _EXCHANGED
     report = VerificationReport(theorem, {"max_n": max_n, "m": grid})
-    _verify_exchange(report, _composite(_forward, sylvester_distinct_to_odd, encode),
-                     _composite(_backward, sylvester_odd_to_distinct, decode),
+    _verify_exchange(report, (sylvester_distinct_to_odd, encode,
+                              sylvester_odd_to_distinct, decode),
                      {"m": context}, (src, dst), max_n, stats)
     return report
 
@@ -349,9 +380,8 @@ def verify_pairing_refined(max_n: int = 20, phi_specs=("1", "i")) -> Verificatio
         stats = tuple(lambda p, stat=stat, profile=family.profile: stat(p) + (profile(p),)
                       for stat, family in zip(_REFINED, families))
     totals = _verify_exchange(
-        report, _composite(_forward, sylvester_distinct_to_odd, merge_pairs),
-        _composite(_backward, sylvester_odd_to_distinct, split_pairs), {"phi": context},
-        caps, max_n, stats)
+        report, (sylvester_distinct_to_odd, merge_pairs, sylvester_odd_to_distinct, split_pairs),
+        {"phi": context}, caps, max_n, stats)
     report.skipped = sum(count for key, count in totals.items() if key[:2] == (0, 0))
     report.notes.append("inputs with all multiplicities even fall outside the refinement")
     return report

@@ -5,6 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from eulerparts.bijections import (DomainError, binary_contract, binary_expand,
+                                   binary_inverse, merge_pairs, pairing_inverse,
+                                   split_pairs, sylvester_distinct_to_odd,
+                                   sylvester_odd_to_distinct)
 from eulerparts.enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                                    count_total, parse_bounds)
 from eulerparts.partition import alt_sum, plain_form
@@ -323,9 +327,9 @@ def test_refined_source_caps_are_bound_dsl(monkeypatch):
     from eulerparts import verify
     seen, engine = [], verify._verify_exchange
     monkeypatch.setattr(verify, "_verify_exchange",
-                        lambda report, forward, backward, context, caps, *rest:
+                        lambda report, stages, context, caps, *rest:
                         seen.append((context, caps))
-                        or engine(report, forward, backward, context, caps, *rest))
+                        or engine(report, stages, context, caps, *rest))
     sizes = range(1, 25)
     specs = ("1", "i", " 2 * i + 1 ")
     written = ["phi:2*(1)+1", "phi:2*(i)+1", "phi:2*(2*i+1)+1"]
@@ -565,23 +569,128 @@ def test_each_fishhook_runs_once_per_distinct_input(monkeypatch):
 
 # -- the exchange engine: run order and check order ------------------------------
 
-def patch_composite(monkeypatch, name, table):
-    # the exchange checks compose the pairing map on parts tuples with
-    # verify's ``_forward`` and ``_backward``, which return the stages
-    # (lam, mu, tau, nu, image); patch ``name`` to send each key of
-    # ``table`` to its value, with the other stages empty
+def patch_stage(monkeypatch, name, table):
+    # the exchange checks run the composite maps over verify's stages,
+    # looked up when a check starts; patch stage ``name`` to send each key
+    # of ``table`` to its value, or raise it if it is an exception, and
+    # every other input where it did
     from eulerparts import verify
-    compose = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda parts, *stages: (
-        ((),) * 4 + (table[parts],) if parts in table else compose(parts, *stages)))
+    stage = getattr(verify, name)
+
+    def patched(parts):
+        if parts not in table:
+            return stage(parts)
+        if isinstance(table[parts], Exception):
+            raise table[parts]
+        return table[parts]
+
+    monkeypatch.setattr(verify, name, patched)
+
+
+def swap_stage_images(monkeypatch, stage, inverse, swap):
+    # stage ``stage`` sends each key of ``swap`` where the genuine stage
+    # sends its value, and ``inverse`` agrees, so the map stays a bijection
+    # of the same weights: every partition whose half meets a key of
+    # ``swap`` trades images with its partner.  Returns the swapped images.
+    from eulerparts import bijections
+    images = {half: getattr(bijections, stage)(other) for half, other in swap.items()}
+    patch_stage(monkeypatch, stage, images)
+    patch_stage(monkeypatch, inverse, {image: half for half, image in images.items()})
+    return images
+
+
+PAIRING_STAGES = (sylvester_distinct_to_odd, merge_pairs, sylvester_odd_to_distinct, split_pairs)
+BINARY_STAGES = (sylvester_distinct_to_odd, binary_expand, sylvester_odd_to_distinct,
+                 binary_contract)
+
+
+@pytest.mark.parametrize("stages, inverse", (
+    (PAIRING_STAGES, pairing_inverse), (BINARY_STAGES, binary_inverse)))
+def test_the_engine_checks_the_map_that_eulerparts_map_prints(stages, inverse):
+    # keyed by the partition itself on the source and by the public inverse
+    # (``eulerparts map NAME inv PARTS``) of the image on the target,
+    # an uncapped run passes only if every image the engine computes inline
+    # is the public map's image: the public inverse is a bijection, so it
+    # sends beta to alpha exactly when beta is alpha's image
+    from eulerparts import verify
+    report = VerificationReport("map", {})
+    totals = verify._verify_exchange(report, stages, {}, (None, None), 16,
+                                     (lambda alpha: alpha, inverse))
+    assert report.ok()
+    assert sum(totals.values()) == sum(count_total(n) for n in range(17))
+
+
+def test_the_map_test_tells_the_two_maps_apart():
+    # the pairing stages held to the binary map's inverse fail where the
+    # maps first differ: 2,2 goes to 4 by pairing and to 2,2 by binary
+    from eulerparts import verify
+    report = VerificationReport("map", {})
+    verify._verify_exchange(report, PAIRING_STAGES, {}, (None, None), 16,
+                            (lambda alpha: alpha, binary_inverse))
+    assert report.counterexample == {"n": 4, "input": "2,2", "image": "4",
+                                     "detail": "statistic not carried over"}
+
+
+def only_n(monkeypatch, n):
+    # the checks list the partitions of n alone, so a check's first failure
+    # is its first at n, whatever a smaller n would show first
+    from eulerparts import verify
+    walk = verify.bounded_partitions
+    monkeypatch.setattr(verify, "bounded_partitions",
+                        lambda k, caps: walk(k, caps) if k == n else iter(()))
+
+
+# The image of 3 is 1,1,1, and 4 is the image of 2,2.  At n = 7 the first
+# source whose image meets either half is 3,2,2, whose image is 4,1,1,1.
+REPEATS = ("sylvester_odd_to_distinct", {(1, 1, 1): (1, 1, 1)})
+UNPAIRED = ("split_pairs", {(4,): (2, 1, 1)})
+RAISES = ("split_pairs", {(4,): DomainError("the decode stage rejects 4")})
+
+
+@pytest.mark.parametrize("patches, n, counterexample", (
+    ((REPEATS,), None,
+     {"m": "every", "n": 3, "input": "3", "detail": "part 1 repeats in the distinct half"}),
+    ((UNPAIRED,), None,
+     {"m": "every", "n": 4, "input": "2,2",
+      "detail": "part 2 has odd multiplicity 1 in the even half"}),
+    # both halves bad: the distinct half's error comes first
+    ((REPEATS, UNPAIRED), 7,
+     {"m": "every", "n": 7, "input": "3,2,2", "detail": "part 1 repeats in the distinct half"}),
+    ((UNPAIRED, REPEATS), 7,
+     {"m": "every", "n": 7, "input": "3,2,2", "detail": "part 1 repeats in the distinct half"}),
+    # a stage that raises comes before a stored verdict
+    ((REPEATS, RAISES), 7,
+     {"m": "every", "n": 7, "input": "3,2,2", "detail": "the decode stage rejects 4"}),
+))
+def test_the_inverse_half_reports_its_errors_in_order(monkeypatch, patches, n, counterexample):
+    # the inverse fishhook, the decode stage, a repeated part in the
+    # distinct half, an unpaired part in the even half
+    for name, table in patches:
+        patch_stage(monkeypatch, name, table)
+    if n is not None:
+        only_n(monkeypatch, n)
+    assert verify_pairing(max_n=8).counterexample == counterexample
+
+
+@pytest.mark.parametrize("patch", (REPEATS, UNPAIRED))
+def test_a_half_verdict_lives_for_one_check(monkeypatch, patch):
+    # a failing half is reported again by a second check, and a check after
+    # the stage is mended passes: no verdict outlives its check
+    patch_stage(monkeypatch, *patch)
+    first = verify_pairing(max_n=6).counterexample
+    assert first is not None
+    assert verify_pairing(max_n=6).counterexample == first
+    monkeypatch.undo()
+    assert verify_pairing(max_n=6).ok()
 
 
 @pytest.fixture
 def broken_inverse(monkeypatch):
-    # the inverse sends the images of 2,2 and 5 to the empty partition
-    from eulerparts.bijections import pairing_map
-    bad = {pairing_map(alpha)[0] for alpha in ((2, 2), (5,))}
-    patch_composite(monkeypatch, "_backward", dict.fromkeys(bad, ()))
+    # the inverse sends the images of 2,2 and 5, which are 4 and 1,1,1,1,1,
+    # to other partitions of their weight: the decode stage sends 4 to
+    # 1,1,1,1 and the inverse fishhook sends 1,1,1,1,1 to 4,1
+    patch_stage(monkeypatch, "split_pairs", {(4,): (1, 1, 1, 1)})
+    patch_stage(monkeypatch, "sylvester_odd_to_distinct", {(1,) * 5: (4, 1)})
 
 
 @pytest.mark.parametrize("ms, m, n, text", (
@@ -622,10 +731,11 @@ def test_refined_check_inverts_every_image(broken_inverse):
 def test_exchange_catches_a_map_that_misses_the_target(monkeypatch, ms, m, n, text, image):
     # every input of weight n goes to 1^n, inside the target family, so the
     # images miss the rest of it; the round trip fails, with no check that
-    # the images exhaust the target
+    # the images exhaust the target.  Both forward stages send a half to
+    # ones of its weight.
     from eulerparts import verify
-    monkeypatch.setattr(verify, "_forward",
-                        lambda alpha, *stages: ((),) * 4 + ((1,) * sum(alpha),))
+    for name in ("sylvester_distinct_to_odd", "merge_pairs"):
+        monkeypatch.setattr(verify, name, lambda half: (1,) * sum(half))
     report = verify_pairing(max_n=6, ms=ms)
     assert report.counterexample == {"m": m, "n": n, "input": text, "image": image,
                                      "detail": "inverse round trip failed"}
@@ -641,28 +751,22 @@ def test_exchange_fails_on_a_target_larger_than_the_image(m, left, right):
     # target, the round trip holds and l_a goes to l_o, but the images miss
     # 2^(m+1), first at n = 2m + 2, so only the histograms show the fault
     from eulerparts import verify
-    from eulerparts.bijections import (merge_pairs, split_pairs,
-                                       sylvester_distinct_to_odd, sylvester_odd_to_distinct)
     report = VerificationReport("pairing", {"max_n": 12, "m": [m]})
     verify._verify_exchange(
-        report, verify._composite(verify._forward, sylvester_distinct_to_odd, merge_pairs),
-        verify._composite(verify._backward, sylvester_odd_to_distinct, split_pairs),
-        {"m": m}, (PAIRING_SOURCE.bounds(m), PAIRING_TARGET.bounds(m + 1)), 12,
-        verify._EXCHANGED)
+        report, PAIRING_STAGES, {"m": m},
+        (PAIRING_SOURCE.bounds(m), PAIRING_TARGET.bounds(m + 1)), 12, verify._EXCHANGED)
     assert report.counterexample == {"m": m, "n": 2 * m + 2,
                                      "by_alt_sum": left, "by_odd_count": right}
 
 
 def test_exchange_checks_the_target_caps_of_every_m(monkeypatch):
-    # 2,2 and 1,1,1,1 swap images; the inverse agrees, so every round trip
-    # holds, and l_a = l_o = 0 throughout.  m = 3 admits the image 2,2 of
-    # 2,2; m = 1 rejects it by its caps.  The grid's run at 3 rejects it by
-    # its level: 2,2 is in the family at 1, its image only from 2 on.
-    from eulerparts.bijections import pairing_map
-    swap = {(2, 2): (1, 1, 1, 1), (1, 1, 1, 1): (2, 2)}
-    forward = {a: pairing_map(b)[0] for a, b in swap.items()}
-    patch_composite(monkeypatch, "_forward", forward)
-    patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
+    # 2,2 and 1,1,1,1, even halves all, swap images through merge_pairs;
+    # the inverse agrees, so every round trip holds, and l_a = l_o
+    # throughout.  m = 3 admits the image 2,2 of 2,2; m = 1 rejects it by
+    # its caps.  The grid's run at 3 rejects it by its level: 2,2 is in the
+    # family at 1, its image only from 2 on.
+    swap_stage_images(monkeypatch, "merge_pairs", "split_pairs",
+                      {(2, 2): (1, 1, 1, 1), (1, 1, 1, 1): (2, 2)})
     assert verify_pairing(max_n=6, ms=(1,)).counterexample == {
         "m": 1, "n": 4, "input": "2,2", "image": "2,2",
         "detail": "image violates the target caps"}
@@ -673,22 +777,24 @@ def test_exchange_checks_the_target_caps_of_every_m(monkeypatch):
 
 
 @pytest.fixture(params=(
-    ("pairing", PAIRING_SOURCE, (2,) + (1,) * 9, (1,) * 11),
+    ("pairing", PAIRING_SOURCE, (3, 3) + (1,) * 8, (2, 2) + (1,) * 10),
     ("binary", BINARY_FAMILY, (2,) * 8 + (1,) * 4, (2,) * 10),
 ))
 def swapped_levels(request, monkeypatch):
     # two sources of one n with equal l_a and levels 4 and 5 swap images,
     # and the inverse agrees: every image is a partition of n and carries
-    # l_o = l_a, but each has the other source's level.  Returns the
-    # check, n, the source the check meets first and the swapped images.
+    # l_o = l_a, but each has the other source's level.  Both sources are
+    # even halves, so the swap is one of the encode stage's images, which
+    # no partition of a smaller n meets.  Returns the check, n, the source
+    # the check meets first and the swapped images.
     from eulerparts import bijections
     name, family, low, high = request.param
     assert (family.level(low), family.level(high)) == (4, 5)
     assert sum(low) == sum(high) and alt_sum(low) == alt_sum(high)
-    image = {"pairing": bijections.pairing_map, "binary": bijections.binary_map}[name]
-    forward = {low: image(high)[0], high: image(low)[0]}
-    patch_composite(monkeypatch, "_forward", forward)
-    patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
+    assert bijections.split_distinct_even(low)[0] == bijections.split_distinct_even(high)[0] == ()
+    stages = {"pairing": ("merge_pairs", "split_pairs"),
+              "binary": ("binary_expand", "binary_contract")}[name]
+    forward = swap_stage_images(monkeypatch, *stages, {low: high, high: low})
     return REGISTRY[name].runner, sum(low), max(low, high), forward
 
 
@@ -714,31 +820,30 @@ def test_a_grid_run_catches_a_map_that_moves_a_level(swapped_levels):
 
 
 def test_a_phi_grid_run_catches_a_map_that_moves_a_profile(monkeypatch):
-    # 3,2,1 and 3,1,1,1 (n = 6, refined key (2, 3), profiles () and
-    # {1: 1}) swap images, and the inverse agrees: both lie in the sources
-    # and targets at phi = 1 and at phi = i, and each image carries the
-    # refined key, but not the profile, so the map would not send the
-    # family at phi = 0 onto its target
-    from eulerparts.bijections import pairing_map
-    low, high = (3, 2, 1), (3, 1, 1, 1)
-    forward = {low: pairing_map(high)[0], high: pairing_map(low)[0]}
-    patch_composite(monkeypatch, "_forward", forward)
-    patch_composite(monkeypatch, "_backward", {beta: a for a, beta in forward.items()})
+    # 3,3 and 2,2,1,1 (n = 6, refined key (0, 0), profiles (3,) and (2, 1))
+    # are even halves that swap images through merge_pairs, and the inverse
+    # agrees: both lie in the sources and targets at phi = 1 and at phi = i,
+    # and each image carries the refined key, but not the profile, so the
+    # map would not send the family at phi = 0 onto its target
+    low, high = (3, 3), (2, 2, 1, 1)
+    forward = swap_stage_images(monkeypatch, "merge_pairs", "split_pairs",
+                                {low: high, high: low})
     assert verify_pairing_refined(max_n=6, phi_specs=("1", "i")).counterexample == {
-        "phi": ["1", "i"], "n": 6, "input": "3,2,1", "image": plain_form(forward[low]),
+        "phi": ["1", "i"], "n": 6, "input": "3,3", "image": plain_form(forward[low]),
         "detail": "statistic not carried over"}
     assert verify_pairing_refined(max_n=6, phi_specs=("i",)).ok()
 
 
 @pytest.mark.parametrize("ms, m", (((1,), 1), ((1, 2), [1, 2])))
 def test_exchange_reports_a_statistic_not_carried_over(monkeypatch, ms, m):
-    # 3,1 (l_a 2) and 2,2 (l_a 0) swap images, 3,1 and 4 (l_o 2 and 0); the
-    # inverse agrees and both images lie in the target, so only the
-    # statistic, read from the target's table, shows the fault
-    patch_composite(monkeypatch, "_forward", {(3, 1): (4,), (2, 2): (3, 1)})
-    patch_composite(monkeypatch, "_backward", {(4,): (3, 1), (3, 1): (2, 2)})
+    # the distinct halves 4 (l_a 4) and 3,1 (l_a 2) swap images through the
+    # fishhook, 1,1,1,1 and 3,1 (l_o 4 and 2); the inverse agrees and both
+    # images lie in the target, so only the statistic, read from the
+    # target's table, shows the fault
+    swap_stage_images(monkeypatch, "sylvester_distinct_to_odd", "sylvester_odd_to_distinct",
+                      {(4,): (3, 1), (3, 1): (4,)})
     report = verify_pairing(max_n=6, ms=ms)
-    assert report.counterexample == {"m": m, "n": 4, "input": "3,1", "image": "4",
+    assert report.counterexample == {"m": m, "n": 4, "input": "4", "image": "3,1",
                                      "detail": "statistic not carried over"}
 
 
@@ -759,11 +864,12 @@ def test_exchange_takes_each_statistic_once(monkeypatch, ms):
 
 
 def count_forward(monkeypatch):
-    # every source partition the checks map: the calls to verify's _forward
+    # every source partition the checks map: the calls to verify's
+    # split_distinct_even, the one stage that is not memoised
     from eulerparts import verify
-    mapped, compose = [], verify._forward
-    monkeypatch.setattr(verify, "_forward",
-                        lambda alpha, *stages: mapped.append(alpha) or compose(alpha, *stages))
+    mapped, split = [], verify.split_distinct_even
+    monkeypatch.setattr(verify, "split_distinct_even",
+                        lambda alpha: mapped.append(alpha) or split(alpha))
     return mapped
 
 
@@ -809,10 +915,11 @@ def test_sylvester_check_reports_an_even_image_part(monkeypatch):
     monkeypatch.setattr(verify, "sylvester_distinct_to_odd",
                         lambda lam: (2, 2) if lam == (4,) else fishhook(lam))
     inverted = record_calls(monkeypatch, "sylvester_odd_to_distinct")
+    decoded = record_calls(monkeypatch, "split_pairs")
     report = point("sylvester")(max_n=6)
     assert report.counterexample == {"phi": "0", "n": 4, "input": "4", "image": "2,2",
                                      "detail": "image violates the target caps"}
-    assert inverted and (2, 2) not in inverted
+    assert inverted and (2, 2) not in decoded
 
 
 def test_sylvester_check_reports_a_statistic_not_carried_over(monkeypatch):
