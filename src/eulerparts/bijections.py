@@ -4,7 +4,7 @@ The building blocks:
 
 * ``split_distinct_even`` / ``merge_distinct_even`` — peel one copy of every
   part with odd multiplicity, leaving a distinct partition and a partition
-  in which every multiplicity is even;
+  in which every multiplicity is even (the split is re-exported from ``partition``);
 * ``sylvester_distinct_to_odd`` / ``sylvester_odd_to_distinct`` — Sylvester's
   fishhook bijection between distinct-part and odd-part partitions;
 * ``merge_pairs`` / ``split_pairs`` — trade two copies of ``t`` for one ``2t``;
@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, CapFamily)
-from .partition import alt_sum, multiplicities, odd_count
+from .partition import alt_sum, multiplicities, odd_count, split_distinct_even
 
 
 class DomainError(ValueError):
@@ -121,31 +121,7 @@ def _all_even(parts: tuple[int, ...]):
             raise DomainError("part %d is odd; all parts must be even" % p)
 
 
-# -- splitting off the odd multiplicities ---------------------------------
-
-def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Peel one copy of every odd-multiplicity part.
-
-    Returns ``(lam, mu)``: ``lam`` has the parts of odd multiplicity, once
-    each (so it is distinct), and ``mu`` keeps everything else, so each of
-    its multiplicities is even.  Equal neighbours pair off along each run,
-    so a run of odd length leaves one part over.
-    """
-    lam: list[int] = []
-    mu: list[int] = []
-    prev = 0
-    for p in alpha:
-        if p == prev:
-            mu += (p, p)
-            prev = 0
-        else:
-            if prev:
-                lam.append(prev)
-            prev = p
-    if prev:
-        lam.append(prev)
-    return tuple(lam), tuple(mu)
-
+# -- joining the distinct and even halves --------------------------------
 
 def _repeated(lam: tuple[int, ...]) -> DomainError | None:
     """The error for a distinct half in which a part repeats, maybe not as a
@@ -273,21 +249,13 @@ def binary_expand(mu: tuple[int, ...]) -> tuple[int, ...]:
     if not _evenly_paired(mu):
         raise _unpaired(mu)
     out = []
-    prev = half = 0  # a part of mu, and half its multiplicity so far
-    for size in mu[::2] + (0,):
-        if size == prev:
-            half += 1
-            continue
-        if prev % 2 == 0:
-            out += [prev] * (2 * half)
+    for size, mult in multiplicities(mu).items():
+        if size % 2 == 0:
+            out += [size] * mult
         else:
-            j = 1  # digit j - 1 of the half multiplicity is a_j
-            while half:
-                if half & 1:
-                    out.append(prev << j)
-                half >>= 1
-                j += 1
-        prev, half = size, 1
+            for j in range(1, mult.bit_length()):
+                if mult >> j & 1:
+                    out.append(size << j)
     return tuple(sorted(out, reverse=True))
 
 

@@ -9,6 +9,8 @@ can be passed on a command line.
 The exchange families (:class:`CapFamily`) live here too: each is one
 per-size rule, which gives its caps at m and at phi, a partition's level and
 its profile, so the maps, the checks and the generating functions agree.
+A halving family's profile reads :func:`~eulerparts.partition.split_distinct_even`,
+from ``partition``, since ``bijections`` imports this module.
 
 The enumeration walks a partition's head, its largest parts, only while
 the remainder exceeds ``n // 2``.  The partitions of each remainder up to
@@ -26,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import inf, prod
 from typing import Callable, Iterator
+
+from .partition import split_distinct_even
 
 
 # "No cap": a number, so that cap arithmetic needs no branch for it.
@@ -308,18 +312,10 @@ class CapFamily:
 
     def profile(self, parts: tuple[int, ...]) -> tuple[int, ...]:
         """Each index in the non-increasing ``parts`` as often as its copies
-        force, largest first: each i at most phi(i) times exactly at phi."""
-        indices = [p >> 1 for p in parts if not p & 1] if self.even else parts
-        if not self.halves:
-            return tuple(indices)
-        out, prev = [], 0
-        for i in indices:
-            if i == prev:
-                out.append(i)
-                prev = 0
-            else:
-                prev = i
-        return tuple(out)
+        force, largest first: each i at most phi(i) times exactly at phi.  A
+        halving family keeps one index of each pair in the split's even half."""
+        indices = tuple([p >> 1 for p in parts if not p & 1]) if self.even else parts
+        return split_distinct_even(indices)[1][::2] if self.halves else indices
 
 
 PAIRING_SOURCE = CapFamily(even=False, halves=True)  # every part at most 2m+1 times

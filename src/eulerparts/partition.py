@@ -4,6 +4,8 @@ A partition is a non-increasing tuple of positive parts; the empty tuple is
 the (unique) partition of 0.  The whole library passes partitions as these
 parts tuples.  Each statistic is one function of the tuple, and so are the
 two ways to print it, :func:`plain_form` and :func:`exponent_form`.
+:func:`split_distinct_even` pairs off equal parts for the bijections, the
+largest part of odd multiplicity and each cap family's profile.
 :class:`Partition` is the validated parser the command line reads its input
 through.
 """
@@ -134,15 +136,32 @@ def largest_odd_part(parts: tuple[int, ...]) -> int:
     return 0
 
 
+def split_distinct_even(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Peel one copy of every odd-multiplicity part.
+
+    Returns ``(lam, mu)``: ``lam`` has the parts of odd multiplicity, once
+    each (so it is distinct), and ``mu`` keeps everything else, so each of
+    its multiplicities is even.  Equal neighbours pair off along each run,
+    so a run of odd length leaves one part over.
+    """
+    lam: list[int] = []
+    mu: list[int] = []
+    prev = 0
+    for p in alpha:
+        if p == prev:
+            mu += (p, p)
+            prev = 0
+        else:
+            if prev:
+                lam.append(prev)
+            prev = p
+    if prev:
+        lam.append(prev)
+    return tuple(lam), tuple(mu)
+
+
 def largest_odd_multiplicity_part(parts: tuple[int, ...]) -> int:
     """The largest part occurring an odd number of times, 0 if none: the
-    first run of equal parts, largest first, of odd length."""
-    prev, run = 0, 0
-    for p in parts:
-        if p == prev:
-            run += 1
-        elif run & 1:
-            return prev
-        else:
-            prev, run = p, 1
-    return prev if run & 1 else 0
+    first part of :func:`split_distinct_even`'s distinct half."""
+    lam = split_distinct_even(parts)[0]
+    return lam[0] if lam else 0

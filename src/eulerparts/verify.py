@@ -211,7 +211,7 @@ def _verify_exchange(report: VerificationReport, stages, context: dict, caps,
         left, right = Counter(keys), Counter(target.values())
         totals.update(left)
         if left != right:
-            return {"by_alt_sum": _json_keys(left), "by_odd_count": _json_keys(right)}
+            return {"source_histogram": _json_keys(left), "target_histogram": _json_keys(right)}
         try:
             for alpha, key in zip(source, keys):
                 lam, mu = split_distinct_even(alpha)
@@ -451,8 +451,8 @@ def verify_boulet_restricted(i: int = 0, k: int = 1,
     """Restricted four-parameter product against direct enumeration.
 
     For i != 0 the enumeration uses the side conditions (even length, part i
-    at most once) and both readings of whether the empty partition belongs
-    to the family are reported when they disagree.
+    at most once), and a failing run also notes where the reading without
+    the empty partition differs: always at the constant term.
     """
     bseq = _bounds(bounds)
     report = VerificationReport(
@@ -465,14 +465,10 @@ def verify_boulet_restricted(i: int = 0, k: int = 1,
         report.notes.append("matches with the empty partition included")
     elif i != 0:
         # The report keeps its first counterexample; this reading adds a note.
-        # Only the empty partition has degree 0, so it is the constant term.
+        # Without the empty partition there is no constant term; every product's is 1.
         bare = Series(lhs.names, trunc, {e: c for e, c in lhs.terms.items() if any(e)})
-        diff = _compare(report, bare, rhs)
-        if diff is None:
-            report.notes.append("matches with the empty partition excluded")
-        else:
-            report.notes.append(
-                "empty partition excluded: still differs at %s (%d vs %d)" % diff)
+        report.notes.append("empty partition excluded: still differs at %s (%d vs %d)"
+                            % _compare(report, bare, rhs))
     return report
 
 

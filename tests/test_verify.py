@@ -4,6 +4,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerparts.bijections import (DomainError, binary_contract, binary_expand,
                                    binary_inverse, merge_pairs, pairing_inverse,
@@ -12,6 +13,7 @@ from eulerparts.bijections import (DomainError, binary_contract, binary_expand,
 from eulerparts.enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                                    count_total, parse_bounds)
 from eulerparts.partition import alt_sum, plain_form
+from eulerparts.series import restricted_boulet_product
 from eulerparts.verify import (
     REGISTRY,
     VerificationReport,
@@ -317,6 +319,29 @@ def test_restricted_product_mismatch_is_fully_reported(i, k, bounds, monomial):
         "monomial": monomial, "enumerated": 0, "product": 1}
     # both readings of the empty partition are covered
     assert any("excluded" in note and "0 vs 1" in note for note in report.notes)
+
+
+def _constant_term(i, k, bounds, trunc=20):
+    return restricted_boulet_product(i, k, parse_bounds(bounds), trunc).terms.get((0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("run", REGISTRY["boulet-restricted"].default_runs)
+def test_every_registry_restricted_product_has_constant_term_one(run):
+    # the enumerated series without the empty partition has no constant
+    # term, so that reading of the check can never match
+    assert _constant_term(**run) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, k - 1),
+    st.dictionaries(st.integers(0, 5), st.sampled_from((1, 3, 5)), max_size=3),
+    st.integers(0, 12))))
+def test_every_restricted_product_has_constant_term_one(config):
+    # caps on sizes of the progression, each strict cap even
+    k, i, caps, trunc = config
+    spec = ",".join("%d:%d" % (j * k + (i or k), b) for j, b in sorted(caps.items())) or "all:inf"
+    assert _constant_term(i, k, spec, trunc) == 1
 
 
 def test_refined_source_caps_are_bound_dsl(monkeypatch):
@@ -684,6 +709,15 @@ def test_a_half_verdict_lives_for_one_check(monkeypatch, patch):
     assert verify_pairing(max_n=6).ok()
 
 
+@pytest.mark.parametrize("ms, m", (((1,), 1), (None, "every")))
+def test_exchange_check_reports_an_inverse_that_breaks_the_weight(monkeypatch, ms, m):
+    # the image of 1,1 is 2, which the decode stage sends to 2,2: the round
+    # trip lands at weight 4, not 2, so the inverse breaks an invariant
+    patch_stage(monkeypatch, "split_pairs", {(2,): (2, 2)})
+    assert verify_pairing(max_n=4, ms=ms).counterexample == {
+        "m": m, "n": 2, "input": "1,1", "detail": "invariant broken: weight preserved"}
+
+
 @pytest.fixture
 def broken_inverse(monkeypatch):
     # the inverse sends the images of 2,2 and 5, which are 4 and 1,1,1,1,1,
@@ -756,7 +790,7 @@ def test_exchange_fails_on_a_target_larger_than_the_image(m, left, right):
         report, PAIRING_STAGES, {"m": m},
         (PAIRING_SOURCE.bounds(m), PAIRING_TARGET.bounds(m + 1)), 12, verify._EXCHANGED)
     assert report.counterexample == {"m": m, "n": 2 * m + 2,
-                                     "by_alt_sum": left, "by_odd_count": right}
+                                     "source_histogram": left, "target_histogram": right}
 
 
 def test_exchange_checks_the_target_caps_of_every_m(monkeypatch):
