@@ -30,26 +30,31 @@ output can come out of order: ``merge_distinct_even``, ``binary_expand``,
 ``binary_contract`` and the join of the two halves.  :func:`_forward` and
 :func:`_backward` compose the stages of the two composite maps, taking the
 fishhook and the even half's stage as arguments.  They are the maps that
-the public functions run and trace, and the reference that the exchange
-checks in ``verify``, which run the same composition inline, are tested
-against.
+the public functions run and trace.  The exchange checks in ``verify`` run
+``_forward``'s composition inline and call ``_backward`` for a partition
+whose halves they cannot certify; both are the reference those checks are
+tested against.
 
-Those checks memoise the four stages for the life of one check and stay
-exact:
+Those checks memoise the two forward stages for the life of one check and
+stay exact:
 
 * each stage is a pure function of its input tuple, so a stored image is
   the image it would compute again;
 * an input on which a stage raises is never stored, so the stage raises
   for every partition whose split meets that input;
-* :func:`merge_distinct_even` checks each half on its own: the distinct
-  half with :func:`_repeated`, a pure function of the inverse fishhook's
-  output, and the even half with :func:`_unpaired_half`, a pure function
-  of the decode stage's output.  So each verdict is stored with its half,
-  and raised only once both stages have run, the distinct half's first, as
-  :func:`_backward` raises them;
-* the split, the join, the parity split of the image and both weight
-  checks are not memoised: they run for every partition a check meets,
-  and a check meets each partition once.
+* with each half's image the check stores one certificate: every part of
+  the image has the half's parity (odd after the fishhook, even after the
+  encode stage), and the inverse stage sends the image, sorted, back to
+  the half (an ``AssertionError`` or ``DomainError`` there leaves the half
+  uncertified).  When both halves of a partition are certified, the parity
+  split in :func:`_backward` gives the two sorted images, the inverse
+  stages give back the two halves, and :func:`merge_distinct_even` joins
+  them with no error, since the split made one half distinct and the
+  other evenly paired.  So :func:`_backward` would return the partition,
+  and only a partition with an uncertified half is sent through it;
+* the split, the join and the forward weight check are not memoised: they
+  run for every partition a check meets, and a check meets each partition
+  once.
 
 l_a = l_o is not checked by :func:`_forward` but by the public maps
 :func:`pairing_map` and :func:`binary_map`; an exchange check compares

@@ -5,8 +5,8 @@ returns a :class:`VerificationReport`; nothing is sampled, so a "pass" means
 the identity holds everywhere on the grid.  The three bijection checks share
 one engine, :func:`_verify_exchange`, which runs on parts tuples under one
 pair of caps, takes each statistic of a partition once per n and sends each
-source partition once round the composite map, which it runs inline over
-memoised stages.
+source partition once through the composite map, which it runs inline over
+memoised stages; the inverse is certified once per half.
 Each makes one run: an m or phi grid is checked at its top, every m by
 default (:func:`_verify_composite`), and a failure is reported by n.
 The registry at the end plans and runs the grid of the ``verify`` command:
@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 # pairing_map, binary_map and their inverses are not called here; the
 # benchmark's tracer (perfbench/spans.py) wraps them under these names.
-from .bijections import (DomainError, _repeated, _unpaired_half, binary_contract,
-                         binary_expand, binary_inverse, binary_map,
-                         merge_pairs, pairing_inverse, pairing_map,
-                         split_distinct_even, split_pairs,
+from .bijections import (DomainError, _backward, binary_contract, binary_expand,
+                         binary_inverse, binary_map, merge_pairs, pairing_inverse,
+                         pairing_map, split_distinct_even, split_pairs,
                          sylvester_distinct_to_odd, sylvester_odd_to_distinct)
 from .enumeration import (BINARY_FAMILY, PAIRING_SOURCE, PAIRING_TARGET,
                           UNBOUNDED, BoundSequence, CongruenceFilter,
@@ -170,20 +169,21 @@ def _verify_exchange(report: VerificationReport, stages, context: dict, caps,
     and the key its image must carry.  The target family is listed as a
     dict from each target partition to its statistic, which is never None:
     it gives the right-hand histogram, answers target membership, and gives
-    an image's statistic, all in one lookup.  The caps are tested first, so
-    an image outside them never reaches the inverse.  Target caps that are
-    the source caps list the family once.
+    an image's statistic, all in one lookup.  The caps are tested before
+    the round trip, so an image outside them is reported as such.  Target
+    caps that are the source caps list the family once.
 
-    The map is :func:`~eulerparts.bijections._forward` and its inverse
-    ``_backward``, run inline over ``stages`` (fishhook, encode, inverse
-    fishhook, decode), each memoised in a dict that lives for this call;
-    the ``bijections`` module docstring says why that is exact.  Each
-    inverse stage stores with its output the verdict of
-    :func:`~eulerparts.bijections.merge_distinct_even` on that half, raised
-    only after both have run, so errors come in ``_backward``'s order:
-    inverse fishhook, decode, a repeated part, an unpaired part.  The map
-    does not check l_a = l_o itself: the statistic comparison is that
-    check, or holds it first.
+    The map is :func:`~eulerparts.bijections._forward`, run inline over
+    ``stages`` (fishhook, encode, inverse fishhook, decode), its two forward
+    stages memoised in dicts that live for this call.  With each half's
+    image the memo stores a certificate of the half's round trip, and only
+    a partition with an uncertified half goes through ``_backward``, which
+    raises in its own order; the ``bijections`` module docstring says why
+    that is exact.  The certificate runs the inverse stage before the
+    target lookup, so an inverse that raises other than ``AssertionError``
+    or ``DomainError`` stops the check there, maybe before the caps report
+    an image.  The map does not check l_a = l_o itself: the statistic
+    comparison is that check, or holds it first.
 
     These checks imply that the images exhaust the target family, so that is
     not checked apart.  Equal histograms give both families the same size
@@ -199,8 +199,20 @@ def _verify_exchange(report: VerificationReport, stages, context: dict, caps,
     src, dst = caps
     source_stat, target_stat = stats
     fishhook, encode, unhook, decode = stages
-    hooked, encoded, unhooked, decoded = {}, {}, {}, {}
+    hooked, encoded = {}, {}
     totals: Counter = Counter()
+
+    def certify(memo, half, stage, inverse, parity):
+        # the stage's image of ``half``, stored with whether every part of it
+        # has ``parity`` and ``inverse`` sends it, sorted, back to ``half``
+        image = stage(half)
+        try:
+            certified = (all(p % 2 == parity for p in image)
+                         and inverse(tuple(sorted(image, reverse=True))) == half)
+        except (AssertionError, DomainError):
+            certified = False
+        memo[half] = image, certified
+        return image, certified
 
     def check(n):
         # the first failure at n, or None
@@ -215,12 +227,8 @@ def _verify_exchange(report: VerificationReport, stages, context: dict, caps,
         try:
             for alpha, key in zip(source, keys):
                 lam, mu = split_distinct_even(alpha)
-                tau = hooked.get(lam)
-                if tau is None:
-                    tau = hooked[lam] = fishhook(lam)
-                nu = encoded.get(mu)
-                if nu is None:
-                    nu = encoded[mu] = encode(mu)
+                tau, lam_sure = hooked.get(lam) or certify(hooked, lam, fishhook, unhook, 1)
+                nu, mu_sure = encoded.get(mu) or certify(encoded, mu, encode, decode, 0)
                 beta = tuple(sorted(tau + nu, reverse=True))
                 if sum(beta) != n:
                     raise AssertionError("invariant broken: weight preserved")
@@ -228,31 +236,7 @@ def _verify_exchange(report: VerificationReport, stages, context: dict, caps,
                 if stat is None:
                     detail = "image violates the target caps"
                     break
-                odd, even = [], []
-                for p in beta:
-                    if p & 1:
-                        odd.append(p)
-                    else:
-                        even.append(p)
-                odd, even = tuple(odd), tuple(even)
-                distinct = unhooked.get(odd)
-                if distinct is None:
-                    lam = unhook(odd)
-                    distinct = unhooked[odd] = (lam, _repeated(lam))
-                paired = decoded.get(even)
-                if paired is None:
-                    mu = decode(even)
-                    paired = decoded[even] = (mu, _unpaired_half(mu))
-                lam, error = distinct
-                if error:
-                    raise error
-                mu, error = paired
-                if error:
-                    raise error
-                back = tuple(sorted(lam + mu, reverse=True))
-                if back != alpha:
-                    if sum(back) != n:
-                        raise AssertionError("invariant broken: weight preserved")
+                if not (lam_sure and mu_sure) and _backward(beta, unhook, decode)[-1] != alpha:
                     detail = "inverse round trip failed"
                     break
                 if stat != key:

@@ -718,6 +718,58 @@ def test_exchange_check_reports_an_inverse_that_breaks_the_weight(monkeypatch, m
         "m": m, "n": 2, "input": "1,1", "detail": "invariant broken: weight preserved"}
 
 
+# Each half's image is certified once per check: every part has the half's
+# parity and the inverse stage sends the sorted image back to the half.
+# Only a partition with an uncertified half goes through _backward.
+@pytest.mark.parametrize("ms, m", (((1,), 1), (None, "every")))
+@pytest.mark.parametrize("patches, counterexample", (
+    # the fishhook sends 3 to 2,1, and the inverse fishhook sends 2,1 back:
+    # the round trip of the half holds, but the image has an even part, so
+    # _backward splits 2,1 by parity and sends it to 1,1,1
+    ((("sylvester_distinct_to_odd", {(3,): (2, 1)}),
+      ("sylvester_odd_to_distinct", {(2, 1): (3,)})),
+     {"n": 3, "input": "3", "image": "2,1", "detail": "inverse round trip failed"}),
+    # the decode stage sends 4,2, the image of 2,2,1,1, to its parts out of
+    # order: equal to the half as a multiset, but no partition
+    ((("split_pairs", {(4, 2): (1, 2, 1, 2)}),),
+     {"n": 6, "input": "2,2,1,1", "detail": "part 2 follows the smaller part 1 in the even half"}),
+    # merge_pairs sends 2,2,1,1 to 2,4, out of order, and the decode stage
+    # sends 2,4 back but 4,2, the image joined and sorted, elsewhere
+    ((("merge_pairs", {(2, 2, 1, 1): (2, 4)}),
+      ("split_pairs", {(2, 4): (2, 2, 1, 1), (4, 2): (4, 1, 1)})),
+     {"n": 6, "input": "2,2,1,1", "detail": "part 4 has odd multiplicity 1 in the even half"}),
+))
+def test_a_half_is_certified_only_by_its_sorted_image_of_one_parity(
+        monkeypatch, patches, counterexample, ms, m):
+    for name, table in patches:
+        patch_stage(monkeypatch, name, table)
+    assert verify_pairing(max_n=counterexample["n"], ms=ms).counterexample == {
+        "m": m, **counterexample}
+
+
+def count_backward(monkeypatch):
+    # every image that the checks send through verify's _backward
+    from eulerparts import verify
+    images, backward = [], verify._backward
+    monkeypatch.setattr(verify, "_backward",
+                        lambda beta, *stages: images.append(beta) or backward(beta, *stages))
+    return images
+
+
+def test_genuine_stages_certify_every_half(monkeypatch):
+    # verify all's exchange runs and the bijection-sweep benchmark's grid
+    # round-trip every partition by its halves' certificates alone
+    images = count_backward(monkeypatch)
+    names = ("pairing", "binary", "pairing-refined", "sylvester")
+    runs = [run for run in runs_for("all", {}, {}) if run[0] in names]
+    assert sorted({name for name, _ in runs}) == sorted(names)
+    assert all(report.ok() for report in run_checks(runs, 1))
+    for runner in (verify_pairing, verify_binary):
+        for m in range(4):
+            assert runner(max_n=24, ms=(m,)).ok()
+    assert images == []
+
+
 @pytest.fixture
 def broken_inverse(monkeypatch):
     # the inverse sends the images of 2,2 and 5, which are 4 and 1,1,1,1,1,
@@ -743,6 +795,14 @@ def test_exchange_reports_the_first_failure_in_n_order(broken_inverse, ms, m, n,
     ce = report.counterexample
     assert (ce["m"], ce["n"], ce["input"], ce["detail"]) == (
         m, n, text, "inverse round trip failed")
+
+
+def test_a_broken_inverse_takes_the_slow_path(broken_inverse, monkeypatch):
+    # the halves 2,2 and 5 are left uncertified, so their partitions go
+    # through _backward, which reports the first of them
+    images = count_backward(monkeypatch)
+    assert verify_pairing(max_n=8).counterexample["input"] == "2,2"
+    assert images
 
 
 def test_refined_check_inverts_every_image(broken_inverse):
